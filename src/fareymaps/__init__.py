@@ -21,13 +21,10 @@ from .maps import (
     Face,
     FareyMap,
     build_map,
-    euler_characteristic,
-    faces_of,
     from_json,
     genus,
     map_to_dict,
     mu,
-    neighbors,
     same_combinatorics,
     to_dot,
     to_json,

@@ -16,7 +16,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import LevelMismatch, NotAVertex, Unsupported
+from .errors import LevelMismatch, MalformedLabel, NotAVertex, Unsupported
+
+
+def distinct_prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending; n is prime iff this is [n]."""
+    out = []
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
+def _split_fraction(text: str) -> tuple[int, int]:
+    """Integers (a, c) of the text "a/c"; a bare integer "a" reads as a/1."""
+    a, sep, c = text.partition("/")
+    try:
+        return int(a), int(c) if sep else 1
+    except ValueError:
+        raise MalformedLabel(f"{text!r} is not a fraction a/c or an integer a") from None
 
 
 def _is_canonical_pair(a: int, c: int, n: int) -> bool:
@@ -51,8 +76,7 @@ class FareyFraction:
 
     @classmethod
     def parse(cls, text: str, level: int) -> "FareyFraction":
-        a, _, c = text.partition("/")
-        return canonical(int(a), int(c), level)
+        return canonical(*_split_fraction(text), level)
 
     def key(self) -> tuple[int, int]:
         """Sort key; vertices are listed poles first, as (den, num)."""
@@ -85,6 +109,16 @@ def canonical(a: int, c: int, n: int) -> FareyFraction:
     if not _is_canonical_pair(a, c, n):
         a, c = (-a) % n, (-c) % n
     return FareyFraction(a, c, n)
+
+
+def vertex_pairs(n: int) -> list[tuple[int, int]]:
+    """The canonical (num, den) vertex pairs at level n, in (den, num) order."""
+    out = []
+    for c in range(n // 2 + 1):
+        for a in range(n):
+            if _is_canonical_pair(a, c, n) and gcd(gcd(a, c), n) == 1:
+                out.append((a, c))
+    return out
 
 
 def is_adjacent(f: FareyFraction, g: FareyFraction) -> bool:
@@ -157,9 +191,6 @@ class ModMatrix:
             self.c * other.b + self.d * other.d,
             self.level,
         )
-
-    def inverse(self) -> "ModMatrix":
-        return ModMatrix.of(self.d, -self.b, -self.c, self.a, self.level)
 
     def __str__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
@@ -234,8 +265,7 @@ class ExtRational:
 
     @classmethod
     def parse(cls, text: str) -> "ExtRational":
-        a, sep, c = text.partition("/")
-        return cls.of(int(a), int(c) if sep else 1)
+        return cls.of(*_split_fraction(text))
 
     @classmethod
     def infinity(cls) -> "ExtRational":

@@ -37,8 +37,17 @@ class WrongLevel(FareyMapError):
     """Operation is specific to another level."""
 
 
+class MalformedLabel(FareyMapError):
+    """Text is not a fraction a/c or an integer a."""
+
+
 class NoMatch(FareyMapError):
-    """A polygon side has no orientation-reversed partner."""
+    """A polygon side has no orientation-reversed partner, or a side pairing
+    glues corners that carry different labels."""
+
+
+class BrokenInvariant(FareyMapError):
+    """A constructed object fails one of its structural invariants."""
 
 
 class NoSector(FareyMapError):
@@ -49,7 +58,7 @@ class DisconnectedBoundary(FareyMapError):
     """One-sided edges of a face set form more than one cycle."""
 
 
-class UnpairedEdge(FareyMapError):
+class UnpairedEdge(NoMatch):
     """A directed boundary edge has no unique reversed occurrence."""
 
 

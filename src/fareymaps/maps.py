@@ -23,29 +23,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
-from .arith import FareyFraction, _is_canonical_pair
-from .errors import NonIntegral, ResourceLimit, UnknownVertex, Unsupported
+from .arith import FareyFraction, distinct_prime_factors, vertex_pairs
+from .errors import (
+    BrokenInvariant,
+    NonIntegral,
+    ResourceLimit,
+    UnknownVertex,
+    Unsupported,
+)
 
 DEFAULT_LEVEL_BOUND = 101
-
-
-def _distinct_prime_factors(n: int) -> list[int]:
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return out
 
 
 def mu(n: int) -> int:
@@ -53,7 +43,7 @@ def mu(n: int) -> int:
     if n < 3:
         raise Unsupported(f"mu(n) needs n >= 3, got {n}")
     value = Fraction(n**3, 2)
-    for p in _distinct_prime_factors(n):
+    for p in distinct_prime_factors(n):
         value *= 1 - Fraction(1, p * p)
     if value.denominator != 1:
         raise NonIntegral(f"mu({n}) = {value} is not an integer")
@@ -61,13 +51,13 @@ def mu(n: int) -> int:
 
 
 def genus(n: int) -> int:
-    """Genus of the level-n map: 1 + n^2/24 * (n - 6) * prod(1 - 1/p^2)."""
+    """Genus of the level-n map: 1 + n^2/24 * (n - 6) * prod(1 - 1/p^2).
+
+    That is 1 + mu(n) * (n - 6) / (12 n), from 2 - 2g = mu/n - mu/2 + mu/3.
+    """
     if n < 3:
         raise Unsupported(f"genus(n) needs n >= 3, got {n}")
-    value = Fraction(n * n, 24) * (n - 6)
-    for p in _distinct_prime_factors(n):
-        value *= 1 - Fraction(1, p * p)
-    value += 1
+    value = 1 + Fraction(mu(n) * (n - 6), 12 * n)
     if value.denominator != 1:
         raise NonIntegral(f"genus({n}) = {value} is not an integer")
     return int(value)
@@ -91,16 +81,6 @@ class Face:
 
     def __str__(self) -> str:
         return "{" + ", ".join(self.labels()) + "}"
-
-
-def _enumerate_vertices(n: int) -> list[tuple[int, int]]:
-    """Canonical (num, den) pairs in (den, num) order."""
-    out = []
-    for c in range(n // 2 + 1):
-        for a in range(n):
-            if _is_canonical_pair(a, c, n) and gcd(gcd(a, c), n) == 1:
-                out.append((a, c))
-    return out
 
 
 def _bezout_column(a: int, c: int, n: int) -> tuple[int, int]:
@@ -134,7 +114,6 @@ class FareyMap:
         self._face_of_dart: np.ndarray = face_of_dart
         self._face_leaders: np.ndarray = face_leaders
         self._index = {v: i for i, v in enumerate(vertices)}
-        self._face_lookup: dict[frozenset[int], int] | None = None
 
     # -- counts ---------------------------------------------------------
 
@@ -162,11 +141,16 @@ class FareyMap:
         except KeyError:
             raise UnknownVertex(f"{v} is not a vertex of M3({self.level})") from None
 
-    def dart_source_id(self, dart: int) -> int:
-        return dart // self.level
-
     def dart_target_id(self, dart: int) -> int:
         return int(self._dart_target[dart])
+
+    def dart_between(self, u: int, w: int) -> int:
+        """The dart from vertex id u to vertex id w; M3(n) has no multi-edges."""
+        n = self.level
+        hits = np.flatnonzero(self._dart_target[u * n:(u + 1) * n] == w)
+        if hits.size == 0:
+            raise UnknownVertex(f"no edge from vertex id {u} to vertex id {w}")
+        return u * n + int(hits[0])
 
     def neighbor_ids(self, vid: int) -> list[int]:
         n = self.level
@@ -206,18 +190,20 @@ class FareyMap:
         return int(self._face_of_dart[dart])
 
     def face_id_by_vertices(self, vs) -> int:
-        """Face id of the face with the given vertex set; raises if absent."""
-        if self._face_lookup is None:
-            lookup = {}
-            for fid in range(self.face_count):
-                lookup[frozenset(self.face_vertex_ids(fid))] = fid
-            self._face_lookup = lookup
-        key = frozenset(self.vertex_id(v) if isinstance(v, FareyFraction) else v
-                        for v in vs)
-        try:
-            return self._face_lookup[key]
-        except KeyError:
-            raise UnknownVertex(f"no face with vertices {sorted(key)}") from None
+        """Face id of the face with the given vertex set; raises if absent.
+
+        A face {a, b, c} lies on one side of the dart a -> b, and the face on
+        the left of a dart d has third corner target(sigma(alpha(d))).  M3(n)
+        has no two faces with the same vertex set.
+        """
+        ids = [self.vertex_id(v) if isinstance(v, FareyFraction) else v for v in vs]
+        if len(set(ids)) == 3:
+            a, b, c = ids
+            d = self.dart_between(a, b)
+            for dart in (d, int(self.alpha[d])):
+                if self._dart_target[self.sigma[self.alpha[dart]]] == c:
+                    return int(self._face_of_dart[dart])
+        raise UnknownVertex(f"no face with vertices {sorted(set(ids))}")
 
     def has_face(self, vs) -> bool:
         try:
@@ -237,10 +223,11 @@ def build_map(n: int, max_level: int = DEFAULT_LEVEL_BOUND) -> FareyMap:
     if n > max_level:
         raise ResourceLimit(f"level {n} above bound {max_level}")
 
-    pairs = _enumerate_vertices(n)
+    pairs = vertex_pairs(n)
     vcount = len(pairs)
     order = mu(n)
-    assert vcount * n == order
+    if vcount * n != order:
+        raise BrokenInvariant(f"{vcount} vertices at level {n}, not mu/n = {order // n}")
 
     av = np.array([p[0] for p in pairs], dtype=np.int64)
     cv = np.array([p[1] for p in pairs], dtype=np.int64)
@@ -264,7 +251,7 @@ def build_map(n: int, max_level: int = DEFAULT_LEVEL_BOUND) -> FareyMap:
     def lookup(target_keys):
         pos = np.searchsorted(sortedkeys, target_keys)
         if not np.array_equal(sortedkeys[pos], target_keys):
-            raise AssertionError("dart lookup failed; construction bug")
+            raise BrokenInvariant("dart lookup failed; construction bug")
         return sortidx[pos]
 
     idx = np.arange(order, dtype=np.int64)
@@ -299,20 +286,6 @@ def build_map(n: int, max_level: int = DEFAULT_LEVEL_BOUND) -> FareyMap:
     dart_target = alpha // n
     return FareyMap(n, vertices, sigma, alpha, dart_target, face_of_dart,
                     face_leaders)
-
-
-# -- module-level convenience wrappers --------------------------------------
-
-def neighbors(fmap: FareyMap, v: FareyFraction) -> tuple[FareyFraction, ...]:
-    return fmap.neighbors(v)
-
-
-def faces_of(fmap: FareyMap) -> list[Face]:
-    return fmap.faces()
-
-
-def euler_characteristic(fmap: FareyMap) -> int:
-    return fmap.euler_characteristic()
 
 
 # -- export / import -------------------------------------------------------

@@ -13,28 +13,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .arith import FareyFraction, canonical, is_adjacent
-from .errors import EqualVertices, LevelMismatch, NotPrime
+from .arith import FareyFraction, canonical, distinct_prime_factors, is_adjacent
+from .errors import BrokenInvariant, EqualVertices, LevelMismatch, NotPrime
 from .maps import FareyMap
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _require_prime(p: int) -> None:
-    if not is_prime(p) or p < 5:
+    if p < 5 or distinct_prime_factors(p) != [p]:
         raise NotPrime(f"need a prime >= 5, got {p}")
 
 
@@ -104,10 +89,11 @@ def bfs_distance(fmap: FareyMap, f: FareyFraction, g: FareyFraction) -> int:
                 if w == goal:
                     return dist[w]
                 queue.append(w)
-    raise AssertionError("1-skeleton is connected; unreachable vertex")
+    raise BrokenInvariant("1-skeleton is connected; unreachable vertex")
 
 
-def _bfs_all(fmap: FareyMap, start: int) -> list[int]:
+def distances_from(fmap: FareyMap, start: int) -> list[int]:
+    """BFS distance from vertex id start to every vertex id."""
     dist = [-1] * fmap.vertex_count
     dist[start] = 0
     queue = deque([start])
@@ -122,7 +108,7 @@ def _bfs_all(fmap: FareyMap, start: int) -> list[int]:
 
 def diameter(fmap: FareyMap) -> int:
     """Max over all vertex pairs of the BFS distance."""
-    return max(max(_bfs_all(fmap, v)) for v in range(fmap.vertex_count))
+    return max(max(distances_from(fmap, v)) for v in range(fmap.vertex_count))
 
 
 def first_circuit(p: int) -> Circuit:

@@ -28,7 +28,8 @@ from .arith import (
     in_principal_congruence,
     mobius_exact,
 )
-from .errors import NoMatch, WrongLevel
+from .errors import BrokenInvariant, WrongLevel
+from .gluing import partner_of, polygon_genus, reversed_pairs
 from .maps import Face, FareyMap
 from .metrics import second_circuit
 
@@ -91,12 +92,7 @@ class SidePairing:
     pairs: tuple[tuple[int, int], ...]  # 7 pairs, each sorted, fixed-point-free
 
     def partner(self, index: int) -> int:
-        for i, j in self.pairs:
-            if index == i:
-                return j
-            if index == j:
-                return i
-        raise NoMatch(f"side {index} not in pairing")
+        return partner_of(self.pairs, index)
 
 
 def _quad_at(fmap: FareyMap, third: FareyFraction):
@@ -109,7 +105,8 @@ def _quad_at(fmap: FareyMap, third: FareyFraction):
         if third in vs and sorted(v.den for v in vs) == [2, 2, 3]:
             inner = fmap.face(fid)
             break
-    assert inner is not None, f"no quadrilateral at {third}"
+    if inner is None:
+        raise BrokenInvariant(f"no quadrilateral at {third}")
     u, w = [v for v in inner.vertices if v.den == 2]
     outer = fmap.face(fmap.face_id_by_vertices([u, pole3, w]))
     rot = fmap.neighbors(pole3)
@@ -117,7 +114,7 @@ def _quad_at(fmap: FareyMap, third: FareyFraction):
         nxt = rot[(i + 1) % len(rot)]
         if {r, nxt} == {u, w}:
             return inner, outer, nxt, r
-    raise AssertionError(f"{u}, {w} not consecutive around {pole3}")
+    raise BrokenInvariant(f"{u}, {w} not consecutive around {pole3}")
 
 
 def outer_ring(fmap: FareyMap) -> tuple[RingRegion, ...]:
@@ -137,14 +134,16 @@ def outer_ring(fmap: FareyMap) -> tuple[RingRegion, ...]:
         if gap == 1:
             face = fmap.face(fmap.face_id_by_vertices([start, pole2, end]))
             regions.append(RingRegion("triangle", (start, pole2, end), (face,)))
-        else:
-            assert gap == 2, "walk structure: pinches one or two slots apart"
+        elif gap == 2:
             inner, outer, later, earlier = _quad_at(fmap, start)
             regions.append(
                 RingRegion("quad", (start, later, pole3, earlier), (inner, outer))
             )
-    assert len(regions) == 14
-    assert all(r.kind != regions[i - 1].kind for i, r in enumerate(regions))
+        else:
+            raise BrokenInvariant(f"pinches {gap} slots apart, expected one or two")
+    if len(regions) != 14 or any(r.kind == regions[i - 1].kind
+                                 for i, r in enumerate(regions)):
+        raise BrokenInvariant("the ring is not 14 alternating chambers")
     return tuple(regions)
 
 
@@ -177,50 +176,29 @@ def fourteen_gon(fmap: FareyMap) -> FourteenGon:
     )
     gon = FourteenGon(sides)
     corners = gon.corner_labels()
-    assert corners.count("2/0") == corners.count("3/0") == 7
-    assert all(corners[i] != corners[i - 1] for i in range(14))
+    if not corners.count("2/0") == corners.count("3/0") == 7 or any(
+        corners[i] == corners[i - 1] for i in range(14)
+    ):
+        raise BrokenInvariant(f"corners {corners} do not alternate 2/0 and 3/0")
     return gon
 
 
 def side_pairing(gon: FourteenGon) -> SidePairing:
     """Pair sides whose label sequences match with reversed orientation."""
-    by_labels: dict[tuple, list[Side]] = {}
-    for side in gon.sides:
-        by_labels.setdefault(side.labels, []).append(side)
-    pairs = []
-    for labels, group in sorted(by_labels.items(), key=lambda kv: kv[1][0].index):
-        if len(group) != 2 or group[0].anticlockwise == group[1].anticlockwise:
-            raise NoMatch(f"side(s) {[s.index for s in group]} lack a reversed partner")
-        pairs.append(tuple(sorted((group[0].index, group[1].index))))
-    return SidePairing(tuple(sorted(pairs)))
+    keys = [s.labels if s.anticlockwise else s.labels[::-1] for s in gon.sides]
+    return SidePairing(tuple(
+        (gon.sides[i].index, gon.sides[j].index) for i, j in reversed_pairs(keys)
+    ))
 
 
 def quotient_genus_of_gon(gon: FourteenGon, pairing: SidePairing) -> int:
     """Genus of the surface obtained by identifying paired sides.
 
-    Corner k (start of side k) is glued to the end corner of its partner
-    side; the identified polygon has (corner classes) - 7 + 1 = 2 - 2g.
+    Side k runs from corner k to corner k + 1, so sides 1..14 are polygon
+    sides 0..13 of the gluing kernel.
     """
-    parent = list(range(14))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        parent[find(i)] = find(j)
-
-    for k in range(1, 15):
-        union(k - 1, pairing.partner(k) % 14)  # c_k ~ c_{partner(k)+1}
-    classes = len({find(i) for i in range(14)})
-    corners = gon.corner_labels()
-    for i in range(14):
-        assert corners[i] == corners[find(i)], "corner classes mix vertex labels"
-    chi = classes - 7 + 1
-    assert chi % 2 == 0
-    return (2 - chi) // 2
+    pairs = [(i - 1, j - 1) for i, j in pairing.pairs]
+    return polygon_genus(gon.corner_labels(), pairs)
 
 
 # -- Klein's explicit edge-pairing matrix -----------------------------------

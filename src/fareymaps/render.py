@@ -6,10 +6,10 @@ from __future__ import annotations
 
 import math
 
-from .arith import canonical
+from .arith import canonical, distinct_prime_factors
 from .errors import Unsupported
 from .maps import FareyMap
-from .metrics import first_circuit, is_prime, poles, second_circuit
+from .metrics import distances_from, first_circuit, poles, second_circuit
 
 _SCALE = 110.0
 _EXTENT = 3.6
@@ -36,7 +36,7 @@ def layout_positions(fmap: FareyMap) -> dict[int, tuple[float, float]]:
     positions: dict[int, tuple[float, float]] = {}
     north = fmap.vertex_id(canonical(1, 0, n))
     positions[north] = (0.0, 0.0)
-    if is_prime(n) and n >= 5:
+    if n >= 5 and distinct_prime_factors(n) == [n]:
         ring1 = first_circuit(n).vertices
         for j, v in enumerate(ring1):
             positions[fmap.vertex_id(v)] = _polar(1.0, 2 * math.pi * j / len(ring1))
@@ -50,9 +50,7 @@ def layout_positions(fmap: FareyMap) -> dict[int, tuple[float, float]]:
             positions[fmap.vertex_id(v)] = _polar(3.0, 2 * math.pi * j / len(outer))
         return positions
     # BFS shells
-    from .metrics import _bfs_all
-
-    dist = _bfs_all(fmap, north)
+    dist = distances_from(fmap, north)
     for d in range(1, max(dist) + 1):
         shell = sorted(i for i, x in enumerate(dist) if x == d)
         for j, vid in enumerate(shell):
@@ -76,7 +74,7 @@ def render_map(fmap: FareyMap, sector_face_ids=None) -> str:
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
     centre = _fmt(_SCALE * _EXTENT)
-    if is_prime(fmap.level) and fmap.level >= 5:
+    if fmap.level >= 5 and distinct_prime_factors(fmap.level) == [fmap.level]:
         for radius, dash in ((1.0, ""), (2.0, ""), (3.0, ' stroke-dasharray="6,4"')):
             lines.append(
                 f'<circle cx="{centre}" cy="{centre}" r="{_fmt(_SCALE * radius)}" '

@@ -16,11 +16,13 @@ from dataclasses import dataclass
 
 from .arith import FareyFraction, canonical
 from .errors import (
+    BrokenInvariant,
     DisconnectedBoundary,
     NoSector,
     UnpairedEdge,
     WrongLevel,
 )
+from .gluing import partner_of, polygon_genus, reversed_pairs
 from .maps import Face, FareyMap
 
 LEVEL = 11
@@ -49,10 +51,14 @@ class _FaceStructure:
     def __init__(self, fmap: FareyMap):
         self.fmap = fmap
         n = fmap.level
+        # t -> t + 1 maps the dart u -> w to the dart T(u) -> T(w), and the
+        # face on its left to the face on the left of the image.
+        shift = [fmap.vertex_id(v.translated(1)) for v in fmap.vertices]
         self.translate_face = []
         for fid in range(fmap.face_count):
-            vs = [fmap.vertices[i].translated(1) for i in fmap.face_vertex_ids(fid)]
-            self.translate_face.append(fmap.face_id_by_vertices(vs))
+            d = fmap.face_dart_orbit(fid)[0]
+            image = fmap.dart_between(shift[d // n], shift[fmap.dart_target_id(d)])
+            self.translate_face.append(fmap.face_id_of_dart(image))
 
         self.orbit_of = [-1] * fmap.face_count
         orbits = 0
@@ -63,20 +69,15 @@ class _FaceStructure:
             for _ in range(n):
                 self.orbit_of[cur] = orbits
                 cur = self.translate_face[cur]
-            assert cur == fid, "face orbit is not free"
+            if cur != fid:
+                raise BrokenInvariant(f"the translation orbit of face {fid} is not free")
             orbits += 1
         self.orbit_count = orbits
 
-        edge_faces: dict[frozenset[int], list[int]] = {}
-        for fid in range(fmap.face_count):
-            a, b, c = fmap.face_vertex_ids(fid)
-            for e in (frozenset((a, b)), frozenset((b, c)), frozenset((a, c))):
-                edge_faces.setdefault(e, []).append(fid)
-        self.adjacent = [set() for _ in range(fmap.face_count)]
-        for pair in edge_faces.values():
-            assert len(pair) == 2
-            self.adjacent[pair[0]].add(pair[1])
-            self.adjacent[pair[1]].add(pair[0])
+        self.adjacent = [
+            {fmap.face_id_of_dart(int(fmap.alpha[d])) for d in fmap.face_dart_orbit(fid)}
+            for fid in range(fmap.face_count)
+        ]
 
 
 def _anchor_id(fmap: FareyMap) -> int:
@@ -337,79 +338,23 @@ class PairingTable:
     pairs: tuple[tuple[int, int], ...]
 
     def partner(self, slot: int) -> int:
-        return self._lookup()[slot]
-
-    def _lookup(self) -> dict[int, int]:
-        out = {}
-        for i, j in self.pairs:
-            out[i] = j
-            out[j] = i
-        return out
+        return partner_of(self.pairs, slot)
 
 
 def pair_boundary(walk: BoundaryWalk) -> PairingTable:
     """Match every directed boundary edge with its unique reversal."""
-    vs = walk.vertices
-    total = len(vs)
-    where: dict[tuple[FareyFraction, FareyFraction], int] = {}
-    for i in range(total):
-        key = (vs[i], vs[(i + 1) % total])
-        if key in where:
-            raise UnpairedEdge(f"directed edge {key[0]}->{key[1]} occurs twice")
-        where[key] = i
-    pairs = set()
-    for (u, v), i in where.items():
-        j = where.get((v, u))
-        if j is None:
-            raise UnpairedEdge(f"no reversed occurrence of {u}->{v}")
-        if i == j:
-            raise UnpairedEdge(f"edge {u}->{v} pairs with itself")
-        pairs.add((min(i, j), max(i, j)))
-    assert len(pairs) * 2 == total
-    return PairingTable(tuple(sorted(pairs)))
+    return PairingTable(reversed_pairs(walk.edges()))
 
 
 def quotient_genus(walk: BoundaryWalk, pairing: PairingTable) -> int:
     """Genus of the surface obtained by gluing the paired boundary edges.
 
-    Boundary slots glued by the pairing are merged with union-find; the
-    Euler characteristic combines those corner classes with the interior
-    vertex/edge/face counts of the tiling.
+    The boundary slots are the polygon corners; the vertices, edges and
+    faces of the tiling off the boundary make up the rest of the Euler
+    characteristic.
     """
-    total = len(walk)
-    parent = list(range(total))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        parent[find(i)] = find(j)
-
-    for i, j in pairing.pairs:
-        union(i, (j + 1) % total)
-        union((i + 1) % total, j)
-
-    classes: dict[int, FareyFraction] = {}
-    for slot in range(total):
-        root = find(slot)
-        v = walk.vertices[slot]
-        if root in classes:
-            assert classes[root] == v, "glued slots carry different labels"
-        else:
-            classes[root] = v
-
     fmap = walk.fmap
-    boundary_vertices = set(walk.vertices)
-    interior_vertices = fmap.vertex_count - len(boundary_vertices)
-    boundary_edge_classes = len(pairing.pairs)
-    interior_edges = fmap.edge_count - boundary_edge_classes
-    chi = (
-        (len(classes) + interior_vertices)
-        - (boundary_edge_classes + interior_edges)
-        + fmap.face_count
-    )
-    assert chi % 2 == 0
-    return (2 - chi) // 2
+    interior_vertices = fmap.vertex_count - len(set(walk.vertices))
+    interior_edges = fmap.edge_count - len(pairing.pairs)
+    inner_chi = interior_vertices - interior_edges + fmap.face_count
+    return polygon_genus(walk.vertices, pairing.pairs, inner_chi)

@@ -9,12 +9,14 @@ from fareymaps.arith import (
     IntMatrix,
     ModMatrix,
     canonical,
+    distinct_prime_factors,
     in_principal_congruence,
     is_adjacent,
     mobius_exact,
     mobius_mod,
+    vertex_pairs,
 )
-from fareymaps.errors import LevelMismatch, NotAVertex
+from fareymaps.errors import LevelMismatch, MalformedLabel, NotAVertex
 
 
 def brute_canonical(a, c, n):
@@ -89,6 +91,31 @@ def test_parse_and_str_roundtrip():
     for n in (7, 11):
         for f in all_vertices(n):
             assert FareyFraction.parse(str(f), n) == f
+
+
+def test_parse_bare_integer_reads_as_over_one():
+    assert FareyFraction.parse("3", 7) == canonical(3, 1, 7)
+    assert FareyFraction.parse("-1", 7) == canonical(6, 1, 7)
+    assert ExtRational.parse("3") == ExtRational(3, 1)
+
+
+@pytest.mark.parametrize("text", ["x/1", "1/", "1/0/2", "", "/", "1/x", "1.5"])
+def test_parse_rejects_malformed_text(text):
+    with pytest.raises(MalformedLabel):
+        FareyFraction.parse(text, 7)
+    with pytest.raises(MalformedLabel):
+        ExtRational.parse(text)
+
+
+def test_distinct_prime_factors():
+    for n in range(1, 200):
+        brute = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+        assert distinct_prime_factors(n) == brute
+
+
+def test_vertex_pairs_are_the_sorted_vertices():
+    for n in range(3, 16):
+        assert [canonical(a, c, n) for a, c in vertex_pairs(n)] == all_vertices(n)
 
 
 def test_is_adjacent_examples():

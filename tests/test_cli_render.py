@@ -100,6 +100,17 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_malformed_labels_are_usage_errors(capsys):
+    for label in ("x/1", "1/", "1/0/2"):
+        code, out, err = run(capsys, "distance", "7", label, "1/0")
+        assert code == 2 and out == "" and label in err
+
+
+def test_bare_integer_label_reads_as_over_one(capsys):
+    code, out, _ = run(capsys, "distance", "7", "1", "1/0")
+    assert code == 0 and out.strip() == "1"
+
+
 def test_bad_level_is_usage_error(capsys):
     code, _, err = run(capsys, "info", "2")
     assert code == 2 and "error" in err

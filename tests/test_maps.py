@@ -1,5 +1,6 @@
 import json
 import time
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -8,13 +9,10 @@ from fareymaps.arith import FareyFraction, ModMatrix, canonical, is_adjacent, mo
 from fareymaps.errors import ResourceLimit, UnknownVertex, Unsupported
 from fareymaps.maps import (
     build_map,
-    euler_characteristic,
-    faces_of,
     from_json,
     genus,
     map_to_dict,
     mu,
-    neighbors,
     same_combinatorics,
     to_dot,
     to_json,
@@ -133,17 +131,17 @@ def test_vertex_stabilizer_of_north_is_translation_group():
 
 def test_neighbors_examples():
     m7 = build_map(7)
-    got = neighbors(m7, canonical(1, 0, 7))
+    got = m7.neighbors(canonical(1, 0, 7))
     assert list(map(str, got)) == [f"{k}/1" for k in range(7)]
 
     m5 = build_map(5)
-    around = neighbors(m5, canonical(0, 1, 5))
+    around = m5.neighbors(canonical(0, 1, 5))
     assert len(around) == 5
     assert canonical(1, 0, 5) in around
 
     m11 = build_map(11)
     v = canonical(2, 0, 11)
-    got = set(neighbors(m11, v))
+    got = set(m11.neighbors(v))
     expect = {u for u in m11.vertices if u != v and is_adjacent(u, v)}
     assert len(got) == 11
     assert got == expect
@@ -160,10 +158,45 @@ def test_faces_examples():
     assert m11.has_face([canonical(1, 0, 11), canonical(0, 1, 11), canonical(1, 1, 11)])
 
 
+def test_has_face_matches_adjacency_triple_oracle():
+    # every vertex triple, repeated vertices included: a face is exactly a
+    # triple of three distinct, pairwise adjacent vertices
+    for n in range(3, 10):
+        m = build_map(n)
+        faces = 0
+        for a, b, c in combinations_with_replacement(m.vertices, 3):
+            want = (len({a, b, c}) == 3 and is_adjacent(a, b)
+                    and is_adjacent(b, c) and is_adjacent(a, c))
+            assert m.has_face([a, b, c]) == want, (n, a, b, c)
+            faces += want
+        assert faces == m.face_count
+
+
+def test_face_lookup_edge_cases():
+    m7 = build_map(7)
+    north, zero = canonical(1, 0, 7), canonical(0, 1, 7)
+    assert not m7.has_face([north, zero])
+    assert not m7.has_face([north, zero, canonical(1, 1, 5)])  # other level
+    with pytest.raises(UnknownVertex):
+        m7.face_id_by_vertices([north, north, zero])
+    for fid in range(m7.face_count):
+        assert m7.face_id_by_vertices(m7.face_vertex_ids(fid)) == fid
+        a, b, c = m7.face_vertex_ids(fid)
+        assert m7.face_id_by_vertices([c, a, b]) == fid
+
+
+def test_dart_between():
+    m = build_map(11)
+    for d in range(m.dart_count):
+        assert m.dart_between(d // 11, m.dart_target_id(d)) == d
+    with pytest.raises(UnknownVertex):
+        m.dart_between(0, 0)
+
+
 def test_faces_are_mediant_triangles():
     for n in (5, 7, 11):
         m = build_map(n)
-        for face in faces_of(m):
+        for face in m.faces():
             a, b, c = face.vertices
             assert is_adjacent(a, b) and is_adjacent(b, c) and is_adjacent(a, c)
             # some choice of sign representatives makes one vertex the mediant
@@ -179,11 +212,11 @@ def test_faces_are_mediant_triangles():
 
 
 def test_euler_characteristic():
-    assert euler_characteristic(build_map(5)) == 2
-    assert euler_characteristic(build_map(7)) == -4
-    assert euler_characteristic(build_map(11)) == -50
+    assert build_map(5).euler_characteristic() == 2
+    assert build_map(7).euler_characteristic() == -4
+    assert build_map(11).euler_characteristic() == -50
     for n in range(3, 14):
-        assert euler_characteristic(build_map(n)) == 2 - 2 * genus(n)
+        assert build_map(n).euler_characteristic() == 2 - 2 * genus(n)
 
 
 def all_group_elements(n):

@@ -177,17 +177,25 @@ def test_quotient_genus_26(reference_walk):
     assert quotient_genus(reference_walk, pair_boundary(reference_walk)) == 26
 
 
-def test_disconnected_sector_reported(reference_sector, m11):
-    from fareymaps.sector import _FaceStructure
+def translate_face(fmap, fid):
+    """Face id of the image of face fid under t -> t + 1."""
+    return fmap.face_id_by_vertices([v.translated(1) for v in fmap.face(fid).vertices])
 
-    structure = _FaceStructure(m11)
+
+def test_disconnected_sector_reported(reference_sector, m11):
     shifted = [
-        fid if fid == reference_sector.anchor_id else structure.translate_face[fid]
+        fid if fid == reference_sector.anchor_id else translate_face(m11, fid)
         for fid in reference_sector.face_ids
     ]
     bad = Sector(m11, shifted)
     with pytest.raises(DisconnectedBoundary):
         boundary_walk(bad)
+
+
+def test_tiles_are_translates(reference_sector, m11):
+    tiles = tile_by_translates(reference_sector)
+    for tile, image in zip(tiles, tiles[1:] + tiles[:1]):
+        assert {translate_face(m11, fid) for fid in tile} == image
 
 
 def test_no_sector_when_restriction_too_small(m11):
