@@ -157,8 +157,11 @@ def _render(args) -> int:
     from .render import render_map
 
     svg = render_map(m, sector_face_ids=face_ids)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(svg)
+    try:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(svg)
+    except OSError as exc:
+        raise FareyMapError(f"cannot write {args.output}: {exc.strerror}") from None
     print(f"wrote {args.output}")
     return 0
 

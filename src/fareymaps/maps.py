@@ -11,9 +11,16 @@ deterministic.
 
 Indexing: vertices are sorted by (den, num); the darts with source vertex v
 occupy the block v*n .. v*n + n - 1, the dart (v, t) having second column
-(b0 + t*a, d0 + t*c) for a fixed solution (b0, d0) of a*d0 - c*b0 = 1 mod n.
-Under this indexing sigma is simply (v, t) -> (v, t + 1 mod n), and the block
-of a vertex lists its n neighbours in rotation order.
+(b, d) = (b0 + t*a, d0 + t*c) for a fixed solution (b0, d0) of
+a*d0 - c*b0 = 1 mod n, so that t = b*d0 - d*b0 mod n.  Under this indexing
+sigma is simply (v, t) -> (v, t + 1 mod n), and the block of a vertex lists
+its n neighbours in rotation order.  An n x n table gives the vertex id of
+both sign representatives (a, c) and (-a, -c) of every vertex, so:
+  - alpha sends (a, b; c, d) to (b, -a; d, -c), whose first column is the
+    vertex w = table[b, d] times a sign s; it is the dart
+    w*n + s*(c*b0[w] - a*d0[w]) mod n;
+  - the dart from u = a/c to w = b/d exists iff e = a*d - c*b is +-1 mod n,
+    and it is u*n + e*(b*d0[u] - d*b0[u]) mod n.
 
 A built map is immutable; concurrent readers are safe.
 """
@@ -104,16 +111,17 @@ def _bezout_column(a: int, c: int, n: int) -> tuple[int, int]:
 class FareyMap:
     """Immutable combinatorial map M3(n); build with build_map()."""
 
-    def __init__(self, level: int, vertices, sigma, alpha, dart_target,
+    def __init__(self, level: int, vertices, vertex_table, bezout, sigma, alpha,
                  face_of_dart, face_leaders):
         self.level = level
         self.vertices: list[FareyFraction] = vertices
         self.sigma: np.ndarray = sigma
         self.alpha: np.ndarray = alpha
-        self._dart_target: np.ndarray = dart_target
+        self._vertex_table: list[list[int]] = vertex_table
+        self._bezout: list[tuple[int, int]] = bezout
+        self._dart_target: np.ndarray = alpha // level
         self._face_of_dart: np.ndarray = face_of_dart
         self._face_leaders: np.ndarray = face_leaders
-        self._index = {v: i for i, v in enumerate(vertices)}
 
     # -- counts ---------------------------------------------------------
 
@@ -136,10 +144,9 @@ class FareyMap:
     # -- incidence ------------------------------------------------------
 
     def vertex_id(self, v: FareyFraction) -> int:
-        try:
-            return self._index[v]
-        except KeyError:
-            raise UnknownVertex(f"{v} is not a vertex of M3({self.level})") from None
+        if isinstance(v, FareyFraction) and v.level == self.level:
+            return self._vertex_table[v.num][v.den]
+        raise UnknownVertex(f"{v} is not a vertex of M3({self.level})")
 
     def dart_target_id(self, dart: int) -> int:
         return int(self._dart_target[dart])
@@ -147,10 +154,14 @@ class FareyMap:
     def dart_between(self, u: int, w: int) -> int:
         """The dart from vertex id u to vertex id w; M3(n) has no multi-edges."""
         n = self.level
-        hits = np.flatnonzero(self._dart_target[u * n:(u + 1) * n] == w)
-        if hits.size == 0:
-            raise UnknownVertex(f"no edge from vertex id {u} to vertex id {w}")
-        return u * n + int(hits[0])
+        if 0 <= u < self.vertex_count and 0 <= w < self.vertex_count:
+            f, g = self.vertices[u], self.vertices[w]
+            det = (f.num * g.den - f.den * g.num) % n
+            if det in (1, n - 1):
+                b0, d0 = self._bezout[u]
+                sign = 1 if det == 1 else -1
+                return u * n + sign * (g.num * d0 - g.den * b0) % n
+        raise UnknownVertex(f"no edge from vertex id {u} to vertex id {w}")
 
     def neighbor_ids(self, vid: int) -> list[int]:
         n = self.level
@@ -229,11 +240,16 @@ def build_map(n: int, max_level: int = DEFAULT_LEVEL_BOUND) -> FareyMap:
     if vcount * n != order:
         raise BrokenInvariant(f"{vcount} vertices at level {n}, not mu/n = {order // n}")
 
-    av = np.array([p[0] for p in pairs], dtype=np.int64)
-    cv = np.array([p[1] for p in pairs], dtype=np.int64)
-    bases = [_bezout_column(a, c, n) for a, c in pairs]
-    b0 = np.array([b for b, _ in bases], dtype=np.int64)
-    d0 = np.array([d for _, d in bases], dtype=np.int64)
+    av, cv = np.array(pairs, dtype=np.int64).T
+    bezout = [_bezout_column(a, c, n) for a, c in pairs]
+    b0, d0 = np.array(bezout, dtype=np.int64).T
+
+    # The two signs never collide: (a, c) = (-a, -c) forces gcd(a, c, n) > 1.
+    vertex_table = np.full((n, n), -1, dtype=np.int64)
+    vertex_sign = np.zeros((n, n), dtype=np.int64)
+    for sign in (1, -1):
+        vertex_table[sign * av % n, sign * cv % n] = np.arange(vcount)
+        vertex_sign[sign * av % n, sign * cv % n] = sign
 
     t = np.tile(np.arange(n, dtype=np.int64), vcount)
     A = np.repeat(av, n)
@@ -241,37 +257,15 @@ def build_map(n: int, max_level: int = DEFAULT_LEVEL_BOUND) -> FareyMap:
     B = (np.repeat(b0, n) + t * A) % n
     D = (np.repeat(d0, n) + t * C) % n
 
-    def encode(a, b, c, d):
-        return ((a * n + b) * n + c) * n + d
-
-    keys = encode(A, B, C, D)
-    sortidx = np.argsort(keys, kind="stable")
-    sortedkeys = keys[sortidx]
-
-    def lookup(target_keys):
-        pos = np.searchsorted(sortedkeys, target_keys)
-        if not np.array_equal(sortedkeys[pos], target_keys):
-            raise BrokenInvariant("dart lookup failed; construction bug")
-        return sortidx[pos]
-
     idx = np.arange(order, dtype=np.int64)
     sigma = idx - t + (t + 1) % n
 
-    # alpha: g -> g*S = (b, -a; d, -c), normalized so the first column is the
-    # canonical vertex representative.
-    Ba, Da = B, D
-    A2, C2 = (-A) % n, (-C) % n
-    half = n // 2
-    canon_first = (
-        ((Da == 0) & (Ba >= 1) & (Ba <= half))
-        | ((Da >= 1) & (2 * Da < n))
-        | ((n % 2 == 0) & (2 * Da == n) & (2 * Ba < n))
-    )
-    na = np.where(canon_first, Ba, (-Ba) % n)
-    nb = np.where(canon_first, A2, A)
-    nc = np.where(canon_first, Da, (-Da) % n)
-    nd = np.where(canon_first, C2, C)
-    alpha = lookup(encode(na, nb, nc, nd))
+    # alpha: g -> g*S = (B, -A; D, -C), the dart from w = s*(B, D) to s*(-A, -C).
+    w = vertex_table[B, D]
+    if np.any(w < 0):
+        raise BrokenInvariant(f"a dart column is not a vertex at level {n}; construction bug")
+    s = vertex_sign[B, D]
+    alpha = w * n + s * (C * b0[w] - A * d0[w]) % n
 
     phi = sigma[alpha]
     reps = np.minimum(np.minimum(idx, phi), phi[phi])
@@ -283,8 +277,7 @@ def build_map(n: int, max_level: int = DEFAULT_LEVEL_BOUND) -> FareyMap:
     face_of_dart[phi[phi[face_leaders]]] = fids
 
     vertices = [FareyFraction(int(a), int(c), n) for a, c in pairs]
-    dart_target = alpha // n
-    return FareyMap(n, vertices, sigma, alpha, dart_target, face_of_dart,
+    return FareyMap(n, vertices, vertex_table.tolist(), bezout, sigma, alpha, face_of_dart,
                     face_leaders)
 
 

@@ -107,8 +107,9 @@ def distances_from(fmap: FareyMap, start: int) -> list[int]:
 
 
 def diameter(fmap: FareyMap) -> int:
-    """Max over all vertex pairs of the BFS distance."""
-    return max(max(distances_from(fmap, v)) for v in range(fmap.vertex_count))
+    """Max over all vertex pairs of the BFS distance: the eccentricity of 1/0,
+    since PSL(2, Z_n) acts transitively on the vertices by map automorphisms."""
+    return max(distances_from(fmap, fmap.vertex_id(canonical(1, 0, fmap.level))))
 
 
 def first_circuit(p: int) -> Circuit:

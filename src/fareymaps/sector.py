@@ -45,20 +45,24 @@ def _require_level(fmap: FareyMap) -> None:
         raise WrongLevel(f"expected a level-11 map, got level {fmap.level}")
 
 
+def _translate_face(fmap: FareyMap, fid: int) -> int:
+    """Face id of the image of a face under t -> t + 1.
+
+    The translation maps the dart u -> w to the dart T(u) -> T(w), and the
+    face on its left to the face on the left of the image.
+    """
+    u, w, _ = fmap.face_vertex_ids(fid)
+    image = fmap.dart_between(fmap.vertex_id(fmap.vertices[u].translated(1)),
+                              fmap.vertex_id(fmap.vertices[w].translated(1)))
+    return fmap.face_id_of_dart(image)
+
+
 class _FaceStructure:
     """Face orbits under translation and face adjacency along shared edges."""
 
     def __init__(self, fmap: FareyMap):
-        self.fmap = fmap
         n = fmap.level
-        # t -> t + 1 maps the dart u -> w to the dart T(u) -> T(w), and the
-        # face on its left to the face on the left of the image.
-        shift = [fmap.vertex_id(v.translated(1)) for v in fmap.vertices]
-        self.translate_face = []
-        for fid in range(fmap.face_count):
-            d = fmap.face_dart_orbit(fid)[0]
-            image = fmap.dart_between(shift[d // n], shift[fmap.dart_target_id(d)])
-            self.translate_face.append(fmap.face_id_of_dart(image))
+        self.translate_face = [_translate_face(fmap, fid) for fid in range(fmap.face_count)]
 
         self.orbit_of = [-1] * fmap.face_count
         orbits = 0
@@ -203,13 +207,11 @@ def count_sectors(fmap: FareyMap, restrict) -> int:
 
 def tile_by_translates(sector: Sector) -> list[frozenset[int]]:
     """The eleven translated copies of the sector, as face-id sets."""
-    fmap = sector.fmap
-    structure = _FaceStructure(fmap)
     tiles = []
     current = set(sector.face_ids)
     for _ in range(LEVEL):
         tiles.append(frozenset(current))
-        current = {structure.translate_face[fid] for fid in current}
+        current = {_translate_face(sector.fmap, fid) for fid in current}
     return tiles
 
 

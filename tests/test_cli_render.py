@@ -152,3 +152,11 @@ def test_render_composite_and_small(tmp_path):
 def test_render_sector_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "render", "7", "-o", str(tmp_path / "x.svg"), "--sector")
     assert code == 2 and "error" in err
+
+
+def test_render_to_missing_directory_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.svg"
+    code, out, err = run(capsys, "render", "5", "-o", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.exists()

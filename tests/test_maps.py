@@ -186,11 +186,33 @@ def test_face_lookup_edge_cases():
 
 
 def test_dart_between():
-    m = build_map(11)
-    for d in range(m.dart_count):
-        assert m.dart_between(d // 11, m.dart_target_id(d)) == d
-    with pytest.raises(UnknownVertex):
-        m.dart_between(0, 0)
+    # n = 3 has every pair of vertices adjacent; even n has the tie 2c = n
+    for n in list(range(3, 14)) + [30]:
+        m = build_map(n)
+        for d in range(m.dart_count):
+            assert m.dart_between(d // n, m.dart_target_id(d)) == d, (n, d)
+        vcount = m.vertex_count
+        far = [w for w in range(1, vcount) if not is_adjacent(m.vertices[0], m.vertices[w])]
+        assert bool(far) == (n > 3), n
+        bad = [(0, 0), (0, vcount), (vcount, 0), (-1, 0), (0, -1)] + [(0, w) for w in far]
+        for u, w in bad:
+            with pytest.raises(UnknownVertex):
+                m.dart_between(u, w)
+
+
+def test_rotation_order_is_the_bezout_column_sequence():
+    # the darts out of a/c are (a, b + t*a; c, d + t*c) for t = 0..n-1, so
+    # the neighbours in rotation order are g(t/1) for any g = (a b; c d)
+    for n in list(range(3, 14)) + [30]:
+        m = build_map(n)
+        for v in m.vertices:
+            a, c = v.num, v.den
+            b, d = next((b, d) for b in range(n) for d in range(n) if (a * d - b * c) % n == 1)
+            g = ModMatrix.of(a, b, c, d, n)
+            want = [mobius_mod(g, canonical(t, 1, n)) for t in range(n)]
+            got = list(m.neighbors(v))
+            k = got.index(want[0])
+            assert got[k:] + got[:k] == want, (n, v)
 
 
 def test_faces_are_mediant_triangles():

@@ -8,6 +8,7 @@ from fareymaps.metrics import (
     decompose,
     diameter,
     distance_formula,
+    distances_from,
     first_circuit,
     poles,
     second_circuit,
@@ -56,12 +57,20 @@ def test_formula_equals_bfs_exhaustive():
                 assert distance_formula(f, g, p) == bfs_distance(m, f, g), (p, f, g)
 
 
+def all_pairs_diameter(m):
+    """Reference: BFS from every vertex, no use of vertex-transitivity."""
+    return max(max(distances_from(m, v)) for v in range(m.vertex_count))
+
+
 def test_diameter():
-    # Diameter 3 at every level 5..13 except 6: M3(6) has a single pole
+    # Diameter 3 at every level 5..22 except 6: M3(6) has a single pole
     # class, so no distance-3 pair exists and the diameter drops to 2
     # (verified against the edge set projected from integer Farey edges).
-    for n in range(5, 14):
-        assert diameter(build_map(n)) == (2 if n == 6 else 3), n
+    # The same holds at n = 4, and M3(3) is a complete graph.
+    for n in range(3, 23):
+        m = build_map(n)
+        want = {3: 1, 4: 2, 6: 2}.get(n, 3)
+        assert diameter(m) == all_pairs_diameter(m) == want, n
 
 
 def test_first_circuit():
