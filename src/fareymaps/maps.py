@@ -165,7 +165,7 @@ class FareyMap:
 
     def neighbor_ids(self, vid: int) -> list[int]:
         n = self.level
-        return [int(t) for t in self._dart_target[vid * n:(vid + 1) * n]]
+        return self._dart_target[vid * n:(vid + 1) * n].tolist()
 
     def neighbors(self, v: FareyFraction) -> tuple[FareyFraction, ...]:
         """The n neighbours of v as a cyclic sequence in sigma rotation order."""

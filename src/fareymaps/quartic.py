@@ -148,39 +148,31 @@ def outer_ring(fmap: FareyMap) -> tuple[RingRegion, ...]:
 
 
 def fourteen_gon(fmap: FareyMap) -> FourteenGon:
-    """The 14-gon: one side per pinch slot, numbered so that side 1 is the
-    anticlockwise side labelled (2/0, 5/3, 3/2, 3/0)."""
-    _require_level(fmap)
-    walk = second_circuit(LEVEL).vertices
+    """The 14-gon, read off the outer ring: one side per chamber, numbered
+    so that side 1 is the anticlockwise side labelled (2/0, 5/3, 3/2, 3/0).
+
+    Side k passes through the pinch x/3 where chamber k starts.  Every x/3
+    starts exactly one quadrilateral chamber, whose corner after x/3 is the
+    side's y/2 label.  The side runs anticlockwise exactly when chamber k
+    is that quadrilateral, i.e. when a triangle chamber precedes the pinch.
+    """
+    ring = outer_ring(fmap)
     pole2 = canonical(2, 0, LEVEL)
     pole3 = canonical(3, 0, LEVEL)
-    pinches = [i for i, v in enumerate(walk) if v.den == 3]
+    later = {r.corners[0]: r.corners[1] for r in ring if r.kind == "quad"}
+    if len(later) != 7:
+        raise BrokenInvariant("the seven quadrilaterals do not start at seven distinct x/3")
+    raw = [
+        ((pole2, r.corners[0], later[r.corners[0]], pole3), r.kind == "quad")
+        for r in ring
+    ]
 
-    raw = []
-    for k, s in enumerate(pinches):
-        prev_gap = s - pinches[k - 1] if k else s + len(walk) - pinches[-1]
-        third = walk[s]
-        _, _, later, _ = _quad_at(fmap, third)
-        # a triangle chamber before the pinch means the side runs from its
-        # 2/0 corner through the pinch into a quadrilateral: anticlockwise
-        raw.append(((pole2, third, later, pole3), prev_gap == 1))
-
-    anchor_labels = tuple(
-        canonical(a, c, LEVEL) for a, c in [(2, 0), (5, 3), (3, 2), (3, 0)]
-    )
-    anchor = next(
-        i for i, (labels, acw) in enumerate(raw) if acw and labels == anchor_labels
-    )
-    sides = tuple(
-        Side(k + 1, *raw[(anchor + k) % 14]) for k in range(14)
-    )
-    gon = FourteenGon(sides)
-    corners = gon.corner_labels()
-    if not corners.count("2/0") == corners.count("3/0") == 7 or any(
-        corners[i] == corners[i - 1] for i in range(14)
-    ):
-        raise BrokenInvariant(f"corners {corners} do not alternate 2/0 and 3/0")
-    return gon
+    first = (tuple(canonical(a, c, LEVEL) for a, c in [(2, 0), (5, 3), (3, 2), (3, 0)]), True)
+    if first not in raw:
+        raise BrokenInvariant("no anticlockwise side labelled (2/0, 5/3, 3/2, 3/0)")
+    anchor = raw.index(first)
+    # the ring's chambers alternate, so the corners alternate 2/0 and 3/0
+    return FourteenGon(tuple(Side(k + 1, *raw[(anchor + k) % 14]) for k in range(14)))
 
 
 def side_pairing(gon: FourteenGon) -> SidePairing:

@@ -98,18 +98,19 @@ def render_map(fmap: FareyMap, sector_face_ids=None) -> str:
             }
         )
 
+    points = {vid: _point(pos) for vid, pos in positions.items()}
     for tri in shaded:
-        pts = " ".join(_point(positions[i]) for i in tri)
+        pts = " ".join(points[i] for i in tri)
         lines.append(f'<polygon points="{pts}" fill="#dce9f9" stroke="none"/>')
     for i, j in edges:
-        xi, yi = _point(positions[i]).split(",")
-        xj, yj = _point(positions[j]).split(",")
+        xi, yi = points[i].split(",")
+        xj, yj = points[j].split(",")
         lines.append(
             f'<line x1="{xi}" y1="{yi}" x2="{xj}" y2="{yj}" '
             'stroke="#5577aa" stroke-width="0.8"/>'
         )
     for vid in shown_vertices:
-        x, y = _point(positions[vid]).split(",")
+        x, y = points[vid].split(",")
         lines.append(f'<circle cx="{x}" cy="{y}" r="3" fill="#203050"/>')
         lines.append(
             f'<text x="{x}" y="{y}" dx="5" dy="-4" font-size="11" '

@@ -45,16 +45,17 @@ def _require_level(fmap: FareyMap) -> None:
         raise WrongLevel(f"expected a level-11 map, got level {fmap.level}")
 
 
-def _translate_face(fmap: FareyMap, fid: int) -> int:
-    """Face id of the image of a face under t -> t + 1.
+def _face_translation(fmap: FareyMap) -> list[int]:
+    """Face permutation of t -> t + 1, as a list indexed by face id.
 
     The translation maps the dart u -> w to the dart T(u) -> T(w), and the
     face on its left to the face on the left of the image.
     """
-    u, w, _ = fmap.face_vertex_ids(fid)
-    image = fmap.dart_between(fmap.vertex_id(fmap.vertices[u].translated(1)),
-                              fmap.vertex_id(fmap.vertices[w].translated(1)))
-    return fmap.face_id_of_dart(image)
+    shift = [fmap.vertex_id(v.translated(1)) for v in fmap.vertices]
+    return [
+        fmap.face_id_of_dart(fmap.dart_between(shift[u], shift[w]))
+        for u, w, _ in map(fmap.face_vertex_ids, range(fmap.face_count))
+    ]
 
 
 class _FaceStructure:
@@ -62,7 +63,7 @@ class _FaceStructure:
 
     def __init__(self, fmap: FareyMap):
         n = fmap.level
-        self.translate_face = [_translate_face(fmap, fid) for fid in range(fmap.face_count)]
+        translate = _face_translation(fmap)
 
         self.orbit_of = [-1] * fmap.face_count
         orbits = 0
@@ -72,7 +73,7 @@ class _FaceStructure:
             cur = fid
             for _ in range(n):
                 self.orbit_of[cur] = orbits
-                cur = self.translate_face[cur]
+                cur = translate[cur]
             if cur != fid:
                 raise BrokenInvariant(f"the translation orbit of face {fid} is not free")
             orbits += 1
@@ -112,7 +113,16 @@ class Sector:
         return len(self.face_ids)
 
 
-def _prepare(fmap: FareyMap, restrict):
+def _sectors(fmap: FareyMap, restrict):
+    """Every sector under a vertex restriction, once each, as face-id sets.
+
+    Grows an edge-connected face set from the central triangle, one face per
+    translation orbit.  Each step takes the least frontier face, first
+    included and then banned, so the two branches never share a face set.
+    With `restrict`, only faces whose three vertices lie in the given set
+    are considered.
+    """
+    _require_level(fmap)
     structure = _FaceStructure(fmap)
     anchor = _anchor_id(fmap)
     allowed = None
@@ -124,94 +134,64 @@ def _prepare(fmap: FareyMap, restrict):
         ]
         if not allowed[anchor]:
             raise NoSector("restriction excludes the central triangle")
-    return structure, anchor, allowed
+    orbit_of = structure.orbit_of
+    chosen = {anchor}
+    used = {orbit_of[anchor]}
+    banned: set[int] = set()
+
+    def reachable(faces) -> set[int]:
+        return {
+            g for g in faces
+            if orbit_of[g] not in used and g not in banned and (allowed is None or allowed[g])
+        }
+
+    def walk(frontier: set[int]):
+        if len(chosen) == structure.orbit_count:
+            yield frozenset(chosen)
+            return
+        if not frontier:
+            return
+        pivot = min(frontier)
+        chosen.add(pivot)
+        used.add(orbit_of[pivot])
+        yield from walk(reachable(frontier) | reachable(structure.adjacent[pivot]))
+        used.remove(orbit_of[pivot])
+        chosen.remove(pivot)
+        banned.add(pivot)
+        yield from walk(frontier - {pivot})
+        banned.remove(pivot)
+
+    yield from walk(reachable(structure.adjacent[anchor]))
 
 
 def sector_search(fmap: FareyMap, restrict=None) -> Sector:
-    """Depth-first search in canonical face order; first complete solution.
+    """The first sector of the enumeration that `count_sectors` counts.
 
-    Grows an edge-connected face set from the central triangle, one face per
-    translation orbit, trying frontier faces in ascending canonical order.
     With `restrict`, only faces whose three vertices lie in the given set
-    are considered.
+    are used; `NoSector` when no sector remains.  A branch that includes a
+    face fails only when no sector holds that face with the faces already
+    chosen, so banning it loses nothing: this is also the first sector of a
+    depth-first search over the frontier in ascending face order.
     """
-    _require_level(fmap)
-    structure, anchor, allowed = _prepare(fmap, restrict)
-    chosen: list[int] = [anchor]
-    used = {structure.orbit_of[anchor]}
-
-    def extend() -> bool:
-        if len(chosen) == structure.orbit_count:
-            return True
-        frontier = sorted(
-            {
-                g
-                for fid in chosen
-                for g in structure.adjacent[fid]
-                if structure.orbit_of[g] not in used and (allowed is None or allowed[g])
-            }
-        )
-        for g in frontier:
-            chosen.append(g)
-            used.add(structure.orbit_of[g])
-            if extend():
-                return True
-            used.remove(structure.orbit_of[g])
-            chosen.pop()
-        return False
-
-    if not extend():
-        raise NoSector("no complete sector under the given restriction")
-    return Sector(fmap, chosen)
+    for face_ids in _sectors(fmap, restrict):
+        return Sector(fmap, face_ids)
+    raise NoSector("no complete sector under the given restriction")
 
 
 def count_sectors(fmap: FareyMap, restrict) -> int:
-    """Number of distinct sectors available under a vertex restriction.
-
-    Binary include/exclude on the least frontier face, so every complete
-    face set is counted exactly once.
-    """
-    _require_level(fmap)
-    structure, anchor, allowed = _prepare(fmap, restrict)
-    chosen = {anchor}
-    used = {structure.orbit_of[anchor]}
-    banned: set[int] = set()
-
-    def walk() -> int:
-        if len(chosen) == structure.orbit_count:
-            return 1
-        frontier = [
-            g
-            for fid in chosen
-            for g in structure.adjacent[fid]
-            if g not in chosen
-            and g not in banned
-            and structure.orbit_of[g] not in used
-            and (allowed is None or allowed[g])
-        ]
-        if not frontier:
-            return 0
-        pivot = min(frontier)
-        chosen.add(pivot)
-        used.add(structure.orbit_of[pivot])
-        total = walk()
-        used.remove(structure.orbit_of[pivot])
-        chosen.remove(pivot)
-        banned.add(pivot)
-        total += walk()
-        banned.remove(pivot)
-        return total
-
-    return walk()
+    """Number of distinct sectors under a vertex restriction: the length of
+    the enumeration `sector_search` takes its first sector from."""
+    return sum(1 for _ in _sectors(fmap, restrict))
 
 
 def tile_by_translates(sector: Sector) -> list[frozenset[int]]:
     """The eleven translated copies of the sector, as face-id sets."""
+    translate = _face_translation(sector.fmap)
     tiles = []
     current = set(sector.face_ids)
     for _ in range(LEVEL):
         tiles.append(frozenset(current))
-        current = {_translate_face(sector.fmap, fid) for fid in current}
+        current = {translate[fid] for fid in current}
     return tiles
 
 

@@ -87,6 +87,23 @@ def test_fourteen_gon_side_one(m7):
     assert not side6.anticlockwise
 
 
+# all 14 sides: (x/3, y/2) of the labels (2/0, x/3, y/2, 3/0), anticlockwise
+FOURTEEN_GON_SIDES = [
+    ("5/3", "3/2", True), ("6/3", "6/2", False), ("1/3", "5/2", True),
+    ("2/3", "1/2", False), ("4/3", "0/2", True), ("5/3", "3/2", False),
+    ("0/3", "2/2", True), ("1/3", "5/2", False), ("3/3", "4/2", True),
+    ("4/3", "0/2", False), ("6/3", "6/2", True), ("0/3", "2/2", False),
+    ("2/3", "1/2", True), ("3/3", "4/2", False),
+]
+
+
+def test_fourteen_gon_all_sides(m7):
+    gon = fourteen_gon(m7)
+    assert [s.index for s in gon.sides] == list(range(1, 15))
+    got = [(s.label_strings(), s.anticlockwise) for s in gon.sides]
+    assert got == [(("2/0", x, y, "3/0"), acw) for x, y, acw in FOURTEEN_GON_SIDES]
+
+
 def test_fourteen_gon_label_counts(m7):
     gon = fourteen_gon(m7)
     corners = gon.corner_labels()

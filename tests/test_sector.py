@@ -1,3 +1,7 @@
+import itertools
+import random
+import time
+
 import pytest
 
 from fareymaps.arith import canonical, is_adjacent
@@ -202,3 +206,125 @@ def test_no_sector_when_restriction_too_small(m11):
     tiny = frozenset(v11(s) for s in ("1/0", "0/1", "1/1", "1/2"))
     with pytest.raises(NoSector):
         sector_search(m11, restrict=tiny)
+
+
+def face_structure(fmap):
+    """Translation orbit label and edge-neighbour faces of every face, and
+    the anchor face, from the public map API."""
+    translate = [translate_face(fmap, fid) for fid in range(fmap.face_count)]
+    orbit_of = {}
+    for fid in range(fmap.face_count):
+        cur = fid
+        while cur not in orbit_of:
+            orbit_of[cur] = fid
+            cur = translate[cur]
+    adjacent = [
+        {fmap.face_id_of_dart(int(fmap.alpha[d])) for d in fmap.face_dart_orbit(fid)}
+        for fid in range(fmap.face_count)
+    ]
+    anchor = fmap.face_id_by_vertices([v11("1/0"), v11("0/1"), v11("1/1")])
+    return orbit_of, adjacent, anchor
+
+
+def allowed_faces(fmap, restrict):
+    return [
+        fid for fid in range(fmap.face_count)
+        if restrict is None or all(v in restrict for v in fmap.face(fid).vertices)
+    ]
+
+
+def dfs_sector(fmap, restrict=None):
+    """Reference search: depth-first over the frontier in ascending face
+    order, first complete face set, or None.  It re-explores every ordering
+    of a face set, so it is only run where a sector exists."""
+    orbit_of, adjacent, anchor = face_structure(fmap)
+    orbit_count = len(set(orbit_of.values()))
+    allowed = set(allowed_faces(fmap, restrict))
+    chosen = [anchor]
+    used = {orbit_of[anchor]}
+
+    def extend():
+        if len(chosen) == orbit_count:
+            return True
+        frontier = sorted(
+            {
+                g
+                for fid in chosen
+                for g in adjacent[fid]
+                if orbit_of[g] not in used and g in allowed
+            }
+        )
+        for g in frontier:
+            chosen.append(g)
+            used.add(orbit_of[g])
+            if extend():
+                return True
+            used.remove(orbit_of[g])
+            chosen.pop()
+        return False
+
+    return tuple(sorted(chosen)) if extend() else None
+
+
+def brute_force_sectors(fmap, restrict):
+    """Every sector under the restriction: each choice of one allowed face
+    per orbit that contains the anchor and is edge-connected."""
+    orbit_of, adjacent, anchor = face_structure(fmap)
+    by_orbit = {}
+    for fid in allowed_faces(fmap, restrict):
+        by_orbit.setdefault(orbit_of[fid], []).append(fid)
+    if len(by_orbit) < len(set(orbit_of.values())):
+        return set()
+    found = set()
+    for choice in itertools.product(*by_orbit.values()):
+        faces = set(choice)
+        if anchor not in faces:
+            continue
+        reached, stack = {anchor}, [anchor]
+        while stack:
+            for g in adjacent[stack.pop()] & faces - reached:
+                reached.add(g)
+                stack.append(g)
+        if reached == faces:
+            found.add(tuple(sorted(faces)))
+    return found
+
+
+def test_search_matches_depth_first_reference(m11):
+    reference = reference_sector_vertices()
+    assert sector_search(m11, restrict=reference).face_ids == dfs_sector(m11, reference)
+    assert sector_search(m11).face_ids == dfs_sector(m11)
+    # feasible restrictions: the reference support plus 1 to 5 other vertices;
+    # with 0/3 and 7/1 added, a face banned by the search touches a face
+    # chosen after the ban
+    rng = random.Random(0)
+    others = sorted(set(m11.vertices) - reference, key=str)
+    restrictions = [reference | {v11("0/3"), v11("7/1")}] + [
+        reference | set(rng.sample(others, rng.randint(1, 5))) for _ in range(12)
+    ]
+    found = set()
+    counts = []
+    for restrict in restrictions:
+        face_ids = sector_search(m11, restrict=restrict).face_ids
+        assert face_ids == dfs_sector(m11, restrict)
+        every = brute_force_sectors(m11, restrict)
+        assert face_ids in every
+        assert count_sectors(m11, restrict) == len(every)
+        found.add(face_ids)
+        counts.append(len(every))
+    # not every restriction returns the reference sector or has one sector
+    assert len(found) > 1 and counts[0] == 12
+
+
+def test_no_sector_without_a_reference_label(m11):
+    reference = reference_sector_vertices()
+    start = time.perf_counter()
+    for label in REFERENCE_SECTOR_LABELS:
+        if label in ("1/0", "0/1", "1/1"):
+            continue
+        restrict = reference - {v11(label)}
+        with pytest.raises(NoSector):
+            sector_search(m11, restrict=restrict)
+        assert count_sectors(m11, restrict) == 0, label
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"19 infeasible searches took {elapsed:.2f}s (budget 2s)"
