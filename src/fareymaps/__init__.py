@@ -55,7 +55,6 @@ from .quartic import (
 )
 from .sector import (
     BoundaryWalk,
-    PairingTable,
     Sector,
     boundary_walk,
     count_sectors,

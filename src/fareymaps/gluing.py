@@ -1,4 +1,4 @@
-"""Gluing a polygon along reversed side pairs: the matcher and the genus count.
+"""Gluing a polygon along reversed side pairs: the matcher, the pairing, the genus.
 
 Side k of an N-gon runs from corner k to corner k + 1 (mod N).  A reversed
 pair (i, j) glues side i to side j read backwards, so corner i meets corner
@@ -6,6 +6,8 @@ j + 1 and corner i + 1 meets corner j; every such gluing is orientable.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from .errors import NoMatch, UnpairedEdge
 
@@ -37,6 +39,16 @@ def partner_of(pairs, k: int) -> int:
         if k == j:
             return i
     raise NoMatch(f"side {k} not in pairing")
+
+
+@dataclass(frozen=True)
+class SidePairing:
+    """Reversed side pairs (i, j), each sorted, every side in exactly one."""
+
+    pairs: tuple[tuple[int, int], ...]
+
+    def partner(self, k: int) -> int:
+        return partner_of(self.pairs, k)
 
 
 def polygon_genus(corners, pairs, inner_chi: int = 1) -> int:

@@ -74,8 +74,8 @@ def genus(n: int) -> int:
 class Face:
     """A triangular face: the three vertex labels in rotation order.
 
-    The tuple is rotated so the least vertex (by (den, num)) comes first;
-    the cyclic order itself is the one traced by the face operator.
+    The least vertex (by (den, num)) comes first; the cyclic order itself is
+    the one traced by the face operator.
     """
 
     vertices: tuple[FareyFraction, FareyFraction, FareyFraction]
@@ -112,7 +112,7 @@ class FareyMap:
     """Immutable combinatorial map M3(n); build with build_map()."""
 
     def __init__(self, level: int, vertices, vertex_table, bezout, sigma, alpha,
-                 face_of_dart, face_leaders):
+                 face_of_dart, face_darts):
         self.level = level
         self.vertices: list[FareyFraction] = vertices
         self.sigma: np.ndarray = sigma
@@ -121,7 +121,7 @@ class FareyMap:
         self._bezout: list[tuple[int, int]] = bezout
         self._dart_target: np.ndarray = alpha // level
         self._face_of_dart: np.ndarray = face_of_dart
-        self._face_leaders: np.ndarray = face_leaders
+        self._face_darts: np.ndarray = face_darts
 
     # -- counts ---------------------------------------------------------
 
@@ -139,7 +139,7 @@ class FareyMap:
 
     @property
     def face_count(self) -> int:
-        return int(self._face_leaders.shape[0])
+        return int(self._face_darts.shape[0])
 
     # -- incidence ------------------------------------------------------
 
@@ -180,22 +180,21 @@ class FareyMap:
     # -- faces ----------------------------------------------------------
 
     def face_dart_orbit(self, face_id: int) -> tuple[int, int, int]:
-        d0 = int(self._face_leaders[face_id])
-        d1 = int(self.sigma[self.alpha[d0]])
-        d2 = int(self.sigma[self.alpha[d1]])
-        return d0, d1, d2
+        return tuple(self._face_darts[face_id].tolist())
 
     def face_vertex_ids(self, face_id: int) -> tuple[int, int, int]:
-        return tuple(d // self.level for d in self.face_dart_orbit(face_id))
+        return tuple((self._face_darts[face_id] // self.level).tolist())
+
+    def face_vertex_rows(self) -> list[list[int]]:
+        """Row i lists the vertex ids of face i, least first, in rotation order."""
+        return (self._face_darts // self.level).tolist()
 
     def face(self, face_id: int) -> Face:
-        ids = self.face_vertex_ids(face_id)
-        k = min(range(3), key=lambda i: ids[i])
-        rotated = ids[k:] + ids[:k]
-        return Face(tuple(self.vertices[i] for i in rotated))
+        return Face(tuple(self.vertices[i] for i in self.face_vertex_ids(face_id)))
 
     def faces(self) -> list[Face]:
-        return [self.face(i) for i in range(self.face_count)]
+        vs = self.vertices
+        return [Face((vs[a], vs[b], vs[c])) for a, b, c in self.face_vertex_rows()]
 
     def face_id_of_dart(self, dart: int) -> int:
         return int(self._face_of_dart[dart])
@@ -227,12 +226,12 @@ class FareyMap:
         return self.vertex_count - self.edge_count + self.face_count
 
 
-def build_map(n: int, max_level: int = DEFAULT_LEVEL_BOUND) -> FareyMap:
+def build_map(n: int) -> FareyMap:
     """Construct M3(n) with its dart permutations and faces."""
     if n < 3:
         raise Unsupported(f"build_map needs n >= 3, got {n}")
-    if n > max_level:
-        raise ResourceLimit(f"level {n} above bound {max_level}")
+    if n > DEFAULT_LEVEL_BOUND:
+        raise ResourceLimit(f"level {n} above bound {DEFAULT_LEVEL_BOUND}")
 
     pairs = vertex_pairs(n)
     vcount = len(pairs)
@@ -266,19 +265,21 @@ def build_map(n: int, max_level: int = DEFAULT_LEVEL_BOUND) -> FareyMap:
         raise BrokenInvariant(f"a dart column is not a vertex at level {n}; construction bug")
     s = vertex_sign[B, D]
     alpha = w * n + s * (C * b0[w] - A * d0[w]) % n
+    del t, A, C, B, D, w, s  # free seven dart-length columns before the face arrays
 
+    # Face i is row i: its darts in phi order from the least one.  A face has
+    # three distinct corners and the darts of vertex v are v*n .. v*n + n - 1,
+    # so the least dart leaves the least corner.
     phi = sigma[alpha]
     reps = np.minimum(np.minimum(idx, phi), phi[phi])
-    face_leaders = idx[reps == idx]
+    leaders = idx[reps == idx]
+    face_darts = np.stack((leaders, phi[leaders], phi[phi[leaders]]), axis=1)
     face_of_dart = np.empty(order, dtype=np.int64)
-    fids = np.arange(face_leaders.shape[0], dtype=np.int64)
-    face_of_dart[face_leaders] = fids
-    face_of_dart[phi[face_leaders]] = fids
-    face_of_dart[phi[phi[face_leaders]]] = fids
+    face_of_dart[face_darts] = np.arange(leaders.shape[0], dtype=np.int64)[:, None]
 
     vertices = [FareyFraction(int(a), int(c), n) for a, c in pairs]
     return FareyMap(n, vertices, vertex_table.tolist(), bezout, sigma, alpha, face_of_dart,
-                    face_leaders)
+                    face_darts)
 
 
 # -- export / import -------------------------------------------------------
@@ -286,12 +287,12 @@ def build_map(n: int, max_level: int = DEFAULT_LEVEL_BOUND) -> FareyMap:
 def map_to_dict(fmap: FareyMap) -> dict:
     verts = [str(v) for v in fmap.vertices]
     edges = [[verts[i], verts[j]] for i, j in fmap.edge_id_pairs()]
-    faces = sorted(list(f.labels()) for f in fmap.faces())
+    faces = sorted([verts[a], verts[b], verts[c]] for a, b, c in fmap.face_vertex_rows())
     return {"level": fmap.level, "vertices": verts, "edges": edges, "faces": faces}
 
 
-def to_json(fmap: FareyMap, indent: int | None = None) -> str:
-    return json.dumps(map_to_dict(fmap), indent=indent)
+def to_json(fmap: FareyMap) -> str:
+    return json.dumps(map_to_dict(fmap))
 
 
 @dataclass(frozen=True)
@@ -330,7 +331,7 @@ def same_combinatorics(fmap: FareyMap, data: MapData) -> bool:
     if sorted(verts) != sorted(data.vertices):
         return False
     edges = {frozenset((verts[i], verts[j])) for i, j in fmap.edge_id_pairs()}
-    faces = {frozenset(f.labels()) for f in fmap.faces()}
+    faces = {frozenset((verts[a], verts[b], verts[c])) for a, b, c in fmap.face_vertex_rows()}
     return edges == data.edges and faces == data.faces
 
 

@@ -29,7 +29,7 @@ from .arith import (
     mobius_exact,
 )
 from .errors import BrokenInvariant, WrongLevel
-from .gluing import partner_of, polygon_genus, reversed_pairs
+from .gluing import SidePairing, polygon_genus, reversed_pairs
 from .maps import Face, FareyMap
 from .metrics import second_circuit
 
@@ -87,32 +87,22 @@ class FourteenGon:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class SidePairing:
-    pairs: tuple[tuple[int, int], ...]  # 7 pairs, each sorted, fixed-point-free
-
-    def partner(self, index: int) -> int:
-        return partner_of(self.pairs, index)
-
-
-def _quad_at(fmap: FareyMap, third: FareyFraction):
-    """The quadrilateral with denominator-3 corner `third`: returns
+def _quad_at(fmap: FareyMap, third: FareyFraction, u: FareyFraction):
+    """The quadrilateral with denominator-3 corner `third` and the walk slot
+    u after it as one denominator-2 corner; the other one, w, is the common
+    neighbour of both with denominator 2.  Returns
     (inner face, outer face, ccw-later den-2 corner, ccw-earlier den-2 corner)."""
     pole3 = canonical(3, 0, LEVEL)
-    inner = None
-    for fid in range(fmap.face_count):
-        vs = fmap.face(fid).vertices
-        if third in vs and sorted(v.den for v in vs) == [2, 2, 3]:
-            inner = fmap.face(fid)
-            break
-    if inner is None:
+    around, beside = fmap.neighbors(third), set(fmap.neighbors(u))
+    others = [v for v in around if v.den == 2 and v in beside]
+    if u.den != 2 or u not in around or len(others) != 1:
         raise BrokenInvariant(f"no quadrilateral at {third}")
-    u, w = [v for v in inner.vertices if v.den == 2]
-    outer = fmap.face(fmap.face_id_by_vertices([u, pole3, w]))
+    w = others[0]
     rot = fmap.neighbors(pole3)
-    for i, r in enumerate(rot):
-        nxt = rot[(i + 1) % len(rot)]
+    for r, nxt in zip(rot, rot[1:] + rot[:1]):
         if {r, nxt} == {u, w}:
+            inner = fmap.face(fmap.face_id_by_vertices([third, u, w]))
+            outer = fmap.face(fmap.face_id_by_vertices([u, pole3, w]))
             return inner, outer, nxt, r
     raise BrokenInvariant(f"{u}, {w} not consecutive around {pole3}")
 
@@ -135,7 +125,7 @@ def outer_ring(fmap: FareyMap) -> tuple[RingRegion, ...]:
             face = fmap.face(fmap.face_id_by_vertices([start, pole2, end]))
             regions.append(RingRegion("triangle", (start, pole2, end), (face,)))
         elif gap == 2:
-            inner, outer, later, earlier = _quad_at(fmap, start)
+            inner, outer, later, earlier = _quad_at(fmap, start, walk[(a + 1) % len(walk)])
             regions.append(
                 RingRegion("quad", (start, later, pole3, earlier), (inner, outer))
             )

@@ -22,7 +22,7 @@ from .errors import (
     UnpairedEdge,
     WrongLevel,
 )
-from .gluing import partner_of, polygon_genus, reversed_pairs
+from .gluing import SidePairing, polygon_genus, reversed_pairs
 from .maps import Face, FareyMap
 
 LEVEL = 11
@@ -54,7 +54,7 @@ def _face_translation(fmap: FareyMap) -> list[int]:
     shift = [fmap.vertex_id(v.translated(1)) for v in fmap.vertices]
     return [
         fmap.face_id_of_dart(fmap.dart_between(shift[u], shift[w]))
-        for u, w, _ in map(fmap.face_vertex_ids, range(fmap.face_count))
+        for u, w, _ in fmap.face_vertex_rows()
     ]
 
 
@@ -128,10 +128,7 @@ def _sectors(fmap: FareyMap, restrict):
     allowed = None
     if restrict is not None:
         allowed_ids = {fmap.vertex_id(v) for v in restrict}
-        allowed = [
-            all(i in allowed_ids for i in fmap.face_vertex_ids(fid))
-            for fid in range(fmap.face_count)
-        ]
+        allowed = [allowed_ids.issuperset(row) for row in fmap.face_vertex_rows()]
         if not allowed[anchor]:
             raise NoSector("restriction excludes the central triangle")
     orbit_of = structure.orbit_of
@@ -201,7 +198,6 @@ class BoundaryWalk:
 
     vertices: tuple[FareyFraction, ...]
     row_length: int  # fresh slots contributed by each sector copy
-    sector_boundary: tuple[FareyFraction, ...]  # one copy's full boundary cycle
     fmap: FareyMap
 
     def __len__(self) -> int:
@@ -227,7 +223,7 @@ class BoundaryWalk:
     def rotated(self, shift: int) -> "BoundaryWalk":
         vs = self.vertices
         shifted = vs[shift % len(vs):] + vs[:shift % len(vs)]
-        return BoundaryWalk(shifted, self.row_length, self.sector_boundary, self.fmap)
+        return BoundaryWalk(shifted, self.row_length, self.fmap)
 
 
 def _boundary_cycle(fmap: FareyMap, face_ids) -> list[int]:
@@ -290,7 +286,7 @@ def boundary_walk(sector: Sector) -> BoundaryWalk:
     # fresh slots per copy; the next copy starts at the translate of slots[radius]
     free = slots[radius:length - radius]
     walk = tuple(v.translated(k) for k in range(LEVEL) for v in free)
-    return BoundaryWalk(walk, len(free), tuple(slots), fmap)
+    return BoundaryWalk(walk, len(free), fmap)
 
 
 def normalize_walk(walk: BoundaryWalk, first_label: str, second_label: str) -> BoundaryWalk:
@@ -312,23 +308,13 @@ def normalize_walk(walk: BoundaryWalk, first_label: str, second_label: str) -> B
     return walk.rotated(candidates[0])
 
 
-@dataclass(frozen=True)
-class PairingTable:
-    """99 pairs of directed boundary slots (i, j): edge i runs v->u where
-    edge j runs u->v."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def partner(self, slot: int) -> int:
-        return partner_of(self.pairs, slot)
+def pair_boundary(walk: BoundaryWalk) -> SidePairing:
+    """Match every directed boundary edge with its unique reversal: slot
+    pair (i, j) means edge i runs v->u where edge j runs u->v."""
+    return SidePairing(reversed_pairs(walk.edges()))
 
 
-def pair_boundary(walk: BoundaryWalk) -> PairingTable:
-    """Match every directed boundary edge with its unique reversal."""
-    return PairingTable(reversed_pairs(walk.edges()))
-
-
-def quotient_genus(walk: BoundaryWalk, pairing: PairingTable) -> int:
+def quotient_genus(walk: BoundaryWalk, pairing: SidePairing) -> int:
     """Genus of the surface obtained by gluing the paired boundary edges.
 
     The boundary slots are the polygon corners; the vertices, edges and

@@ -5,6 +5,7 @@ import pytest
 from fareymaps.errors import NoMatch, UnpairedEdge
 from fareymaps.gluing import partner_of, polygon_genus, reversed_pairs
 from fareymaps.maps import build_map
+from fareymaps import gluing, sector
 from fareymaps.quartic import SidePairing, fourteen_gon, quotient_genus_of_gon, side_pairing
 
 
@@ -55,6 +56,17 @@ def test_partner_of():
     assert [partner_of([(0, 2), (1, 3)], k) for k in range(4)] == [2, 3, 0, 1]
     with pytest.raises(NoMatch):
         partner_of([(0, 2)], 1)
+
+
+def test_one_side_pairing_type_for_both_polygons():
+    assert SidePairing is gluing.SidePairing
+    assert not hasattr(sector, "PairingTable")
+    walk = sector.boundary_walk(
+        sector.sector_search(build_map(11), restrict=sector.reference_sector_vertices())
+    )
+    pairing = sector.pair_boundary(walk)
+    assert type(pairing) is SidePairing
+    assert pairing.partner(pairing.pairs[0][1]) == pairing.pairs[0][0]
 
 
 def test_side_pairing_rejects_a_flipped_side():

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import time
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,9 @@ from fareymaps.maps import (
     to_dot,
     to_json,
 )
+from fareymaps.render import render_map
+
+GOLDEN = Path(__file__).resolve().parents[1] / "benchmarks" / "golden.json"
 
 
 def brute_psl_order(n):
@@ -65,7 +70,7 @@ def test_build_map_bounds():
     with pytest.raises(Unsupported):
         build_map(2)
     with pytest.raises(ResourceLimit):
-        build_map(103, max_level=101)
+        build_map(103)
 
 
 def test_permutation_structure():
@@ -185,6 +190,39 @@ def test_face_lookup_edge_cases():
         assert m7.face_id_by_vertices([c, a, b]) == fid
 
 
+def reference_faces(m):
+    """Faces from the public sigma and alpha alone: walk phi = sigma o alpha
+    from each orbit's least dart, and rotate the least corner to the front.
+    Returns the dart orbits and the vertex-id rows, in leader order."""
+    n = m.level
+    sigma, alpha = m.sigma.tolist(), m.alpha.tolist()
+    orbits, rows = [], []
+    for d0 in range(m.dart_count):
+        d1 = sigma[alpha[d0]]
+        d2 = sigma[alpha[d1]]
+        if d0 < d1 and d0 < d2:
+            ids = [d0 // n, d1 // n, d2 // n]
+            k = ids.index(min(ids))
+            orbits.append((d0, d1, d2))
+            rows.append(ids[k:] + ids[:k])
+    return orbits, rows
+
+
+def test_face_rows_match_orbit_walk_reference():
+    for n in list(range(3, 32)) + [64]:
+        m = build_map(n)
+        orbits, rows = reference_faces(m)
+        assert m.face_vertex_rows() == rows, n
+        vs = m.vertices
+        labelled = [tuple(vs[i] for i in row) for row in rows]
+        assert [f.vertices for f in m.faces()] == labelled, n
+        for fid, (orbit, row) in enumerate(zip(orbits, rows)):
+            assert m.face(fid).vertices == labelled[fid], (n, fid)
+            assert m.face_dart_orbit(fid) == orbit, (n, fid)
+            assert m.face_vertex_ids(fid) == tuple(row), (n, fid)
+            assert [m.face_id_of_dart(d) for d in orbit] == [fid] * 3, (n, fid)
+
+
 def test_dart_between():
     # n = 3 has every pair of vertices adjacent; even n has the tie 2c = n
     for n in list(range(3, 14)) + [30]:
@@ -282,6 +320,16 @@ def test_exports_are_deterministic():
     assert dot == to_dot(build_map(5))
     assert dot.startswith("graph farey_5 {")
     assert '"1/0" -- "0/1"' in dot or '"0/1" -- "1/0"' in dot
+
+
+def test_exports_match_golden_digests():
+    # the SHA-256 sums the benchmark recorded for each export (read only)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["export"]
+    for n in (3, 6, 7, 12, 13, 31):
+        m = build_map(n)
+        for key, text in (("json", to_json(m)), ("dot", to_dot(m)), ("svg", render_map(m))):
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            assert digest == golden[str(n)][key], (n, key)
 
 
 def test_vertex_order_matches_printed_lists():

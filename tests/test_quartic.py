@@ -1,7 +1,8 @@
 import pytest
 
 from fareymaps.arith import ExtRational, canonical, is_adjacent
-from fareymaps.errors import WrongLevel
+from fareymaps import quartic
+from fareymaps.errors import BrokenInvariant, WrongLevel
 from fareymaps.maps import build_map
 from fareymaps.quartic import (
     fourteen_gon,
@@ -75,6 +76,17 @@ def test_quads_are_two_faces_sharing_diagonal(m7):
         assert len(diagonal) == 2
         assert all(v.den == 2 for v in diagonal)
         assert is_adjacent(*sorted(diagonal))
+
+
+def test_quad_at_reports_a_missing_corner(m7):
+    # 1/3 is followed on the walk by 5/2, and 1/2 is the other den-2 corner
+    inner, outer, later, earlier = quartic._quad_at(m7, v7("1/3"), v7("5/2"))
+    assert (later, earlier) == (v7("5/2"), v7("1/2"))
+    # a slot of denominator 1, a den-2 neighbour with no den-2 common
+    # neighbour, and a den-2 slot that is no neighbour of the pinch
+    for slot in ("1/1", "0/2", "2/2"):
+        with pytest.raises(BrokenInvariant, match="no quadrilateral"):
+            quartic._quad_at(m7, v7("1/3"), v7(slot))
 
 
 def test_fourteen_gon_side_one(m7):
