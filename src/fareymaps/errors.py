@@ -41,6 +41,10 @@ class MalformedLabel(FareyMapError):
     """Text is not a fraction a/c or an integer a."""
 
 
+class MalformedMap(FareyMapError):
+    """Text is not a map export: not JSON, or a missing or ill-typed field."""
+
+
 class NoMatch(FareyMapError):
     """A polygon side has no orientation-reversed partner, or a side pairing
     glues corners that carry different labels."""

@@ -22,7 +22,9 @@ both sign representatives (a, c) and (-a, -c) of every vertex, so:
   - the dart from u = a/c to w = b/d exists iff e = a*d - c*b is +-1 mod n,
     and it is u*n + e*(b*d0[u] - d*b0[u]) mod n.
 
-A built map is immutable; concurrent readers are safe.
+A built map is immutable; concurrent readers are safe.  The export tables
+(edge columns, labels) are filled in on first use; a map always computes the
+same values for them, so a reader racing another sees equal tables.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ import numpy as np
 from .arith import FareyFraction, distinct_prime_factors, vertex_pairs
 from .errors import (
     BrokenInvariant,
+    FareyMapError,
+    MalformedMap,
     NonIntegral,
     ResourceLimit,
     UnknownVertex,
@@ -122,6 +126,8 @@ class FareyMap:
         self._dart_target: np.ndarray = alpha // level
         self._face_of_dart: np.ndarray = face_of_dart
         self._face_darts: np.ndarray = face_darts
+        self._edge_columns: tuple[np.ndarray, np.ndarray] | None = None
+        self._labels: list[str] | None = None
 
     # -- counts ---------------------------------------------------------
 
@@ -171,11 +177,27 @@ class FareyMap:
         """The n neighbours of v as a cyclic sequence in sigma rotation order."""
         return tuple(self.vertices[i] for i in self.neighbor_ids(self.vertex_id(v)))
 
+    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edge columns (src, tgt): src < tgt, ordered by (src, tgt)."""
+        if self._edge_columns is None:
+            v = self.vertex_count
+            src = np.arange(self.dart_count) // self.level
+            tgt = self._dart_target
+            keep = src < tgt
+            key = np.sort(src[keep] * v + tgt[keep])
+            self._edge_columns = (key // v, key % v)
+        return self._edge_columns
+
     def edge_id_pairs(self) -> list[tuple[int, int]]:
-        src = np.arange(self.dart_count) // self.level
-        tgt = self._dart_target
-        keep = src < tgt
-        return sorted(zip(src[keep].tolist(), tgt[keep].tolist()))
+        """Every edge once as (u, w) with u < w, ordered by (u, w); a new list."""
+        src, tgt = self._edges()
+        return list(zip(src.tolist(), tgt.tolist()))
+
+    def _label_table(self) -> list[str]:
+        """str(v) of every vertex, by vertex id."""
+        if self._labels is None:
+            self._labels = [str(v) for v in self.vertices]
+        return self._labels
 
     # -- faces ----------------------------------------------------------
 
@@ -188,6 +210,21 @@ class FareyMap:
     def face_vertex_rows(self) -> list[list[int]]:
         """Row i lists the vertex ids of face i, least first, in rotation order."""
         return (self._face_darts // self.level).tolist()
+
+    def _face_rows_by_label(self) -> list[list[int]]:
+        """The face vertex rows in the order of their label lists.
+
+        Labels are distinct, so ranking each vertex by its label in string
+        order and sorting the rows by their rank triples, read as one number
+        in base V, gives the order of sorted() over the label lists.
+        """
+        v = self.vertex_count
+        labels = self._label_table()
+        rank = np.empty(v, dtype=np.int64)
+        rank[sorted(range(v), key=labels.__getitem__)] = np.arange(v)
+        rows = self._face_darts // self.level
+        ranks = rank[rows]
+        return rows[np.argsort((ranks[:, 0] * v + ranks[:, 1]) * v + ranks[:, 2])].tolist()
 
     def face(self, face_id: int) -> Face:
         return Face(tuple(self.vertices[i] for i in self.face_vertex_ids(face_id)))
@@ -285,14 +322,27 @@ def build_map(n: int) -> FareyMap:
 # -- export / import -------------------------------------------------------
 
 def map_to_dict(fmap: FareyMap) -> dict:
-    verts = [str(v) for v in fmap.vertices]
+    """The export as a dict: labels, edges by (src, tgt) id, faces sorted by labels."""
+    verts = list(fmap._label_table())
     edges = [[verts[i], verts[j]] for i, j in fmap.edge_id_pairs()]
-    faces = sorted([verts[a], verts[b], verts[c]] for a, b, c in fmap.face_vertex_rows())
+    faces = [[verts[a], verts[b], verts[c]] for a, b, c in fmap._face_rows_by_label()]
     return {"level": fmap.level, "vertices": verts, "edges": edges, "faces": faces}
 
 
 def to_json(fmap: FareyMap) -> str:
-    return json.dumps(map_to_dict(fmap))
+    """json.dumps(map_to_dict(fmap)), joined by hand.
+
+    A label is always digits/digits, so '"' + label + '"' is its JSON string.
+    """
+    quoted = ['"' + s + '"' for s in fmap._label_table()]
+    head = ["[" + q + ", " for q in quoted]
+    middle = [q + ", " for q in quoted]
+    tail = [q + "]" for q in quoted]
+    src, tgt = fmap._edges()
+    edges = [head[i] + tail[j] for i, j in zip(src.tolist(), tgt.tolist())]
+    faces = [head[a] + middle[b] + tail[c] for a, b, c in fmap._face_rows_by_label()]
+    return (f'{{"level": {fmap.level}, "vertices": [{", ".join(quoted)}], '
+            f'"edges": [{", ".join(edges)}], "faces": [{", ".join(faces)}]}}')
 
 
 @dataclass(frozen=True)
@@ -306,20 +356,27 @@ class MapData:
 
 
 def from_json(text: str) -> MapData:
-    data = json.loads(text)
-    level = int(data["level"])
-    vertices = tuple(data["vertices"])
-    known = set(vertices)
-    edges = set()
-    for u, v in data["edges"]:
-        if u not in known or v not in known:
-            raise UnknownVertex(f"edge ({u}, {v}) uses unknown vertices")
-        edges.add(frozenset((u, v)))
-    faces = set()
-    for f in data["faces"]:
-        if len(f) != 3 or any(u not in known for u in f):
-            raise UnknownVertex(f"bad face {f}")
-        faces.add(frozenset(f))
+    """Parse a JSON export; text that is not one raises MalformedMap."""
+    try:
+        data = json.loads(text)
+        level = int(data["level"])
+        vertices = tuple(data["vertices"])
+        known = set(vertices)
+        edges = set()
+        for u, v in data["edges"]:
+            if u not in known or v not in known:
+                raise UnknownVertex(f"edge ({u}, {v}) uses unknown vertices")
+            edges.add(frozenset((u, v)))
+        faces = set()
+        for f in data["faces"]:
+            if len(f) != 3 or any(u not in known for u in f):
+                raise UnknownVertex(f"bad face {f}")
+            faces.add(frozenset(f))
+    except FareyMapError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError covers json.JSONDecodeError, int() and tuple unpacking.
+        raise MalformedMap(f"not a map export: {exc!r}") from exc
     return MapData(level, vertices, frozenset(edges), frozenset(faces))
 
 
@@ -327,7 +384,7 @@ def same_combinatorics(fmap: FareyMap, data: MapData) -> bool:
     """Label-preserving comparison: equal V/E/F and identical adjacency."""
     if data.level != fmap.level or len(data.vertices) != fmap.vertex_count:
         return False
-    verts = [str(v) for v in fmap.vertices]
+    verts = fmap._label_table()
     if sorted(verts) != sorted(data.vertices):
         return False
     edges = {frozenset((verts[i], verts[j])) for i, j in fmap.edge_id_pairs()}
@@ -336,11 +393,12 @@ def same_combinatorics(fmap: FareyMap, data: MapData) -> bool:
 
 
 def to_dot(fmap: FareyMap) -> str:
-    lines = [f'graph farey_{fmap.level} {{']
-    for v in fmap.vertices:
-        lines.append(f'  "{v}";')
-    verts = [str(v) for v in fmap.vertices]
-    for i, j in fmap.edge_id_pairs():
-        lines.append(f'  "{verts[i]}" -- "{verts[j]}";')
+    quoted = ['"' + s + '"' for s in fmap._label_table()]
+    head = ["  " + q + " -- " for q in quoted]
+    tail = [q + ";" for q in quoted]
+    src, tgt = fmap._edges()
+    lines = [f"graph farey_{fmap.level} {{"]
+    lines += ["  " + q + ";" for q in quoted]
+    lines += [head[i] + tail[j] for i, j in zip(src.tolist(), tgt.tolist())]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -58,9 +58,9 @@ def layout_positions(fmap: FareyMap) -> dict[int, tuple[float, float]]:
     return positions
 
 
-def _point(pos) -> str:
+def _point(pos) -> tuple[str, str]:
     x, y = pos
-    return f"{_fmt(_SCALE * x + _SCALE * _EXTENT)},{_fmt(_SCALE * y + _SCALE * _EXTENT)}"
+    return _fmt(_SCALE * x + _SCALE * _EXTENT), _fmt(_SCALE * y + _SCALE * _EXTENT)
 
 
 def render_map(fmap: FareyMap, sector_face_ids=None) -> str:
@@ -98,19 +98,18 @@ def render_map(fmap: FareyMap, sector_face_ids=None) -> str:
             }
         )
 
+    # Each vertex's coordinates are formatted once; an edge line is the
+    # head of its first endpoint joined to the tail of its second.
     points = {vid: _point(pos) for vid, pos in positions.items()}
+    line_head = {vid: f'<line x1="{x}" y1="{y}" ' for vid, (x, y) in points.items()}
+    line_tail = {vid: f'x2="{x}" y2="{y}" stroke="#5577aa" stroke-width="0.8"/>'
+                 for vid, (x, y) in points.items()}
     for tri in shaded:
-        pts = " ".join(points[i] for i in tri)
+        pts = " ".join(",".join(points[i]) for i in tri)
         lines.append(f'<polygon points="{pts}" fill="#dce9f9" stroke="none"/>')
-    for i, j in edges:
-        xi, yi = points[i].split(",")
-        xj, yj = points[j].split(",")
-        lines.append(
-            f'<line x1="{xi}" y1="{yi}" x2="{xj}" y2="{yj}" '
-            'stroke="#5577aa" stroke-width="0.8"/>'
-        )
+    lines += [line_head[i] + line_tail[j] for i, j in edges]
     for vid in shown_vertices:
-        x, y = points[vid].split(",")
+        x, y = points[vid]
         lines.append(f'<circle cx="{x}" cy="{y}" r="3" fill="#203050"/>')
         lines.append(
             f'<text x="{x}" y="{y}" dx="5" dy="-4" font-size="11" '

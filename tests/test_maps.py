@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fareymaps.arith import FareyFraction, ModMatrix, canonical, is_adjacent, mobius_mod
-from fareymaps.errors import ResourceLimit, UnknownVertex, Unsupported
+from fareymaps.errors import FareyMapError, ResourceLimit, UnknownVertex, Unsupported
 from fareymaps.maps import (
     build_map,
     from_json,
@@ -314,6 +314,45 @@ def test_json_roundtrip():
         assert len(raw["faces"]) == m.face_count
 
 
+@pytest.mark.parametrize("text", [
+    "nope",
+    '{"level": 7}',
+    "[]",
+    '{"level": 7, "vertices": ["1/0"], "edges": [["1/0"]], "faces": []}',
+    '{"level": "x", "vertices": [], "edges": [], "faces": []}',
+], ids=["not-json", "missing-fields", "not-an-object", "one-label-edge", "non-integer-level"])
+def test_from_json_rejects_malformed_text(text):
+    with pytest.raises(FareyMapError):
+        from_json(text)
+
+
+def test_from_json_rejects_unknown_labels():
+    with pytest.raises(UnknownVertex):
+        from_json('{"level": 7, "vertices": ["1/0"], "edges": [["1/0", "2/0"]], "faces": []}')
+
+
+def test_exports_match_reference_sorts():
+    # the parent's way of ordering edges and faces: sort the Python tuples of
+    # the public alpha, and sort the label lists of the face rows
+    for n in list(range(3, 32)) + [64]:
+        m = build_map(n)
+        src = np.arange(m.alpha.shape[0]) // m.level
+        tgt = m.alpha // m.level
+        keep = src < tgt
+        assert m.edge_id_pairs() == sorted(zip(src[keep].tolist(), tgt[keep].tolist())), n
+        labels = [str(v) for v in m.vertices]
+        faces = sorted([labels[i] for i in row] for row in m.face_vertex_rows())
+        assert map_to_dict(m)["faces"] == faces, n
+        assert to_json(m) == json.dumps(map_to_dict(m)), n
+
+
+def test_edge_id_pairs_returns_a_new_list_each_call():
+    m = build_map(7)
+    first, second = m.edge_id_pairs(), m.edge_id_pairs()
+    assert first == second
+    assert first is not second
+
+
 def test_exports_are_deterministic():
     assert to_json(build_map(7)) == to_json(build_map(7))
     dot = to_dot(build_map(5))
@@ -325,7 +364,7 @@ def test_exports_are_deterministic():
 def test_exports_match_golden_digests():
     # the SHA-256 sums the benchmark recorded for each export (read only)
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["export"]
-    for n in (3, 6, 7, 12, 13, 31):
+    for n in (3, 6, 7, 12, 13, 31, 32, 53, 64):
         m = build_map(n)
         for key, text in (("json", to_json(m)), ("dot", to_dot(m)), ("svg", render_map(m))):
             digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
