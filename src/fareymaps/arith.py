@@ -91,8 +91,19 @@ class FareyFraction:
         return f"{self.num}/{self.den}"
 
     def translated(self, k: int = 1) -> "FareyFraction":
-        """Image under t -> t + k, i.e. a/c -> (a + k c)/c."""
-        return canonical(self.num + k * self.den, self.den, self.level)
+        """Image under t -> t + k, i.e. a/c -> (a + k c)/c.
+
+        Equal to canonical(a + k c, c, n), validated once (by
+        `__post_init__`): the translation keeps c and gcd(a, c, n), a pole
+        keeps its numerator, and 0 < c < n/2 takes any numerator, so only
+        c = n/2, its own negative, needs the sign choice.
+        """
+        n = self.level
+        c = self.den
+        a = (self.num + k * c) % n
+        if 2 * c == n and 2 * a > n:
+            a = n - a
+        return FareyFraction(a, c, n)
 
 
 def canonical(a: int, c: int, n: int) -> FareyFraction:

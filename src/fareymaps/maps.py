@@ -177,20 +177,24 @@ class FareyMap:
         """The n neighbours of v as a cyclic sequence in sigma rotation order."""
         return tuple(self.vertices[i] for i in self.neighbor_ids(self.vertex_id(v)))
 
-    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """The edge columns (src, tgt): src < tgt, ordered by (src, tgt)."""
+    def edge_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edge columns (src, tgt): every edge once with src < tgt,
+        ordered by (src, tgt).  Computed once per map; read-only."""
         if self._edge_columns is None:
             v = self.vertex_count
             src = np.arange(self.dart_count) // self.level
             tgt = self._dart_target
             keep = src < tgt
             key = np.sort(src[keep] * v + tgt[keep])
-            self._edge_columns = (key // v, key % v)
+            columns = (key // v, key % v)
+            for column in columns:
+                column.flags.writeable = False
+            self._edge_columns = columns
         return self._edge_columns
 
     def edge_id_pairs(self) -> list[tuple[int, int]]:
         """Every edge once as (u, w) with u < w, ordered by (u, w); a new list."""
-        src, tgt = self._edges()
+        src, tgt = self.edge_columns()
         return list(zip(src.tolist(), tgt.tolist()))
 
     def _label_table(self) -> list[str]:
@@ -338,7 +342,7 @@ def to_json(fmap: FareyMap) -> str:
     head = ["[" + q + ", " for q in quoted]
     middle = [q + ", " for q in quoted]
     tail = [q + "]" for q in quoted]
-    src, tgt = fmap._edges()
+    src, tgt = fmap.edge_columns()
     edges = [head[i] + tail[j] for i, j in zip(src.tolist(), tgt.tolist())]
     faces = [head[a] + middle[b] + tail[c] for a, b, c in fmap._face_rows_by_label()]
     return (f'{{"level": {fmap.level}, "vertices": [{", ".join(quoted)}], '
@@ -356,12 +360,23 @@ class MapData:
 
 
 def from_json(text: str) -> MapData:
-    """Parse a JSON export; text that is not one raises MalformedMap."""
+    """Parse a JSON export; text that is not one raises MalformedMap.
+
+    The level must be a JSON integer (not a float or a boolean) and the
+    vertices a list of distinct label strings.
+    """
     try:
         data = json.loads(text)
-        level = int(data["level"])
-        vertices = tuple(data["vertices"])
+        level = data["level"]
+        if not isinstance(level, int) or isinstance(level, bool):
+            raise MalformedMap(f"level {level!r} is not an integer")
+        vertices = data["vertices"]
+        if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+            raise MalformedMap("vertices are not a list of label strings")
+        vertices = tuple(vertices)
         known = set(vertices)
+        if len(known) != len(vertices):
+            raise MalformedMap("a vertex label is repeated")
         edges = set()
         for u, v in data["edges"]:
             if u not in known or v not in known:
@@ -375,7 +390,7 @@ def from_json(text: str) -> MapData:
     except FareyMapError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
-        # ValueError covers json.JSONDecodeError, int() and tuple unpacking.
+        # ValueError covers json.JSONDecodeError and tuple unpacking.
         raise MalformedMap(f"not a map export: {exc!r}") from exc
     return MapData(level, vertices, frozenset(edges), frozenset(faces))
 
@@ -396,7 +411,7 @@ def to_dot(fmap: FareyMap) -> str:
     quoted = ['"' + s + '"' for s in fmap._label_table()]
     head = ["  " + q + " -- " for q in quoted]
     tail = [q + ";" for q in quoted]
-    src, tgt = fmap._edges()
+    src, tgt = fmap.edge_columns()
     lines = [f"graph farey_{fmap.level} {{"]
     lines += ["  " + q + ";" for q in quoted]
     lines += [head[i] + tail[j] for i, j in zip(src.tolist(), tgt.tolist())]

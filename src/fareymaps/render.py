@@ -83,7 +83,8 @@ def render_map(fmap: FareyMap, sector_face_ids=None) -> str:
 
     if sector_face_ids is None:
         shown_vertices = sorted(positions)
-        edges = fmap.edge_id_pairs()
+        src, tgt = fmap.edge_columns()
+        edges = zip(src.tolist(), tgt.tolist())
         shaded = []
     else:
         face_ids = sorted(sector_face_ids)

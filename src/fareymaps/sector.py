@@ -12,6 +12,7 @@ resulting orientable identification yields a genus-26 surface.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .arith import FareyFraction, canonical
@@ -45,51 +46,65 @@ def _require_level(fmap: FareyMap) -> None:
         raise WrongLevel(f"expected a level-11 map, got level {fmap.level}")
 
 
-def _face_translation(fmap: FareyMap) -> list[int]:
-    """Face permutation of t -> t + 1, as a list indexed by face id.
-
-    The translation maps the dart u -> w to the dart T(u) -> T(w), and the
-    face on its left to the face on the left of the image.
-    """
-    shift = [fmap.vertex_id(v.translated(1)) for v in fmap.vertices]
-    return [
-        fmap.face_id_of_dart(fmap.dart_between(shift[u], shift[w]))
-        for u, w, _ in fmap.face_vertex_rows()
-    ]
-
-
 class _FaceStructure:
-    """Face orbits under translation and face adjacency along shared edges."""
+    """Face translation, translation orbits, face adjacency and the anchor.
+
+    `translate[f]` is the face id of the image of face f under t -> t + 1:
+    the dart u -> w goes to the dart T(u) -> T(w), and the face on its left
+    to the face on the left of the image.  The sets the sector walk needs
+    are Python-int bitmasks over face ids: `adjacent[f]` has the bit of
+    every face sharing an edge with f, and `orbit_masks[orbit_of[f]]` the
+    bits of the n faces in f's orbit.  `anchor` is the face id of the
+    central triangle {1/0, 0/1, 1/1}.
+
+    Built from public `FareyMap` calls only, and it holds no reference to
+    the map, so `_structure` can keep one per map in a weak cache.
+    """
 
     def __init__(self, fmap: FareyMap):
         n = fmap.level
-        translate = _face_translation(fmap)
+        darts = [fmap.face_dart_orbit(fid) for fid in range(fmap.face_count)]
+        face_of = {d: fid for fid, row in enumerate(darts) for d in row}
+        shift = [fmap.vertex_id(v.translated(1)) for v in fmap.vertices]
+        self.translate = [
+            face_of[fmap.dart_between(shift[u], shift[w])] for u, w, _ in fmap.face_vertex_rows()
+        ]
 
         self.orbit_of = [-1] * fmap.face_count
-        orbits = 0
+        self.orbit_masks: list[int] = []
         for fid in range(fmap.face_count):
             if self.orbit_of[fid] >= 0:
                 continue
+            mask = 0
             cur = fid
             for _ in range(n):
-                self.orbit_of[cur] = orbits
-                cur = translate[cur]
+                self.orbit_of[cur] = len(self.orbit_masks)
+                mask |= 1 << cur
+                cur = self.translate[cur]
             if cur != fid:
                 raise BrokenInvariant(f"the translation orbit of face {fid} is not free")
-            orbits += 1
-        self.orbit_count = orbits
+            self.orbit_masks.append(mask)
 
-        self.adjacent = [
-            {fmap.face_id_of_dart(int(fmap.alpha[d])) for d in fmap.face_dart_orbit(fid)}
-            for fid in range(fmap.face_count)
-        ]
+        # the face across the edge of dart d is the face of alpha(d)
+        alpha = fmap.alpha.tolist()
+        self.adjacent = [sum(1 << face_of[alpha[d]] for d in row) for row in darts]
+        self.anchor = fmap.face_id_by_vertices(
+            (canonical(1, 0, n), canonical(0, 1, n), canonical(1, 1, n))
+        )
 
 
-def _anchor_id(fmap: FareyMap) -> int:
-    """Face id of the central triangle {1/0, 0/1, 1/1}."""
-    return fmap.face_id_by_vertices(
-        (canonical(1, 0, LEVEL), canonical(0, 1, LEVEL), canonical(1, 1, LEVEL))
-    )
+# One face structure per map, keyed by the map itself (maps hash by
+# identity); the weak keys let a map be collected together with its
+# structure.  Two threads racing on a new map build equal structures, and
+# either one may be kept.
+_structures: weakref.WeakKeyDictionary[FareyMap, _FaceStructure] = weakref.WeakKeyDictionary()
+
+
+def _structure(fmap: FareyMap) -> _FaceStructure:
+    structure = _structures.get(fmap)
+    if structure is None:
+        structure = _structures[fmap] = _FaceStructure(fmap)
+    return structure
 
 
 class Sector:
@@ -98,7 +113,7 @@ class Sector:
     def __init__(self, fmap: FareyMap, face_ids):
         self.fmap = fmap
         self.face_ids = tuple(sorted(face_ids))
-        self.anchor_id = _anchor_id(fmap)
+        self.anchor_id = _structure(fmap).anchor
 
     def faces(self) -> list[Face]:
         return [self.fmap.face(fid) for fid in self.face_ids]
@@ -121,44 +136,49 @@ def _sectors(fmap: FareyMap, restrict):
     included and then banned, so the two branches never share a face set.
     With `restrict`, only faces whose three vertices lie in the given set
     are considered.
+
+    The walk runs on bitmasks over face ids.  A state is (chosen, size,
+    open_, frontier): the chosen faces and their number, the faces still
+    selectable (allowed, not banned, orbit unused) and the open faces next
+    to a chosen one, so the least frontier face is its lowest set bit.
+    Including it drops its whole orbit from `open_`; banning it drops its
+    bit.  States wait on an explicit stack, the include branch on top, which
+    is the depth-first order without Python recursion.  A ban that leaves
+    its orbit with no open face is not pushed: every face set below it
+    misses that orbit, so no sector is lost and the order is kept.
     """
     _require_level(fmap)
-    structure = _FaceStructure(fmap)
-    anchor = _anchor_id(fmap)
-    allowed = None
+    structure = _structure(fmap)
+    anchor = structure.anchor
+    allowed = (1 << fmap.face_count) - 1
     if restrict is not None:
         allowed_ids = {fmap.vertex_id(v) for v in restrict}
-        allowed = [allowed_ids.issuperset(row) for row in fmap.face_vertex_rows()]
-        if not allowed[anchor]:
+        allowed = sum(
+            1 << fid
+            for fid, row in enumerate(fmap.face_vertex_rows())
+            if allowed_ids.issuperset(row)
+        )
+        if not allowed >> anchor & 1:
             raise NoSector("restriction excludes the central triangle")
+    adjacent = structure.adjacent
     orbit_of = structure.orbit_of
-    chosen = {anchor}
-    used = {orbit_of[anchor]}
-    banned: set[int] = set()
-
-    def reachable(faces) -> set[int]:
-        return {
-            g for g in faces
-            if orbit_of[g] not in used and g not in banned and (allowed is None or allowed[g])
-        }
-
-    def walk(frontier: set[int]):
-        if len(chosen) == structure.orbit_count:
-            yield frozenset(chosen)
-            return
+    orbit_masks = structure.orbit_masks
+    open_ = allowed & ~orbit_masks[orbit_of[anchor]]
+    stack = [(1 << anchor, 1, open_, adjacent[anchor] & open_)]
+    while stack:
+        chosen, size, open_, frontier = stack.pop()
+        if size == len(orbit_masks):
+            yield frozenset(fid for fid in range(chosen.bit_length()) if chosen >> fid & 1)
+            continue
         if not frontier:
-            return
-        pivot = min(frontier)
-        chosen.add(pivot)
-        used.add(orbit_of[pivot])
-        yield from walk(reachable(frontier) | reachable(structure.adjacent[pivot]))
-        used.remove(orbit_of[pivot])
-        chosen.remove(pivot)
-        banned.add(pivot)
-        yield from walk(frontier - {pivot})
-        banned.remove(pivot)
-
-    yield from walk(reachable(structure.adjacent[anchor]))
+            continue
+        low = frontier & -frontier
+        pivot = low.bit_length() - 1
+        orbit = orbit_masks[orbit_of[pivot]]
+        if open_ & orbit & ~low:
+            stack.append((chosen, size, open_ & ~low, frontier & ~low))
+        rest = open_ & ~orbit
+        stack.append((chosen | low, size + 1, rest, (frontier | adjacent[pivot]) & rest))
 
 
 def sector_search(fmap: FareyMap, restrict=None) -> Sector:
@@ -183,7 +203,7 @@ def count_sectors(fmap: FareyMap, restrict) -> int:
 
 def tile_by_translates(sector: Sector) -> list[frozenset[int]]:
     """The eleven translated copies of the sector, as face-id sets."""
-    translate = _face_translation(sector.fmap)
+    translate = _structure(sector.fmap).translate
     tiles = []
     current = set(sector.face_ids)
     for _ in range(LEVEL):

@@ -78,6 +78,26 @@ def test_canonical_idempotent_and_orbit_constant():
         assert canonical(a + 3 * n, c - 2 * n, n) == f
 
 
+def outcome(f, *args):
+    """f(*args), or the class of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_translated_equals_canonical_of_shifted_numerator():
+    # translated skips canonical's gcd check and sign search; every vertex at
+    # n = 3..40 and every shift in [-n, 2n) must give canonical's answer.
+    # canonical reads a + k c mod n, so it is computed once per residue k mod n.
+    for n in range(3, 41):
+        for a, c in vertex_pairs(n):
+            v = FareyFraction(a, c, n)
+            want = [outcome(canonical, a + k * c, c, n) for k in range(n)]
+            for k in range(-n, 2 * n):
+                assert outcome(v.translated, k) == want[k % n], (v, k)
+
+
 def test_not_a_vertex():
     with pytest.raises(NotAVertex):
         canonical(0, 7, 7)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fareymaps.arith import FareyFraction, ModMatrix, canonical, is_adjacent, mobius_mod
-from fareymaps.errors import FareyMapError, ResourceLimit, UnknownVertex, Unsupported
+from fareymaps.errors import FareyMapError, MalformedMap, ResourceLimit, UnknownVertex, Unsupported
 from fareymaps.maps import (
     build_map,
     from_json,
@@ -324,6 +324,17 @@ def test_json_roundtrip():
 def test_from_json_rejects_malformed_text(text):
     with pytest.raises(FareyMapError):
         from_json(text)
+
+
+@pytest.mark.parametrize("fields", [
+    '"level": 7.9, "vertices": ["1/0"]',
+    '"level": true, "vertices": ["1/0"]',
+    '"level": 7, "vertices": "1/0"',
+    '"level": 7, "vertices": ["1/0", "0/1", "1/0"]',
+], ids=["fractional-level", "boolean-level", "vertices-as-string", "repeated-vertex"])
+def test_from_json_rejects_ill_typed_fields(fields):
+    with pytest.raises(MalformedMap):
+        from_json("{" + fields + ', "edges": [], "faces": []}')
 
 
 def test_from_json_rejects_unknown_labels():

@@ -1,12 +1,17 @@
+import gc
 import itertools
 import random
 import time
+import weakref
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fareymaps.arith import canonical, is_adjacent
+from fareymaps.arith import canonical, is_adjacent, vertex_pairs
 from fareymaps.errors import DisconnectedBoundary, NoSector, WrongLevel
-from fareymaps.maps import build_map
+from fareymaps.maps import FareyMap, build_map
 from fareymaps.sector import (
     BoundaryWalk,
     REFERENCE_SECTOR_LABELS,
@@ -328,3 +333,48 @@ def test_no_sector_without_a_reference_label(m11):
         assert count_sectors(m11, restrict) == 0, label
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"19 infeasible searches took {elapsed:.2f}s (budget 2s)"
+
+
+# the level-11 labels outside the reference support, in string order
+OTHER_LABELS = sorted(
+    {f"{a}/{c}" for a, c in vertex_pairs(11)} - set(REFERENCE_SECTOR_LABELS)
+)
+
+
+@settings(max_examples=20, deadline=timedelta(seconds=5))
+@given(extra=st.lists(st.sampled_from(OTHER_LABELS), min_size=1, max_size=5, unique=True))
+def test_search_and_count_match_references_on_seeded_restrictions(m11, extra):
+    # the reference support keeps a sector feasible, so the depth-first
+    # reference terminates
+    restrict = reference_sector_vertices() | {v11(s) for s in extra}
+    assert sector_search(m11, restrict=restrict).face_ids == dfs_sector(m11, restrict)
+    assert count_sectors(m11, restrict) == len(brute_force_sectors(m11, restrict))
+
+
+def test_face_structure_is_built_once_per_map(monkeypatch):
+    calls = []
+    dart_between = FareyMap.dart_between
+
+    def counted(self, u, w):
+        calls.append((u, w))
+        return dart_between(self, u, w)
+
+    monkeypatch.setattr(FareyMap, "dart_between", counted)
+    m = build_map(11)
+    reference = reference_sector_vertices()
+    sector = sector_search(m, restrict=reference)
+    assert calls
+    calls.clear()
+    sector_search(m)
+    assert count_sectors(m, reference) == 1
+    assert len(tile_by_translates(sector)) == 11
+    assert calls == []
+
+
+def test_face_structure_cache_does_not_keep_the_map_alive():
+    m = build_map(11)
+    sector_search(m)
+    ref = weakref.ref(m)
+    del m
+    gc.collect()
+    assert ref() is None
