@@ -18,7 +18,6 @@ from .arith import (
     mobius_mod,
 )
 from .maps import (
-    Face,
     FareyMap,
     build_map,
     from_json,

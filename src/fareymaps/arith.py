@@ -70,7 +70,7 @@ class FareyFraction:
         if not (0 <= self.num < n and 0 <= self.den < n):
             raise NotAVertex(f"{self.num}/{self.den} not reduced mod {n}")
         if gcd(gcd(self.num, self.den), n) != 1:
-            raise NotAVertex(f"gcd({self.num}, {self.den}, {n}) != 1")
+            raise NotAVertex(f"gcd({self.num}, {self.den}, {n}) != 1: not a vertex mod {n}")
         if not _is_canonical_pair(self.num, self.den, n):
             raise NotAVertex(f"{self.num}/{self.den} is not canonical mod {n}")
 
@@ -109,14 +109,14 @@ class FareyFraction:
 def canonical(a: int, c: int, n: int) -> FareyFraction:
     """The canonical Farey fraction equal to a/c mod n.
 
-    Raises NotAVertex when gcd(a mod n, c mod n, n) != 1.
+    Raises NotAVertex (from the FareyFraction check) when
+    gcd(a mod n, c mod n, n) != 1.  The level is checked first, since
+    reducing mod n needs n >= 2.
     """
     if n < 2:
         raise Unsupported(f"level must be >= 2, got {n}")
     a %= n
     c %= n
-    if gcd(gcd(a, c), n) != 1:
-        raise NotAVertex(f"gcd({a}, {c}, {n}) != 1: not a vertex mod {n}")
     if not _is_canonical_pair(a, c, n):
         a, c = (-a) % n, (-c) % n
     return FareyFraction(a, c, n)

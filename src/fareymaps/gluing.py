@@ -31,16 +31,6 @@ def reversed_pairs(keys) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(pairs))
 
 
-def partner_of(pairs, k: int) -> int:
-    """The side paired with side k."""
-    for i, j in pairs:
-        if k == i:
-            return j
-        if k == j:
-            return i
-    raise NoMatch(f"side {k} not in pairing")
-
-
 @dataclass(frozen=True)
 class SidePairing:
     """Reversed side pairs (i, j), each sorted, every side in exactly one."""
@@ -48,7 +38,13 @@ class SidePairing:
     pairs: tuple[tuple[int, int], ...]
 
     def partner(self, k: int) -> int:
-        return partner_of(self.pairs, k)
+        """The side paired with side k."""
+        for i, j in self.pairs:
+            if k == i:
+                return j
+            if k == j:
+                return i
+        raise NoMatch(f"side {k} not in pairing")
 
 
 def polygon_genus(corners, pairs, inner_chi: int = 1) -> int:

@@ -74,26 +74,6 @@ def genus(n: int) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class Face:
-    """A triangular face: the three vertex labels in rotation order.
-
-    The least vertex (by (den, num)) comes first; the cyclic order itself is
-    the one traced by the face operator.
-    """
-
-    vertices: tuple[FareyFraction, FareyFraction, FareyFraction]
-
-    def labels(self) -> tuple[str, str, str]:
-        return tuple(str(v) for v in self.vertices)
-
-    def vertex_set(self) -> frozenset[FareyFraction]:
-        return frozenset(self.vertices)
-
-    def __str__(self) -> str:
-        return "{" + ", ".join(self.labels()) + "}"
-
-
 def _bezout_column(a: int, c: int, n: int) -> tuple[int, int]:
     """Some (b0, d0) with a*d0 - c*b0 = 1 mod n; needs gcd(a, c, n) = 1."""
     # x*a + y*c = g over Z, then scale by the inverse of g mod n.
@@ -230,12 +210,11 @@ class FareyMap:
         ranks = rank[rows]
         return rows[np.argsort((ranks[:, 0] * v + ranks[:, 1]) * v + ranks[:, 2])].tolist()
 
-    def face(self, face_id: int) -> Face:
-        return Face(tuple(self.vertices[i] for i in self.face_vertex_ids(face_id)))
-
-    def faces(self) -> list[Face]:
+    def faces(self) -> list[tuple[FareyFraction, FareyFraction, FareyFraction]]:
+        """Face i as the tuple of its three vertices, least (by (den, num))
+        first, in the rotation order traced by the face operator."""
         vs = self.vertices
-        return [Face((vs[a], vs[b], vs[c])) for a, b, c in self.face_vertex_rows()]
+        return [(vs[a], vs[b], vs[c]) for a, b, c in self.face_vertex_rows()]
 
     def face_id_of_dart(self, dart: int) -> int:
         return int(self._face_of_dart[dart])
@@ -362,8 +341,9 @@ class MapData:
 def from_json(text: str) -> MapData:
     """Parse a JSON export; text that is not one raises MalformedMap.
 
-    The level must be a JSON integer (not a float or a boolean) and the
-    vertices a list of distinct label strings.
+    The level must be a JSON integer (not a float or a boolean), the
+    vertices a list of distinct label strings, the edges a list of lists of
+    two distinct labels and the faces a list of lists of three.
     """
     try:
         data = json.loads(text)
@@ -377,22 +357,28 @@ def from_json(text: str) -> MapData:
         known = set(vertices)
         if len(known) != len(vertices):
             raise MalformedMap("a vertex label is repeated")
-        edges = set()
-        for u, v in data["edges"]:
-            if u not in known or v not in known:
-                raise UnknownVertex(f"edge ({u}, {v}) uses unknown vertices")
-            edges.add(frozenset((u, v)))
-        faces = set()
-        for f in data["faces"]:
-            if len(f) != 3 or any(u not in known for u in f):
-                raise UnknownVertex(f"bad face {f}")
-            faces.add(frozenset(f))
+        edges = _label_sets(data["edges"], 2, "edge", known)
+        faces = _label_sets(data["faces"], 3, "face", known)
     except FareyMapError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
-        # ValueError covers json.JSONDecodeError and tuple unpacking.
+        # ValueError covers json.JSONDecodeError.
         raise MalformedMap(f"not a map export: {exc!r}") from exc
-    return MapData(level, vertices, frozenset(edges), frozenset(faces))
+    return MapData(level, vertices, edges, faces)
+
+
+def _label_sets(items, size: int, what: str, known: set) -> frozenset[frozenset[str]]:
+    """The label sets of a JSON list of lists of `size` distinct labels."""
+    if not isinstance(items, list):
+        raise MalformedMap(f"{what}s are not a list")
+    out = set()
+    for item in items:
+        if not isinstance(item, list) or len(item) != size or len(set(item)) != size:
+            raise MalformedMap(f"{what} {item!r} is not a list of {size} distinct labels")
+        if any(u not in known for u in item):
+            raise UnknownVertex(f"{what} {item} uses unknown vertices")
+        out.add(frozenset(item))
+    return frozenset(out)
 
 
 def same_combinatorics(fmap: FareyMap, data: MapData) -> bool:

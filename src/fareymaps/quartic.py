@@ -30,7 +30,7 @@ from .arith import (
 )
 from .errors import BrokenInvariant, WrongLevel
 from .gluing import SidePairing, polygon_genus, reversed_pairs
-from .maps import Face, FareyMap
+from .maps import FareyMap
 from .metrics import second_circuit
 
 LEVEL = 7
@@ -48,7 +48,7 @@ class RingRegion:
 
     kind: str  # "triangle" | "quad"
     corners: tuple[FareyFraction, ...]
-    faces: tuple[Face, ...]
+    face_ids: tuple[int, ...]
 
     def labels(self) -> tuple[str, ...]:
         return tuple(str(v) for v in self.corners)
@@ -91,7 +91,7 @@ def _quad_at(fmap: FareyMap, third: FareyFraction, u: FareyFraction):
     """The quadrilateral with denominator-3 corner `third` and the walk slot
     u after it as one denominator-2 corner; the other one, w, is the common
     neighbour of both with denominator 2.  Returns
-    (inner face, outer face, ccw-later den-2 corner, ccw-earlier den-2 corner)."""
+    (inner face id, outer face id, ccw-later den-2 corner, ccw-earlier den-2 corner)."""
     pole3 = canonical(3, 0, LEVEL)
     around, beside = fmap.neighbors(third), set(fmap.neighbors(u))
     others = [v for v in around if v.den == 2 and v in beside]
@@ -101,9 +101,8 @@ def _quad_at(fmap: FareyMap, third: FareyFraction, u: FareyFraction):
     rot = fmap.neighbors(pole3)
     for r, nxt in zip(rot, rot[1:] + rot[:1]):
         if {r, nxt} == {u, w}:
-            inner = fmap.face(fmap.face_id_by_vertices([third, u, w]))
-            outer = fmap.face(fmap.face_id_by_vertices([u, pole3, w]))
-            return inner, outer, nxt, r
+            return (fmap.face_id_by_vertices([third, u, w]),
+                    fmap.face_id_by_vertices([u, pole3, w]), nxt, r)
     raise BrokenInvariant(f"{u}, {w} not consecutive around {pole3}")
 
 
@@ -122,8 +121,8 @@ def outer_ring(fmap: FareyMap) -> tuple[RingRegion, ...]:
         gap = b - a
         start, end = walk[a], walk[b % len(walk)]
         if gap == 1:
-            face = fmap.face(fmap.face_id_by_vertices([start, pole2, end]))
-            regions.append(RingRegion("triangle", (start, pole2, end), (face,)))
+            face_id = fmap.face_id_by_vertices([start, pole2, end])
+            regions.append(RingRegion("triangle", (start, pole2, end), (face_id,)))
         elif gap == 2:
             inner, outer, later, earlier = _quad_at(fmap, start, walk[(a + 1) % len(walk)])
             regions.append(

@@ -24,7 +24,7 @@ from .errors import (
     WrongLevel,
 )
 from .gluing import SidePairing, polygon_genus, reversed_pairs
-from .maps import Face, FareyMap
+from .maps import FareyMap
 
 LEVEL = 11
 
@@ -114,9 +114,6 @@ class Sector:
         self.fmap = fmap
         self.face_ids = tuple(sorted(face_ids))
         self.anchor_id = _structure(fmap).anchor
-
-    def faces(self) -> list[Face]:
-        return [self.fmap.face(fid) for fid in self.face_ids]
 
     def vertex_support(self) -> frozenset[FareyFraction]:
         out = set()

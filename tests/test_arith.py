@@ -1,7 +1,10 @@
 import random
+from datetime import timedelta
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fareymaps.arith import (
     ExtRational,
@@ -87,7 +90,7 @@ def outcome(f, *args):
 
 
 def test_translated_equals_canonical_of_shifted_numerator():
-    # translated skips canonical's gcd check and sign search; every vertex at
+    # translated skips canonical's sign search; every vertex at
     # n = 3..40 and every shift in [-n, 2n) must give canonical's answer.
     # canonical reads a + k c mod n, so it is computed once per residue k mod n.
     for n in range(3, 41):
@@ -125,6 +128,22 @@ def test_parse_rejects_malformed_text(text):
         FareyFraction.parse(text, 7)
     with pytest.raises(MalformedLabel):
         ExtRational.parse(text)
+
+
+INTEGERS = st.integers(min_value=-10**9, max_value=10**9)
+
+
+@settings(max_examples=400, deadline=timedelta(seconds=1))
+@given(n=st.integers(min_value=2, max_value=101), a=INTEGERS, c=INTEGERS,
+       shape=st.sampled_from(["", "/", "x/{c}", "{a}/", "{a}/{c}/{a}"]))
+def test_parse_canonical_str_round_trip(n, a, c, shape):
+    f = outcome(canonical, a, c, n)
+    assert outcome(FareyFraction.parse, f"{a}/{c}", n) == f
+    if isinstance(f, FareyFraction):
+        assert FareyFraction.parse(str(f), n) == f
+    assert outcome(FareyFraction.parse, str(a), n) == outcome(canonical, a, 1, n)
+    with pytest.raises(MalformedLabel):
+        FareyFraction.parse(shape.format(a=a, c=c), n)
 
 
 def test_distinct_prime_factors():

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from fareymaps.errors import NoMatch, UnpairedEdge
-from fareymaps.gluing import partner_of, polygon_genus, reversed_pairs
+from fareymaps.gluing import polygon_genus, reversed_pairs
 from fareymaps.maps import build_map
 from fareymaps import gluing, sector
 from fareymaps.quartic import SidePairing, fourteen_gon, quotient_genus_of_gon, side_pairing
@@ -53,9 +53,9 @@ def test_polygon_genus_rejects_odd_euler_characteristic():
 
 
 def test_partner_of():
-    assert [partner_of([(0, 2), (1, 3)], k) for k in range(4)] == [2, 3, 0, 1]
+    assert [SidePairing(((0, 2), (1, 3))).partner(k) for k in range(4)] == [2, 3, 0, 1]
     with pytest.raises(NoMatch):
-        partner_of([(0, 2)], 1)
+        SidePairing(((0, 2),)).partner(1)
 
 
 def test_one_side_pairing_type_for_both_polygons():

@@ -215,9 +215,8 @@ def test_face_rows_match_orbit_walk_reference():
         assert m.face_vertex_rows() == rows, n
         vs = m.vertices
         labelled = [tuple(vs[i] for i in row) for row in rows]
-        assert [f.vertices for f in m.faces()] == labelled, n
+        assert m.faces() == labelled, n
         for fid, (orbit, row) in enumerate(zip(orbits, rows)):
-            assert m.face(fid).vertices == labelled[fid], (n, fid)
             assert m.face_dart_orbit(fid) == orbit, (n, fid)
             assert m.face_vertex_ids(fid) == tuple(row), (n, fid)
             assert [m.face_id_of_dart(d) for d in orbit] == [fid] * 3, (n, fid)
@@ -256,8 +255,7 @@ def test_rotation_order_is_the_bezout_column_sequence():
 def test_faces_are_mediant_triangles():
     for n in (5, 7, 11):
         m = build_map(n)
-        for face in m.faces():
-            a, b, c = face.vertices
+        for a, b, c in m.faces():
             assert is_adjacent(a, b) and is_adjacent(b, c) and is_adjacent(a, c)
             # some choice of sign representatives makes one vertex the mediant
             found = False
@@ -331,10 +329,19 @@ def test_from_json_rejects_malformed_text(text):
     '"level": true, "vertices": ["1/0"]',
     '"level": 7, "vertices": "1/0"',
     '"level": 7, "vertices": ["1/0", "0/1", "1/0"]',
-], ids=["fractional-level", "boolean-level", "vertices-as-string", "repeated-vertex"])
+    '"level": 7, "vertices": ["1/0", "0/1", "1/1"], "edges": [{"1/0": 0, "0/1": 0}]',
+    '"level": 7, "vertices": ["1/0", "0/1", "1/1"], "edges": [["1/0", "1/0"]]',
+    '"level": 7, "vertices": ["1/0", "0/1", "1/1"], "faces": [{"1/0": 0, "0/1": 0, "1/1": 0}]',
+    '"level": 7, "vertices": ["1/0", "0/1", "1/1"], "faces": [["1/0", "1/0", "0/1"]]',
+    '"level": 7, "vertices": ["1/0", "0/1", "1/1"], "edges": {}',
+], ids=["fractional-level", "boolean-level", "vertices-as-string", "repeated-vertex",
+        "edge-as-object", "loop-edge", "face-as-object", "repeated-face-label",
+        "edges-as-object"])
 def test_from_json_rejects_ill_typed_fields(fields):
+    # json.loads keeps the last of repeated keys, so a case may override the
+    # empty edges and faces given first
     with pytest.raises(MalformedMap):
-        from_json("{" + fields + ', "edges": [], "faces": []}')
+        from_json('{"edges": [], "faces": [], ' + fields + "}")
 
 
 def test_from_json_rejects_unknown_labels():

@@ -36,17 +36,17 @@ def test_outer_ring_structure(m7):
     assert len(ring) == 14
     kinds = [r.kind for r in ring]
     assert kinds.count("triangle") == 7 and kinds.count("quad") == 7
-    assert sum(len(r.faces) for r in ring) == 21
+    assert sum(len(r.face_ids) for r in ring) == 21
     # all 21 faces distinct, and they are exactly the faces avoiding both
     # the north star and the denominator-1 circuit
-    seen = {f.vertex_set() for r in ring for f in r.faces}
+    seen = {fid for r in ring for fid in r.face_ids}
     assert len(seen) == 21
     expect = {
-        f.vertex_set()
-        for f in m7.faces()
-        if all(v.den not in (0, 1) or v.num in (2, 3) for v in f.vertices)
-        and not any(v.den == 1 for v in f.vertices)
-        and v7("1/0") not in f.vertices
+        fid
+        for fid, f in enumerate(m7.faces())
+        if all(v.den not in (0, 1) or v.num in (2, 3) for v in f)
+        and not any(v.den == 1 for v in f)
+        and v7("1/0") not in f
     }
     assert seen == expect
 
@@ -68,10 +68,11 @@ def test_outer_ring_contains_printed_regions(m7):
 
 
 def test_quads_are_two_faces_sharing_diagonal(m7):
+    faces = m7.faces()
     for r in outer_ring(m7):
         if r.kind != "quad":
             continue
-        f1, f2 = (set(f.vertices) for f in r.faces)
+        f1, f2 = (set(faces[fid]) for fid in r.face_ids)
         diagonal = f1 & f2
         assert len(diagonal) == 2
         assert all(v.den == 2 for v in diagonal)

@@ -188,7 +188,8 @@ def test_quotient_genus_26(reference_walk):
 
 def translate_face(fmap, fid):
     """Face id of the image of face fid under t -> t + 1."""
-    return fmap.face_id_by_vertices([v.translated(1) for v in fmap.face(fid).vertices])
+    vs = fmap.vertices
+    return fmap.face_id_by_vertices([vs[i].translated(1) for i in fmap.face_vertex_ids(fid)])
 
 
 def test_disconnected_sector_reported(reference_sector, m11):
@@ -233,8 +234,8 @@ def face_structure(fmap):
 
 def allowed_faces(fmap, restrict):
     return [
-        fid for fid in range(fmap.face_count)
-        if restrict is None or all(v in restrict for v in fmap.face(fid).vertices)
+        fid for fid, face in enumerate(fmap.faces())
+        if restrict is None or all(v in restrict for v in face)
     ]
 
 
