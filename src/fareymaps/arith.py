@@ -5,7 +5,8 @@ gcd(a, c, n) = 1, identified with its negation (-a, -c).  The canonical
 representative keeps the denominator in [0, n//2]: a pair with 1 <= c <= n//2
 is stored as is (numerator in [0, n)), a pole a/0 keeps its numerator in
 [1, n//2], and for even n the self-negating denominator n/2 takes the smaller
-of the two numerators.  This convention reproduces printed coordinates such
+of the two numerators (at n = 2 the vertex 1/1 is its own negative, and
+keeps its label).  This convention reproduces printed coordinates such
 as 6/4 or 2/0 at level 11 verbatim.
 
 All types here are immutable; values can be shared freely between threads.
@@ -50,8 +51,9 @@ def _is_canonical_pair(a: int, c: int, n: int) -> bool:
     if 2 * c < n:
         return 0 <= a < n
     if 2 * c == n:
-        # -c == c mod n, so the numerator breaks the tie.
-        return 2 * a < n
+        # -c == c mod n, so the numerator breaks the tie; a = n/2 is its own
+        # negative too, and a vertex only at n = 2 (the label 1/1).
+        return 2 * a <= n
     return False
 
 

@@ -6,8 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import metrics
-from .arith import canonical, distinct_prime_factors, is_adjacent
-from .maps import build_map, genus, mu
+from .arith import canonical, is_adjacent
+from .maps import FareyMap, build_map, genus, mu
 
 
 def run_invariant_suite(n: int) -> list[tuple[str, bool]]:
@@ -53,37 +53,38 @@ def run_invariant_suite(n: int) -> list[tuple[str, bool]]:
         }
         results.append(("edge set matches the determinant criterion", edges == oracle))
 
-    if n >= 5 and distinct_prime_factors(n) == [n]:
+    if metrics.is_prime_level(n):
         if n <= 13:
-            vs = m.vertices
-            agree = all(
-                metrics.distance_formula(f, g, n) == metrics.bfs_distance(m, f, g)
-                for i, f in enumerate(vs)
-                for g in vs[i + 1:]
-            )
-            results.append(("distance formula matches BFS on all pairs", agree))
+            results.append(("distance formula matches BFS on all pairs", _formula_matches_bfs(m)))
             results.append(("diameter is 3", metrics.diameter(m) == 3))
-        walk = metrics.second_circuit(n)
         north = canonical(1, 0, n)
+        parts = metrics.decompose(n)
+        walk = parts.sphere2
+        support = walk.support()
         results.append(("second circuit has length p(p-4)", len(walk) == n * (n - 4)))
+        # Each walk vertex is checked once, not once per visit.
         results.append(
             (
                 "second circuit stays at distance 2",
-                all(metrics.distance_formula(north, v, n) == 2 for v in walk.vertices),
+                all(metrics.distance_formula(north, v, n) == 2 for v in support),
             )
         )
-        parts = metrics.decompose(n)
-        union = (
-            {parts.north}
-            | set(parts.sphere1.vertices)
-            | set(parts.sphere2.support())
-            | set(parts.poles)
-        )
-        sizes = (
-            1 + len(parts.sphere1) + len(parts.sphere2.support()) + len(parts.poles)
-        )
+        union = {parts.north} | set(parts.sphere1.vertices) | support | set(parts.poles)
+        sizes = 1 + len(parts.sphere1) + len(support) + len(parts.poles)
         results.append(
             ("distance classes partition the vertex set",
              union == set(m.vertices) and sizes == m.vertex_count)
         )
     return results
+
+
+def _formula_matches_bfs(m: FareyMap) -> bool:
+    """The closed-form distance against the BFS distance on every vertex
+    pair, with one BFS from each source vertex."""
+    n = m.level
+    vs = m.vertices
+    for i, f in enumerate(vs):
+        dist = metrics.distances_from(m, i)
+        if any(metrics.distance_formula(f, vs[j], n) != dist[j] for j in range(i + 1, len(vs))):
+            return False
+    return True

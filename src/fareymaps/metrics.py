@@ -12,14 +12,22 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .arith import FareyFraction, canonical, distinct_prime_factors, is_adjacent
+from .arith import FareyFraction, canonical, distinct_prime_factors
 from .errors import BrokenInvariant, EqualVertices, LevelMismatch, NotPrime
 from .maps import FareyMap
 
 
+@lru_cache
+def is_prime_level(n: int) -> bool:
+    """True when n is a prime >= 5: the levels with the closed-form distance,
+    the two circuits around 1/0 and the quasi-icosahedral decomposition."""
+    return n >= 5 and distinct_prime_factors(n) == [n]
+
+
 def _require_prime(p: int) -> None:
-    if p < 5 or distinct_prime_factors(p) != [p]:
+    if not is_prime_level(p):
         raise NotPrime(f"need a prime >= 5, got {p}")
 
 
@@ -31,11 +39,17 @@ class Circuit:
     level: int
 
     def __post_init__(self):
+        # Slot i joins vertex i to vertex i + 1, the last slot closing the walk;
+        # each is checked for level and, by its cross-determinant, adjacency.
         vs = self.vertices
-        for i, v in enumerate(vs):
-            if v.level != self.level:
-                raise LevelMismatch(f"{v} not at level {self.level}")
-            if not is_adjacent(v, vs[(i + 1) % len(vs)]):
+        n = self.level
+        for i, (v, w) in enumerate(zip(vs, vs[1:] + vs[:1])):
+            if v.level != n:
+                raise LevelMismatch(f"{v} not at level {n}")
+            if w.level != n:
+                raise LevelMismatch(f"{w} not at level {n}")
+            det = (v.num * w.den - w.num * v.den) % n
+            if det != 1 and det != n - 1:
                 raise ValueError(f"circuit broken at slot {i}: {v}")
 
     def __len__(self) -> int:
@@ -128,9 +142,16 @@ def second_circuit_seed(p: int) -> tuple[FareyFraction, ...]:
 
 
 def second_circuit(p: int) -> Circuit:
-    """Concatenation of the p translates of the seed; the distance-2 circuit."""
+    """Concatenation of the p translates of the seed; the distance-2 circuit.
+
+    Slot (k, a/c) is the seed vertex a/c translated by k, i.e. (a + k c)/c.
+    Every seed denominator c lies in 2..(p-1)/2, strictly between 0 and p/2,
+    so a/c is canonical for every numerator 0 <= a < p: each row c is built
+    once as p validated fractions, and the walk indexes into the rows.
+    """
     seed = second_circuit_seed(p)
-    walk = [v.translated(k) for k in range(p) for v in seed]
+    rows = {c: [FareyFraction(a, c, p) for a in range(p)] for c in range(2, (p + 1) // 2)}
+    walk = [rows[v.den][(v.num + k * v.den) % p] for k in range(p) for v in seed]
     return Circuit(tuple(walk), p)
 
 

@@ -6,10 +6,10 @@ from __future__ import annotations
 
 import math
 
-from .arith import canonical, distinct_prime_factors
+from .arith import canonical
 from .errors import Unsupported
 from .maps import FareyMap
-from .metrics import distances_from, first_circuit, poles, second_circuit
+from .metrics import distances_from, first_circuit, is_prime_level, poles, second_circuit
 
 _SCALE = 110.0
 _EXTENT = 3.6
@@ -36,7 +36,7 @@ def layout_positions(fmap: FareyMap) -> dict[int, tuple[float, float]]:
     positions: dict[int, tuple[float, float]] = {}
     north = fmap.vertex_id(canonical(1, 0, n))
     positions[north] = (0.0, 0.0)
-    if n >= 5 and distinct_prime_factors(n) == [n]:
+    if is_prime_level(n):
         ring1 = first_circuit(n).vertices
         for j, v in enumerate(ring1):
             positions[fmap.vertex_id(v)] = _polar(1.0, 2 * math.pi * j / len(ring1))
@@ -74,7 +74,7 @@ def render_map(fmap: FareyMap, sector_face_ids=None) -> str:
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
     centre = _fmt(_SCALE * _EXTENT)
-    if fmap.level >= 5 and distinct_prime_factors(fmap.level) == [fmap.level]:
+    if is_prime_level(fmap.level):
         for radius, dash in ((1.0, ""), (2.0, ""), (3.0, ' stroke-dasharray="6,4"')):
             lines.append(
                 f'<circle cx="{centre}" cy="{centre}" r="{_fmt(_SCALE * radius)}" '

@@ -110,6 +110,16 @@ def test_not_a_vertex():
         FareyFraction(3, 5, 7)  # non-canonical fields rejected
 
 
+def test_level_two_has_three_vertices():
+    # PSL(2, Z_2) has order 6, so M3(2) would have 6 / 2 = 3 vertices; 1/1 is
+    # its own negative mod 2 and keeps its label.
+    assert vertex_pairs(2) == [(1, 0), (0, 1), (1, 1)]
+    one = canonical(1, 1, 2)
+    assert (one.num, one.den) == (1, 1) and str(one) == "1/1"
+    assert FareyFraction.parse(str(one), 2) == one == canonical(-1, -1, 2)
+    assert one.translated() == canonical(0, 1, 2)
+
+
 def test_parse_and_str_roundtrip():
     for n in (7, 11):
         for f in all_vertices(n):
@@ -153,7 +163,7 @@ def test_distinct_prime_factors():
 
 
 def test_vertex_pairs_are_the_sorted_vertices():
-    for n in range(3, 16):
+    for n in range(2, 16):
         assert [canonical(a, c, n) for a, c in vertex_pairs(n)] == all_vertices(n)
 
 

@@ -85,9 +85,9 @@ def test_sector11_json(capsys):
 
 
 def test_verify_subcommand(capsys):
-    for level in ("7", "6"):
-        code, out, _ = run(capsys, "verify", level)
-        assert code == 0, out
+    for level in [*range(3, 32), 101]:
+        code, out, _ = run(capsys, "verify", str(level))
+        assert code == 0, (level, out)
         assert "FAIL" not in out
 
 

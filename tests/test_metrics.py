@@ -1,15 +1,20 @@
+import hashlib
+
 import pytest
 
 from fareymaps.arith import canonical, is_adjacent
-from fareymaps.errors import EqualVertices, NotPrime, UnknownVertex
+from fareymaps.cli import main
+from fareymaps.errors import EqualVertices, LevelMismatch, NotPrime, UnknownVertex
 from fareymaps.maps import build_map
 from fareymaps.metrics import (
+    Circuit,
     bfs_distance,
     decompose,
     diameter,
     distance_formula,
     distances_from,
     first_circuit,
+    is_prime_level,
     poles,
     second_circuit,
     second_circuit_seed,
@@ -108,6 +113,67 @@ def test_second_circuit_lengths_and_distance():
         m = build_map(p)
         expect = {v for v in m.vertices if v.den not in (0, 1, p - 1)}
         assert circuit.support() == expect
+
+
+PRIMES_5_TO_101 = [p for p in range(5, 102) if all(p % q for q in range(2, p))]
+
+# SHA-256 of `fareymap circuits p --json`, recorded before the circuit rows
+# replaced the per-slot translates.
+CIRCUITS_JSON_SHA256 = {
+    5: "27ac4d824851a7bdedf32f56fb6e5d7fe42607d40e0590d73eeab9bde016c1ed",
+    7: "579fea5c244ffd9df8f1a7112108a61ea55458ac50f8179d84a57c54f14934a6",
+    11: "e3f232e5ffbeb4799bbe5905e103819f0d464052e54db8cdcba216154dfb6495",
+    61: "9c240ab28a106b2a4b4da7c9dd312d4759bc7bdd22a9e247e3b5fb35bd581823",
+}
+
+
+def test_is_prime_level():
+    assert [n for n in range(102) if is_prime_level(n)] == PRIMES_5_TO_101
+    with pytest.raises(NotPrime, match="need a prime >= 5, got 3"):
+        poles(3)
+
+
+@pytest.mark.parametrize("p", PRIMES_5_TO_101)
+def test_second_circuit_is_the_seed_translates(p):
+    seed = second_circuit_seed(p)
+    oracle = tuple(v.translated(k) for k in range(p) for v in seed)
+    assert second_circuit(p).vertices == oracle
+
+
+def test_circuits_json_unchanged(capsys):
+    for p, digest in CIRCUITS_JSON_SHA256.items():
+        assert main(["circuits", str(p), "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, p
+
+
+def test_circuit_rejects_a_broken_slot():
+    vs = second_circuit(7).vertices
+    north = canonical(1, 0, 7)
+    # 1/0 is adjacent only to denominator +-1, so it breaks the slot into it
+    # (the one out of it at position 0); positions 3, 6, ... sit on the seams
+    # between translates, and position 0 on the seam that closes the walk.
+    for i in range(len(vs)):
+        broken = vs[:i] + (north,) + vs[i + 1:]
+        with pytest.raises(ValueError, match=f"circuit broken at slot {max(i - 1, 0)}:"):
+            Circuit(broken, 7)
+    # an open path: only the closing slot 2/1 -> 0/1 is not an edge
+    path = tuple(canonical(k, 1, 7) for k in range(3))
+    with pytest.raises(ValueError, match="circuit broken at slot 2: 2/1"):
+        Circuit(path, 7)
+
+
+def test_circuit_rejects_mixed_levels():
+    f7, g7, f5 = canonical(0, 1, 7), canonical(1, 1, 7), canonical(0, 1, 5)
+    with pytest.raises(LevelMismatch):
+        Circuit((f7, g7), 5)
+    with pytest.raises(LevelMismatch):
+        Circuit((f7, f5, g7), 7)
+    with pytest.raises(LevelMismatch):
+        Circuit((f7, g7, f5), 7)
+    # slots are checked in order: a broken slot 0 is reported before slot 1's level
+    with pytest.raises(ValueError, match="slot 0"):
+        Circuit((f7, canonical(3, 1, 7), f5), 7)
 
 
 def test_second_circuit_adjacent_including_seams():
