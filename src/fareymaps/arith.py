@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import LevelMismatch, MalformedLabel, NotAVertex, Unsupported
+from .errors import (
+    BrokenInvariant, LevelMismatch, MalformedLabel, NotAVertex, NotUnimodular, Unsupported,
+)
 
 
 def distinct_prime_factors(n: int) -> list[int]:
@@ -167,12 +169,12 @@ class ModMatrix:
             raise Unsupported(f"level must be >= 2, got {n}")
         t = (self.a, self.b, self.c, self.d)
         if not all(0 <= x < n for x in t):
-            raise ValueError(f"entries of {t} not reduced mod {n}")
+            raise BrokenInvariant(f"entries of {t} not reduced mod {n}")
         if (self.a * self.d - self.b * self.c) % n != 1 % n:
-            raise ValueError(f"det of {t} is not 1 mod {n}")
+            raise BrokenInvariant(f"det of {t} is not 1 mod {n}")
         neg = tuple((-x) % n for x in t)
         if neg < t:
-            raise ValueError(f"{t} is not the canonical sign representative")
+            raise BrokenInvariant(f"{t} is not the canonical sign representative")
 
     @classmethod
     def of(cls, a: int, b: int, c: int, d: int, n: int) -> "ModMatrix":
@@ -242,7 +244,7 @@ class IntMatrix:
 
     def mod(self, n: int) -> ModMatrix:
         if self.det() % n != 1 % n:
-            raise ValueError(f"det {self.det()} is not 1 mod {n}")
+            raise NotUnimodular(f"det {self.det()} is not 1 mod {n}")
         return ModMatrix.of(self.a, self.b, self.c, self.d, n)
 
     def __str__(self) -> str:
@@ -258,15 +260,15 @@ class ExtRational:
 
     def __post_init__(self):
         if self.num == 0 and self.den == 0:
-            raise ValueError("0/0 is not an extended rational")
+            raise MalformedLabel("0/0 is not an extended rational")
         g = gcd(self.num, self.den)
         if g != 1 or self.den < 0 or (self.den == 0 and self.num != 1):
-            raise ValueError(f"{self.num}/{self.den} is not normalized")
+            raise BrokenInvariant(f"{self.num}/{self.den} is not normalized")
 
     @classmethod
     def of(cls, num: int, den: int) -> "ExtRational":
         if num == 0 and den == 0:
-            raise ValueError("0/0 is not an extended rational")
+            raise MalformedLabel("0/0 is not an extended rational")
         g = gcd(num, den)
         num //= g
         den //= g
@@ -291,13 +293,13 @@ class ExtRational:
 def mobius_exact(m: IntMatrix, q: ExtRational) -> ExtRational:
     """Exact Mobius action of a unimodular integer matrix on Q u {infinity}."""
     if m.det() not in (1, -1):
-        raise ValueError(f"matrix determinant must be +-1, got {m.det()}")
+        raise NotUnimodular(f"matrix determinant must be +-1, got {m.det()}")
     return ExtRational.of(m.a * q.num + m.b * q.den, m.c * q.num + m.d * q.den)
 
 
 def in_principal_congruence(m: IntMatrix, n: int) -> bool:
     """True when m = +-identity mod n, i.e. m lies in the subgroup Gamma(n)."""
     if m.det() != 1:
-        raise ValueError(f"membership test needs det 1, got {m.det()}")
+        raise NotUnimodular(f"membership test needs det 1, got {m.det()}")
     t = (m.a % n, m.b % n, m.c % n, m.d % n)
     return t == (1 % n, 0, 0, 1 % n) or t == ((-1) % n, 0, 0, (-1) % n)

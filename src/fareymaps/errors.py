@@ -66,5 +66,9 @@ class UnpairedEdge(NoMatch):
     """A directed boundary edge has no unique reversed occurrence."""
 
 
+class NotUnimodular(FareyMapError):
+    """An integer matrix has the wrong determinant for the operation."""
+
+
 class NonIntegral(FareyMapError):
     """Exact rational arithmetic failed to produce an integer."""

@@ -22,9 +22,10 @@ both sign representatives (a, c) and (-a, -c) of every vertex, so:
   - the dart from u = a/c to w = b/d exists iff e = a*d - c*b is +-1 mod n,
     and it is u*n + e*(b*d0[u] - d*b0[u]) mod n.
 
-A built map is immutable; concurrent readers are safe.  The export tables
-(edge columns, labels) are filled in on first use; a map always computes the
-same values for them, so a reader racing another sees equal tables.
+A built map is immutable; concurrent readers are safe.  The derived tables
+(edge columns, labels, face neighbours, face translation) are filled in on
+first use; a map always computes the same values for them, so a reader
+racing another sees equal tables.
 """
 
 from __future__ import annotations
@@ -108,6 +109,8 @@ class FareyMap:
         self._face_darts: np.ndarray = face_darts
         self._edge_columns: tuple[np.ndarray, np.ndarray] | None = None
         self._labels: list[str] | None = None
+        self._face_neighbours: np.ndarray | None = None
+        self._face_translation: np.ndarray | None = None
 
     # -- counts ---------------------------------------------------------
 
@@ -133,9 +136,6 @@ class FareyMap:
         if isinstance(v, FareyFraction) and v.level == self.level:
             return self._vertex_table[v.num][v.den]
         raise UnknownVertex(f"{v} is not a vertex of M3({self.level})")
-
-    def dart_target_id(self, dart: int) -> int:
-        return int(self._dart_target[dart])
 
     def dart_between(self, u: int, w: int) -> int:
         """The dart from vertex id u to vertex id w; M3(n) has no multi-edges."""
@@ -185,15 +185,44 @@ class FareyMap:
 
     # -- faces ----------------------------------------------------------
 
-    def face_dart_orbit(self, face_id: int) -> tuple[int, int, int]:
-        return tuple(self._face_darts[face_id].tolist())
-
     def face_vertex_ids(self, face_id: int) -> tuple[int, int, int]:
         return tuple((self._face_darts[face_id] // self.level).tolist())
 
     def face_vertex_rows(self) -> list[list[int]]:
         """Row i lists the vertex ids of face i, least first, in rotation order."""
         return (self._face_darts // self.level).tolist()
+
+    def face_neighbours(self) -> np.ndarray:
+        """F x 3 array: entry k of row i is the face across the edge from
+        corner k to corner k + 1 of face_vertex_rows()[i].  Computed once
+        per map; read-only."""
+        if self._face_neighbours is None:
+            # dart k of a face runs from corner k to corner k + 1
+            neighbours = self._face_of_dart[self.alpha[self._face_darts]]
+            neighbours.flags.writeable = False
+            self._face_neighbours = neighbours
+        return self._face_neighbours
+
+    def face_translation(self) -> np.ndarray:
+        """Entry i is the face id of the image of face i under t -> t + 1.
+        Computed once per map; read-only.
+
+        Left multiplication by T commutes with sigma and alpha, so it sends
+        the block of vertex v onto the block of v + 1 turned by a fixed step:
+        the dart (v, t) goes to (v + 1, t + k_v), and k_v is read off the
+        image of the dart (v, 0).
+        """
+        if self._face_translation is None:
+            n = self.level
+            shift = [self.vertex_id(v.translated(1)) for v in self.vertices]
+            targets = self._dart_target[::n].tolist()  # the targets of the darts (v, 0)
+            first = np.array([self.dart_between(shift[v], shift[w]) for v, w in enumerate(targets)])
+            v, t = np.divmod(self._face_darts[:, 0], n)
+            image = first[v] // n * n + (first[v] + t) % n
+            translation = self._face_of_dart[image]
+            translation.flags.writeable = False
+            self._face_translation = translation
+        return self._face_translation
 
     def _face_rows_by_label(self) -> list[list[int]]:
         """The face vertex rows in the order of their label lists.
@@ -215,9 +244,6 @@ class FareyMap:
         first, in the rotation order traced by the face operator."""
         vs = self.vertices
         return [(vs[a], vs[b], vs[c]) for a, b, c in self.face_vertex_rows()]
-
-    def face_id_of_dart(self, dart: int) -> int:
-        return int(self._face_of_dart[dart])
 
     def face_id_by_vertices(self, vs) -> int:
         """Face id of the face with the given vertex set; raises if absent.

@@ -50,7 +50,7 @@ class Circuit:
                 raise LevelMismatch(f"{w} not at level {n}")
             det = (v.num * w.den - w.num * v.den) % n
             if det != 1 and det != n - 1:
-                raise ValueError(f"circuit broken at slot {i}: {v}")
+                raise BrokenInvariant(f"circuit broken at slot {i}: {v}")
 
     def __len__(self) -> int:
         return len(self.vertices)

@@ -8,11 +8,14 @@ copies along a short radial path through 1/0 and leaves a closed boundary
 walk; for the reference sector supported on 22 particular vertex labels that walk
 has 198 slots, every directed edge appears once in each direction, and the
 resulting orientable identification yields a genus-26 surface.
+
+The map supplies both face tables this module uses: `face_translation()`
+for the orbits and the tiles, `face_neighbours()` for the edge-connected
+growth and the boundary walk.  Nothing here touches darts.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from .arith import FareyFraction, canonical
@@ -46,65 +49,10 @@ def _require_level(fmap: FareyMap) -> None:
         raise WrongLevel(f"expected a level-11 map, got level {fmap.level}")
 
 
-class _FaceStructure:
-    """Face translation, translation orbits, face adjacency and the anchor.
-
-    `translate[f]` is the face id of the image of face f under t -> t + 1:
-    the dart u -> w goes to the dart T(u) -> T(w), and the face on its left
-    to the face on the left of the image.  The sets the sector walk needs
-    are Python-int bitmasks over face ids: `adjacent[f]` has the bit of
-    every face sharing an edge with f, and `orbit_masks[orbit_of[f]]` the
-    bits of the n faces in f's orbit.  `anchor` is the face id of the
-    central triangle {1/0, 0/1, 1/1}.
-
-    Built from public `FareyMap` calls only, and it holds no reference to
-    the map, so `_structure` can keep one per map in a weak cache.
-    """
-
-    def __init__(self, fmap: FareyMap):
-        n = fmap.level
-        darts = [fmap.face_dart_orbit(fid) for fid in range(fmap.face_count)]
-        face_of = {d: fid for fid, row in enumerate(darts) for d in row}
-        shift = [fmap.vertex_id(v.translated(1)) for v in fmap.vertices]
-        self.translate = [
-            face_of[fmap.dart_between(shift[u], shift[w])] for u, w, _ in fmap.face_vertex_rows()
-        ]
-
-        self.orbit_of = [-1] * fmap.face_count
-        self.orbit_masks: list[int] = []
-        for fid in range(fmap.face_count):
-            if self.orbit_of[fid] >= 0:
-                continue
-            mask = 0
-            cur = fid
-            for _ in range(n):
-                self.orbit_of[cur] = len(self.orbit_masks)
-                mask |= 1 << cur
-                cur = self.translate[cur]
-            if cur != fid:
-                raise BrokenInvariant(f"the translation orbit of face {fid} is not free")
-            self.orbit_masks.append(mask)
-
-        # the face across the edge of dart d is the face of alpha(d)
-        alpha = fmap.alpha.tolist()
-        self.adjacent = [sum(1 << face_of[alpha[d]] for d in row) for row in darts]
-        self.anchor = fmap.face_id_by_vertices(
-            (canonical(1, 0, n), canonical(0, 1, n), canonical(1, 1, n))
-        )
-
-
-# One face structure per map, keyed by the map itself (maps hash by
-# identity); the weak keys let a map be collected together with its
-# structure.  Two threads racing on a new map build equal structures, and
-# either one may be kept.
-_structures: weakref.WeakKeyDictionary[FareyMap, _FaceStructure] = weakref.WeakKeyDictionary()
-
-
-def _structure(fmap: FareyMap) -> _FaceStructure:
-    structure = _structures.get(fmap)
-    if structure is None:
-        structure = _structures[fmap] = _FaceStructure(fmap)
-    return structure
+def _anchor_id(fmap: FareyMap) -> int:
+    """Face id of the central triangle {1/0, 0/1, 1/1}."""
+    n = fmap.level
+    return fmap.face_id_by_vertices((canonical(1, 0, n), canonical(0, 1, n), canonical(1, 1, n)))
 
 
 class Sector:
@@ -113,7 +61,7 @@ class Sector:
     def __init__(self, fmap: FareyMap, face_ids):
         self.fmap = fmap
         self.face_ids = tuple(sorted(face_ids))
-        self.anchor_id = _structure(fmap).anchor
+        self.anchor_id = _anchor_id(fmap)
 
     def vertex_support(self) -> frozenset[FareyFraction]:
         out = set()
@@ -134,19 +82,38 @@ def _sectors(fmap: FareyMap, restrict):
     With `restrict`, only faces whose three vertices lie in the given set
     are considered.
 
-    The walk runs on bitmasks over face ids.  A state is (chosen, size,
-    open_, frontier): the chosen faces and their number, the faces still
-    selectable (allowed, not banned, orbit unused) and the open faces next
-    to a chosen one, so the least frontier face is its lowest set bit.
-    Including it drops its whole orbit from `open_`; banning it drops its
-    bit.  States wait on an explicit stack, the include branch on top, which
-    is the depth-first order without Python recursion.  A ban that leaves
-    its orbit with no open face is not pushed: every face set below it
-    misses that orbit, so no sector is lost and the order is kept.
+    The translation orbits are read off `face_translation()` on each call,
+    and a non-free orbit raises `BrokenInvariant`.  The walk runs on
+    bitmasks over face ids.  A state is (chosen, size, open_, frontier): the
+    chosen faces and their number, the faces still selectable (allowed, not
+    banned, orbit unused) and the open faces next to a chosen one, so the
+    least frontier face is its lowest set bit.  Including it drops its whole
+    orbit from `open_` and adds its three `face_neighbours()` bits to the
+    frontier; banning it drops its bit.  States wait on an explicit stack,
+    the include branch on top, which is the depth-first order without
+    Python recursion.  A ban that leaves its orbit with no open face is not
+    pushed: every face set below it misses that orbit, so no sector is lost
+    and the order is kept.
     """
     _require_level(fmap)
-    structure = _structure(fmap)
-    anchor = structure.anchor
+    neighbours = fmap.face_neighbours().tolist()
+    translate = fmap.face_translation().tolist()
+    orbit_of = [-1] * fmap.face_count
+    orbit_masks: list[int] = []
+    for fid in range(fmap.face_count):
+        if orbit_of[fid] >= 0:
+            continue
+        mask = 0
+        cur = fid
+        for _ in range(LEVEL):
+            orbit_of[cur] = len(orbit_masks)
+            mask |= 1 << cur
+            cur = translate[cur]
+        if cur != fid or mask.bit_count() != LEVEL:
+            raise BrokenInvariant(f"the translation orbit of face {fid} is not free")
+        orbit_masks.append(mask)
+
+    anchor = _anchor_id(fmap)
     allowed = (1 << fmap.face_count) - 1
     if restrict is not None:
         allowed_ids = {fmap.vertex_id(v) for v in restrict}
@@ -157,11 +124,13 @@ def _sectors(fmap: FareyMap, restrict):
         )
         if not allowed >> anchor & 1:
             raise NoSector("restriction excludes the central triangle")
-    adjacent = structure.adjacent
-    orbit_of = structure.orbit_of
-    orbit_masks = structure.orbit_masks
+
+    def adjacent(fid: int) -> int:
+        a, b, c = neighbours[fid]
+        return 1 << a | 1 << b | 1 << c
+
     open_ = allowed & ~orbit_masks[orbit_of[anchor]]
-    stack = [(1 << anchor, 1, open_, adjacent[anchor] & open_)]
+    stack = [(1 << anchor, 1, open_, adjacent(anchor) & open_)]
     while stack:
         chosen, size, open_, frontier = stack.pop()
         if size == len(orbit_masks):
@@ -175,7 +144,7 @@ def _sectors(fmap: FareyMap, restrict):
         if open_ & orbit & ~low:
             stack.append((chosen, size, open_ & ~low, frontier & ~low))
         rest = open_ & ~orbit
-        stack.append((chosen | low, size + 1, rest, (frontier | adjacent[pivot]) & rest))
+        stack.append((chosen | low, size + 1, rest, (frontier | adjacent(pivot)) & rest))
 
 
 def sector_search(fmap: FareyMap, restrict=None) -> Sector:
@@ -200,7 +169,7 @@ def count_sectors(fmap: FareyMap, restrict) -> int:
 
 def tile_by_translates(sector: Sector) -> list[frozenset[int]]:
     """The eleven translated copies of the sector, as face-id sets."""
-    translate = _structure(sector.fmap).translate
+    translate = sector.fmap.face_translation().tolist()
     tiles = []
     current = set(sector.face_ids)
     for _ in range(LEVEL):
@@ -244,37 +213,34 @@ class BoundaryWalk:
 
 
 def _boundary_cycle(fmap: FareyMap, face_ids) -> list[int]:
-    """Darts of the closed boundary walk of a face set, region on the left."""
+    """Vertex ids of the closed boundary walk of a face set, region on the left.
+
+    A state is an inside face and one of its corners w.  When the face
+    across the edge that ends at w lies outside, that edge is on the
+    boundary: emit w and move to the previous corner of the same face.
+    Otherwise continue at w in the face across, which turns around w.
+    """
     inside = set(face_ids)
-    n = fmap.level
-    boundary = [
-        d
-        for d in range(fmap.dart_count)
-        if fmap.face_id_of_dart(int(fmap.alpha[d])) in inside
-        and fmap.face_id_of_dart(d) not in inside
-    ]
-    if not boundary:
+    neighbours = fmap.face_neighbours().tolist()
+    rows = fmap.face_vertex_rows()
+    edges = [(f, k) for f in inside for k in range(3) if neighbours[f][k - 1] not in inside]
+    if not edges:
         raise DisconnectedBoundary("face set has no boundary")
-    remaining = set(boundary)
-    start = min(boundary)
-    cycle = [start]
-    remaining.discard(start)
-    d = start
+    fid, k = start = edges[0]
+    cycle = []
     while True:
-        e = int(fmap.alpha[d])
-        while True:
-            t = e % n
-            e = e - t + (t - 1) % n  # sigma^(-1): previous dart around the vertex
-            if fmap.face_id_of_dart(e) not in inside:
-                break
-        if e == start:
+        g = neighbours[fid][k - 1]
+        if g in inside:
+            k = rows[g].index(rows[fid][k])
+            fid = g
+        else:
+            cycle.append(rows[fid][k])
+            k = (k - 1) % 3
+        if (fid, k) == start:
             break
-        cycle.append(e)
-        remaining.discard(e)
-        d = e
-    if remaining:
+    if len(cycle) < len(edges):
         raise DisconnectedBoundary(
-            f"boundary splits into more than one cycle ({len(remaining)} darts left over)"
+            f"boundary splits into more than one cycle ({len(edges) - len(cycle)} edges left over)"
         )
     return cycle
 
@@ -288,7 +254,7 @@ def boundary_walk(sector: Sector) -> BoundaryWalk:
     """
     fmap = sector.fmap
     cycle = _boundary_cycle(fmap, sector.face_ids)
-    slots = [fmap.vertices[d // fmap.level] for d in cycle]
+    slots = [fmap.vertices[w] for w in cycle]
     north = canonical(1, 0, LEVEL)
     hits = [i for i, v in enumerate(slots) if v == north]
     if len(hits) != 1:

@@ -19,7 +19,15 @@ from fareymaps.arith import (
     mobius_mod,
     vertex_pairs,
 )
-from fareymaps.errors import LevelMismatch, MalformedLabel, NotAVertex
+from fareymaps.errors import (
+    BrokenInvariant,
+    FareyMapError,
+    LevelMismatch,
+    MalformedLabel,
+    NotAVertex,
+    NotUnimodular,
+)
+from fareymaps.metrics import Circuit
 
 
 def brute_canonical(a, c, n):
@@ -289,3 +297,30 @@ def test_mod_matrix_projective_identification():
     assert ModMatrix.of(-1, -1, 0, -1, 7) == m
     s = ModMatrix.edge_reversal(7)
     assert s * s == ModMatrix.identity(7)
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: ExtRational.parse("0/0"), MalformedLabel),
+        (lambda: ExtRational.of(0, 0), MalformedLabel),
+        (lambda: ExtRational(0, 0), MalformedLabel),
+        (lambda: ExtRational(2, 4), BrokenInvariant),
+        (lambda: ModMatrix(7, 0, 0, 1, 7), BrokenInvariant),
+        (lambda: ModMatrix(2, 0, 0, 1, 7), BrokenInvariant),
+        (lambda: ModMatrix(6, 0, 0, 6, 7), BrokenInvariant),
+        (lambda: IntMatrix(2, 0, 0, 1).mod(7), NotUnimodular),
+        (lambda: mobius_exact(IntMatrix(2, 0, 0, 1), ExtRational.of(1, 1)), NotUnimodular),
+        (lambda: in_principal_congruence(IntMatrix(0, 1, 1, 0), 7), NotUnimodular),
+        (lambda: Circuit((canonical(1, 0, 7), canonical(0, 2, 7)), 7), BrokenInvariant),
+    ],
+    ids=[
+        "ext-parse-0/0", "ext-of-0/0", "ext-0/0", "ext-unnormalised", "mod-unreduced",
+        "mod-det", "mod-sign", "int-mod-det", "mobius-exact-det", "gamma-det", "circuit-slot",
+    ],
+)
+def test_errors_are_in_the_package_hierarchy(make, error):
+    with pytest.raises(FareyMapError) as info:
+        make()
+    assert type(info.value) is error
+    assert isinstance(info.value, ValueError)

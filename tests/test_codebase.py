@@ -1,5 +1,7 @@
 """Static guards over the package source: no `assert` (which `python -O`
-strips) and no module reaching into another module's private names."""
+strips), no module reaching into another module's private names, and no
+module outside the map construction and its invariant battery reading the
+dart permutations."""
 
 import ast
 from pathlib import Path
@@ -62,4 +64,16 @@ def test_no_private_names_from_sibling_modules():
                 and is_private(node.attr)
             ):
                 found.append(f"{path.name}:{node.lineno} uses {node.value.id}.{node.attr}")
+    assert found == []
+
+
+def test_dart_permutations_read_only_by_maps_and_invariants():
+    # every other module works with vertices, faces and the map's face tables
+    found = [
+        f"{path.name}:{node.lineno} reads .{node.attr}"
+        for path in MODULES
+        if path.name not in ("maps.py", "invariants.py")
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Attribute) and node.attr in ("alpha", "sigma")
+    ]
     assert found == []

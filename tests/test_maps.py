@@ -193,33 +193,57 @@ def test_face_lookup_edge_cases():
 def reference_faces(m):
     """Faces from the public sigma and alpha alone: walk phi = sigma o alpha
     from each orbit's least dart, and rotate the least corner to the front.
-    Returns the dart orbits and the vertex-id rows, in leader order."""
+    Returns the vertex-id rows, in leader order."""
     n = m.level
     sigma, alpha = m.sigma.tolist(), m.alpha.tolist()
-    orbits, rows = [], []
+    rows = []
     for d0 in range(m.dart_count):
         d1 = sigma[alpha[d0]]
         d2 = sigma[alpha[d1]]
         if d0 < d1 and d0 < d2:
             ids = [d0 // n, d1 // n, d2 // n]
             k = ids.index(min(ids))
-            orbits.append((d0, d1, d2))
             rows.append(ids[k:] + ids[:k])
-    return orbits, rows
+    return rows
 
 
 def test_face_rows_match_orbit_walk_reference():
     for n in list(range(3, 32)) + [64]:
         m = build_map(n)
-        orbits, rows = reference_faces(m)
+        rows = reference_faces(m)
         assert m.face_vertex_rows() == rows, n
         vs = m.vertices
         labelled = [tuple(vs[i] for i in row) for row in rows]
         assert m.faces() == labelled, n
-        for fid, (orbit, row) in enumerate(zip(orbits, rows)):
-            assert m.face_dart_orbit(fid) == orbit, (n, fid)
+        for fid, row in enumerate(rows):
             assert m.face_vertex_ids(fid) == tuple(row), (n, fid)
-            assert [m.face_id_of_dart(d) for d in orbit] == [fid] * 3, (n, fid)
+
+
+@pytest.mark.parametrize("n", list(range(3, 32)) + [53, 64, 101])
+def test_face_tables_match_shared_corner_and_translate_oracles(n):
+    m = build_map(n)
+    neighbours, translation = m.face_neighbours(), m.face_translation()
+    assert neighbours.shape == (m.face_count, 3) and translation.shape == (m.face_count,)
+    # cached on the map and read-only
+    assert m.face_neighbours() is neighbours and m.face_translation() is translation
+    for table in (neighbours, translation):
+        with pytest.raises(ValueError):
+            table[0] = 0
+    rows = m.face_vertex_rows()
+    faces_at = [set() for _ in range(m.vertex_count)]
+    for fid, row in enumerate(rows):
+        for v in row:
+            faces_at[v].add(fid)
+    vs = m.vertices
+    # every face below level 101; there, 1,000 faces spread over the ids
+    sample = range(m.face_count) if n < 101 else range(0, m.face_count, m.face_count // 1000)
+    for fid in sample:
+        row = rows[fid]
+        # the face across corner k -> k + 1 is the other face holding both corners
+        across = [(faces_at[row[k]] & faces_at[row[(k + 1) % 3]]) - {fid} for k in range(3)]
+        assert across == [{g} for g in neighbours[fid].tolist()], (n, fid)
+        image = m.face_id_by_vertices([vs[i].translated(1) for i in row])
+        assert int(translation[fid]) == image, (n, fid)
 
 
 def test_dart_between():
@@ -227,7 +251,7 @@ def test_dart_between():
     for n in list(range(3, 14)) + [30]:
         m = build_map(n)
         for d in range(m.dart_count):
-            assert m.dart_between(d // n, m.dart_target_id(d)) == d, (n, d)
+            assert m.dart_between(d // n, int(m.alpha[d]) // n) == d, (n, d)
         vcount = m.vertex_count
         far = [w for w in range(1, vcount) if not is_adjacent(m.vertices[0], m.vertices[w])]
         assert bool(far) == (n > 3), n

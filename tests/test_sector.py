@@ -202,6 +202,16 @@ def test_disconnected_sector_reported(reference_sector, m11):
         boundary_walk(bad)
 
 
+def test_pinched_face_pair_reported(m11):
+    # the two faces share the vertex 1/0 and no edge
+    pair = [
+        m11.face_id_by_vertices([v11("1/0"), v11("0/1"), v11("10/1")]),
+        m11.face_id_by_vertices([v11("1/0"), v11("2/1"), v11("1/1")]),
+    ]
+    with pytest.raises(DisconnectedBoundary):
+        boundary_walk(Sector(m11, pair))
+
+
 def test_tiles_are_translates(reference_sector, m11):
     tiles = tile_by_translates(reference_sector)
     for tile, image in zip(tiles, tiles[1:] + tiles[:1]):
@@ -216,7 +226,7 @@ def test_no_sector_when_restriction_too_small(m11):
 
 def face_structure(fmap):
     """Translation orbit label and edge-neighbour faces of every face, and
-    the anchor face, from the public map API."""
+    the anchor face, from vertex lookups and shared corners."""
     translate = [translate_face(fmap, fid) for fid in range(fmap.face_count)]
     orbit_of = {}
     for fid in range(fmap.face_count):
@@ -224,9 +234,15 @@ def face_structure(fmap):
         while cur not in orbit_of:
             orbit_of[cur] = fid
             cur = translate[cur]
+    # two faces are edge-neighbours when they share two corners
+    rows = fmap.face_vertex_rows()
+    faces_at = {}
+    for fid, row in enumerate(rows):
+        for v in row:
+            faces_at.setdefault(v, set()).add(fid)
     adjacent = [
-        {fmap.face_id_of_dart(int(fmap.alpha[d])) for d in fmap.face_dart_orbit(fid)}
-        for fid in range(fmap.face_count)
+        {g for k in range(3) for g in faces_at[row[k]] & faces_at[row[k - 1]]} - {fid}
+        for fid, row in enumerate(rows)
     ]
     anchor = fmap.face_id_by_vertices([v11("1/0"), v11("0/1"), v11("1/1")])
     return orbit_of, adjacent, anchor
@@ -353,23 +369,30 @@ def test_search_and_count_match_references_on_seeded_restrictions(m11, extra):
 
 
 def test_face_structure_is_built_once_per_map(monkeypatch):
-    calls = []
-    dart_between = FareyMap.dart_between
+    # each build makes a new array: count the distinct arrays the two
+    # tables return, holding them so that no id is reused
+    returned = {"face_neighbours": [], "face_translation": []}
+    for name, seen in returned.items():
+        table = getattr(FareyMap, name)
 
-    def counted(self, u, w):
-        calls.append((u, w))
-        return dart_between(self, u, w)
+        def counted(self, table=table, seen=seen):
+            seen.append(table(self))
+            return seen[-1]
 
-    monkeypatch.setattr(FareyMap, "dart_between", counted)
+        monkeypatch.setattr(FareyMap, name, counted)
+
+    def builds():
+        return {name: len({id(t) for t in seen}) for name, seen in returned.items()}
+
     m = build_map(11)
     reference = reference_sector_vertices()
     sector = sector_search(m, restrict=reference)
-    assert calls
-    calls.clear()
+    assert builds() == {"face_neighbours": 1, "face_translation": 1}
     sector_search(m)
     assert count_sectors(m, reference) == 1
     assert len(tile_by_translates(sector)) == 11
-    assert calls == []
+    boundary_walk(sector)
+    assert builds() == {"face_neighbours": 1, "face_translation": 1}
 
 
 def test_face_structure_cache_does_not_keep_the_map_alive():
