@@ -186,6 +186,8 @@ class FareyMap:
     # -- faces ----------------------------------------------------------
 
     def face_vertex_ids(self, face_id: int) -> tuple[int, int, int]:
+        if not 0 <= face_id < self.face_count:
+            raise UnknownVertex(f"no face with id {face_id} in M3({self.level})")
         return tuple((self._face_darts[face_id] // self.level).tolist())
 
     def face_vertex_rows(self) -> list[list[int]]:
@@ -224,7 +226,7 @@ class FareyMap:
             self._face_translation = translation
         return self._face_translation
 
-    def _face_rows_by_label(self) -> list[list[int]]:
+    def _face_rows_by_label(self) -> np.ndarray:
         """The face vertex rows in the order of their label lists.
 
         Labels are distinct, so ranking each vertex by its label in string
@@ -237,13 +239,14 @@ class FareyMap:
         rank[sorted(range(v), key=labels.__getitem__)] = np.arange(v)
         rows = self._face_darts // self.level
         ranks = rank[rows]
-        return rows[np.argsort((ranks[:, 0] * v + ranks[:, 1]) * v + ranks[:, 2])].tolist()
+        return rows[np.argsort((ranks[:, 0] * v + ranks[:, 1]) * v + ranks[:, 2])]
 
     def faces(self) -> list[tuple[FareyFraction, FareyFraction, FareyFraction]]:
         """Face i as the tuple of its three vertices, least (by (den, num))
         first, in the rotation order traced by the face operator."""
-        vs = self.vertices
-        return [(vs[a], vs[b], vs[c]) for a, b, c in self.face_vertex_rows()]
+        vs = np.array(self.vertices, dtype=object)
+        c0, c1, c2 = vs[self._face_darts // self.level].T.tolist()
+        return list(zip(c0, c1, c2))
 
     def face_id_by_vertices(self, vs) -> int:
         """Face id of the face with the given vertex set; raises if absent.
@@ -330,28 +333,40 @@ def build_map(n: int) -> FareyMap:
 
 # -- export / import -------------------------------------------------------
 
+def gather_rows(columns: np.ndarray, ids: np.ndarray) -> list[str]:
+    """The pieces columns[j, ids[r, j]], in row-major order of (r, j).
+
+    `columns` is a k x V object array of per-vertex strings and `ids` an
+    R x k array of vertex ids.  One numpy gather picks every piece, so no
+    Python step runs per row, and the pieces are the column strings
+    themselves, not copies.
+    """
+    return columns[np.arange(columns.shape[0]), ids].ravel().tolist()
+
+
 def map_to_dict(fmap: FareyMap) -> dict:
     """The export as a dict: labels, edges by (src, tgt) id, faces sorted by labels."""
     verts = list(fmap._label_table())
     edges = [[verts[i], verts[j]] for i, j in fmap.edge_id_pairs()]
-    faces = [[verts[a], verts[b], verts[c]] for a, b, c in fmap._face_rows_by_label()]
+    faces = [[verts[a], verts[b], verts[c]] for a, b, c in fmap._face_rows_by_label().tolist()]
     return {"level": fmap.level, "vertices": verts, "edges": edges, "faces": faces}
 
 
 def to_json(fmap: FareyMap) -> str:
-    """json.dumps(map_to_dict(fmap)), joined by hand.
+    """json.dumps(map_to_dict(fmap)): per-vertex pieces put in edge and face
+    order by gather_rows(), then one join.
 
     A label is always digits/digits, so '"' + label + '"' is its JSON string.
     """
-    quoted = ['"' + s + '"' for s in fmap._label_table()]
-    head = ["[" + q + ", " for q in quoted]
-    middle = [q + ", " for q in quoted]
-    tail = [q + "]" for q in quoted]
-    src, tgt = fmap.edge_columns()
-    edges = [head[i] + tail[j] for i, j in zip(src.tolist(), tgt.tolist())]
-    faces = [head[a] + middle[b] + tail[c] for a, b, c in fmap._face_rows_by_label()]
-    return (f'{{"level": {fmap.level}, "vertices": [{", ".join(quoted)}], '
-            f'"edges": [{", ".join(edges)}], "faces": [{", ".join(faces)}]}}')
+    quoted = np.array(['"' + s + '"' for s in fmap._label_table()], dtype=object)
+    head, middle, tail = "[" + quoted + ", ", quoted + ", ", quoted + "], "
+    parts = [f'{{"level": {fmap.level}, "vertices": [{", ".join(quoted)}], "edges": [']
+    parts += gather_rows(np.stack((head, tail)), np.column_stack(fmap.edge_columns()))
+    parts[-1] = parts[-1][:-2]  # the last edge takes no separator
+    parts.append('], "faces": [')
+    parts += gather_rows(np.stack((head, middle, tail)), fmap._face_rows_by_label())
+    parts[-1] = parts[-1][:-2] + "]}"
+    return "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -420,12 +435,10 @@ def same_combinatorics(fmap: FareyMap, data: MapData) -> bool:
 
 
 def to_dot(fmap: FareyMap) -> str:
-    quoted = ['"' + s + '"' for s in fmap._label_table()]
-    head = ["  " + q + " -- " for q in quoted]
-    tail = [q + ";" for q in quoted]
-    src, tgt = fmap.edge_columns()
-    lines = [f"graph farey_{fmap.level} {{"]
-    lines += ["  " + q + ";" for q in quoted]
-    lines += [head[i] + tail[j] for i, j in zip(src.tolist(), tgt.tolist())]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    quoted = np.array(['"' + s + '"' for s in fmap._label_table()], dtype=object)
+    parts = [f"graph farey_{fmap.level} {{\n"]
+    parts += ("  " + quoted + ";\n").tolist()
+    parts += gather_rows(np.stack(("  " + quoted + " -- ", quoted + ";\n")),
+                         np.column_stack(fmap.edge_columns()))
+    parts.append("}\n")
+    return "".join(parts)

@@ -6,9 +6,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .arith import canonical
 from .errors import Unsupported
-from .maps import FareyMap
+from .maps import FareyMap, gather_rows
 from .metrics import distances_from, first_circuit, is_prime_level, poles, second_circuit
 
 _SCALE = 110.0
@@ -67,30 +69,32 @@ def render_map(fmap: FareyMap, sector_face_ids=None) -> str:
     """SVG document for the map, or for a shaded face subset when given."""
     positions = layout_positions(fmap)
     size = _fmt(2 * _SCALE * _EXTENT)
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">\n',
+        f'<rect width="{size}" height="{size}" fill="white"/>\n',
     ]
     centre = _fmt(_SCALE * _EXTENT)
     if is_prime_level(fmap.level):
         for radius, dash in ((1.0, ""), (2.0, ""), (3.0, ' stroke-dasharray="6,4"')):
-            lines.append(
+            parts.append(
                 f'<circle cx="{centre}" cy="{centre}" r="{_fmt(_SCALE * radius)}" '
-                f'fill="none" stroke="#cccccc" stroke-width="1"{dash}/>'
+                f'fill="none" stroke="#cccccc" stroke-width="1"{dash}/>\n'
             )
 
+    # Each vertex's coordinates are formatted once, by vertex id; an edge
+    # line is the head of its first endpoint joined to the tail of its second.
+    points = [_point(positions[vid]) for vid in range(fmap.vertex_count)]
+    line_head = np.array([f'<line x1="{x}" y1="{y}" ' for x, y in points], dtype=object)
+    line_tail = np.array([f'x2="{x}" y2="{y}" stroke="#5577aa" stroke-width="0.8"/>\n'
+                          for x, y in points], dtype=object)
     if sector_face_ids is None:
-        shown_vertices = sorted(positions)
-        src, tgt = fmap.edge_columns()
-        edges = zip(src.tolist(), tgt.tolist())
-        shaded = []
+        shown_vertices = range(fmap.vertex_count)
+        parts += gather_rows(np.stack((line_head, line_tail)), np.column_stack(fmap.edge_columns()))
     else:
-        face_ids = sorted(sector_face_ids)
-        shaded = [fmap.face_vertex_ids(fid) for fid in face_ids]
-        shown = {i for tri in shaded for i in tri}
-        shown_vertices = sorted(shown)
+        shaded = [fmap.face_vertex_ids(fid) for fid in sorted(sector_face_ids)]
+        shown_vertices = sorted({i for tri in shaded for i in tri})
         edges = sorted(
             {
                 tuple(sorted((a, b)))
@@ -98,23 +102,16 @@ def render_map(fmap: FareyMap, sector_face_ids=None) -> str:
                 for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2]))
             }
         )
-
-    # Each vertex's coordinates are formatted once; an edge line is the
-    # head of its first endpoint joined to the tail of its second.
-    points = {vid: _point(pos) for vid, pos in positions.items()}
-    line_head = {vid: f'<line x1="{x}" y1="{y}" ' for vid, (x, y) in points.items()}
-    line_tail = {vid: f'x2="{x}" y2="{y}" stroke="#5577aa" stroke-width="0.8"/>'
-                 for vid, (x, y) in points.items()}
-    for tri in shaded:
-        pts = " ".join(",".join(points[i]) for i in tri)
-        lines.append(f'<polygon points="{pts}" fill="#dce9f9" stroke="none"/>')
-    lines += [line_head[i] + line_tail[j] for i, j in edges]
+        for tri in shaded:
+            pts = " ".join(",".join(points[i]) for i in tri)
+            parts.append(f'<polygon points="{pts}" fill="#dce9f9" stroke="none"/>\n')
+        parts += [line_head[i] + line_tail[j] for i, j in edges]
     for vid in shown_vertices:
         x, y = points[vid]
-        lines.append(f'<circle cx="{x}" cy="{y}" r="3" fill="#203050"/>')
-        lines.append(
+        parts.append(f'<circle cx="{x}" cy="{y}" r="3" fill="#203050"/>\n')
+        parts.append(
             f'<text x="{x}" y="{y}" dx="5" dy="-4" font-size="11" '
-            f'font-family="monospace" fill="#000000">{fmap.vertices[vid]}</text>'
+            f'font-family="monospace" fill="#000000">{fmap.vertices[vid]}</text>\n'
         )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    parts.append("</svg>\n")
+    return "".join(parts)

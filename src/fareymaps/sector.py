@@ -23,6 +23,7 @@ from .errors import (
     BrokenInvariant,
     DisconnectedBoundary,
     NoSector,
+    UnknownVertex,
     UnpairedEdge,
     WrongLevel,
 )
@@ -61,6 +62,8 @@ class Sector:
     def __init__(self, fmap: FareyMap, face_ids):
         self.fmap = fmap
         self.face_ids = tuple(sorted(face_ids))
+        if self.face_ids and not 0 <= self.face_ids[0] <= self.face_ids[-1] < fmap.face_count:
+            raise UnknownVertex(f"face ids {self.face_ids} not all in 0..{fmap.face_count - 1}")
         self.anchor_id = _anchor_id(fmap)
 
     def vertex_support(self) -> frozenset[FareyFraction]:

@@ -1,12 +1,14 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from fareymaps.cli import main
+from fareymaps.errors import UnknownVertex
 from fareymaps.maps import build_map
 from fareymaps.render import render_map
-from fareymaps.sector import reference_sector_vertices, sector_search
+from fareymaps.sector import Sector, reference_sector_vertices, sector_search
 
 
 def run(capsys, *argv):
@@ -139,6 +141,32 @@ def test_render_sector(tmp_path):
     texts = [el.text for el in root.iter() if el.tag.endswith("text")]
     assert len(polys) == 20
     assert len(texts) == 22
+
+
+@pytest.mark.parametrize(
+    "restrict, digest",
+    [
+        (reference_sector_vertices(), "3d01b54468615e7147282c9cff506ddb0499989831488ba673c765f843ce8435"),
+        (None, "7d95e1e52b24a51f0821fbc9b7db471cb9d8d34855dd2d45ebb8f3d11f69afd3"),
+    ],
+    ids=["reference", "free"],
+)
+def test_render_sector_digest(restrict, digest):
+    # SHA-256 of the shaded sector drawings, pinned byte for byte
+    m11 = build_map(11)
+    sec = sector_search(m11, restrict=restrict)
+    svg = render_map(m11, sector_face_ids=sec.face_ids)
+    assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("face_ids", [[-1], [220], [9999]])
+def test_sector_face_ids_out_of_range_are_unknown(face_ids):
+    # M3(11) has faces 0..219; a negative id is not read from the end
+    m11 = build_map(11)
+    with pytest.raises(UnknownVertex):
+        Sector(m11, face_ids)
+    with pytest.raises(UnknownVertex):
+        render_map(m11, sector_face_ids=face_ids)
 
 
 def test_render_composite_and_small(tmp_path):

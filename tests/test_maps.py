@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+import tracemalloc
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -406,11 +407,28 @@ def test_exports_are_deterministic():
 def test_exports_match_golden_digests():
     # the SHA-256 sums the benchmark recorded for each export (read only)
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["export"]
-    for n in (3, 6, 7, 12, 13, 31, 32, 53, 64):
+    # every level of the export ladder, both render layouts and the largest arrays
+    for n in (3, 4, 5, 6, 7, 12, 13, 31, 32, 36, 40, 41, 45, 48, 53, 64, 101):
         m = build_map(n)
         for key, text in (("json", to_json(m)), ("dot", to_dot(m)), ("svg", render_map(m))):
             digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
             assert digest == golden[str(n)][key], (n, key)
+
+
+@pytest.mark.parametrize("export", [to_json, to_dot, render_map])
+def test_export_peak_memory_is_a_small_multiple_of_its_output(export):
+    # an export holds its pieces as references to per-vertex strings and
+    # joins them once; a second copy of the text would push the peak past 4x
+    m = build_map(53)
+    m.edge_columns()
+    m._label_table()
+    tracemalloc.start()
+    try:
+        text = export(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text), (export.__name__, peak / len(text))
 
 
 def test_vertex_order_matches_printed_lists():
