@@ -11,9 +11,14 @@ from .maps import FareyMap, build_map, genus, mu
 
 
 def run_invariant_suite(n: int) -> list[tuple[str, bool]]:
-    """The per-level invariant battery behind `verify <n>`."""
+    """The per-level invariant battery behind `verify <n>`, on a new M3(n)."""
+    return check_map(build_map(n))
+
+
+def check_map(m: FareyMap) -> list[tuple[str, bool]]:
+    """The invariant battery on a built map: (check name, passed) in order."""
+    n = m.level
     results = []
-    m = build_map(n)
     order = mu(n)
     results.append(
         (
@@ -26,7 +31,7 @@ def run_invariant_suite(n: int) -> list[tuple[str, bool]]:
         ("euler characteristic = 2 - 2g", m.euler_characteristic() == 2 - 2 * genus(n))
     )
 
-    idx = np.arange(m.dart_count)
+    idx = np.arange(m.dart_count, dtype=m.alpha.dtype)
     ok = np.array_equal(m.alpha[m.alpha], idx) and not np.any(m.alpha == idx)
     results.append(("alpha is a fixed-point-free involution", ok))
     # sigma turns each vertex's block of n darts by one step: a product of n-cycles

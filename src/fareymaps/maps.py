@@ -22,6 +22,11 @@ both sign representatives (a, c) and (-a, -c) of every vertex, so:
   - the dart from u = a/c to w = b/d exists iff e = a*d - c*b is +-1 mod n,
     and it is u*n + e*(b*d0[u] - d*b0[u]) mod n.
 
+Storage: the dart arrays are int32, 20 bytes per dart: sigma, alpha and the
+dart targets (one entry per dart), the face of each dart, and the F x 3 face
+darts (F = mu/3, so one entry per dart again).  build_map computes them as
+V x n blocks, one row per vertex, from the per-vertex columns.
+
 A built map is immutable; concurrent readers are safe.  The derived tables
 (edge columns, labels, face neighbours, face translation) are filled in on
 first use; a map always computes the same values for them, so a reader
@@ -96,15 +101,17 @@ def _bezout_column(a: int, c: int, n: int) -> tuple[int, int]:
 class FareyMap:
     """Immutable combinatorial map M3(n); build with build_map()."""
 
-    def __init__(self, level: int, vertices, vertex_table, bezout, sigma, alpha,
+    def __init__(self, level: int, vertices, vertex_grid, bezout, sigma, alpha, dart_target,
                  face_of_dart, face_darts):
         self.level = level
         self.vertices: list[FareyFraction] = vertices
         self.sigma: np.ndarray = sigma
         self.alpha: np.ndarray = alpha
-        self._vertex_table: list[list[int]] = vertex_table
+        vertex_grid.flags.writeable = False
+        self._vertex_grid: np.ndarray = vertex_grid
+        self._vertex_table: list[list[int]] = vertex_grid.tolist()
         self._bezout: list[tuple[int, int]] = bezout
-        self._dart_target: np.ndarray = alpha // level
+        self._dart_target: np.ndarray = dart_target
         self._face_of_dart: np.ndarray = face_of_dart
         self._face_darts: np.ndarray = face_darts
         self._edge_columns: tuple[np.ndarray, np.ndarray] | None = None
@@ -136,6 +143,16 @@ class FareyMap:
         if isinstance(v, FareyFraction) and v.level == self.level:
             return self._vertex_table[v.num][v.den]
         raise UnknownVertex(f"{v} is not a vertex of M3({self.level})")
+
+    def vertex_ids(self, nums, dens) -> np.ndarray:
+        """The vertex ids of the fractions nums[i]/dens[i] mod n, either sign
+        representative, in one array shaped like nums; no FareyFraction is
+        built.  Raises UnknownVertex if one of them is not a vertex."""
+        n = self.level
+        ids = self._vertex_grid[np.asarray(nums) % n, np.asarray(dens) % n]
+        if (ids < 0).any():
+            raise UnknownVertex(f"a fraction is not a vertex of M3({n})")
+        return ids
 
     def dart_between(self, u: int, w: int) -> int:
         """The dart from vertex id u to vertex id w; M3(n) has no multi-edges."""
@@ -288,46 +305,67 @@ def build_map(n: int) -> FareyMap:
     if vcount * n != order:
         raise BrokenInvariant(f"{vcount} vertices at level {n}, not mu/n = {order // n}")
 
-    av, cv = np.array(pairs, dtype=np.int64).T
     bezout = [_bezout_column(a, c, n) for a, c in pairs]
-    b0, d0 = np.array(bezout, dtype=np.int64).T
+    # Rows a, c, b0, d0 over the vertex ids, and the same rows negated.
+    columns = np.array([*zip(*pairs), *zip(*bezout)], dtype=np.int32)
+    av, cv, b0, d0 = columns
+    signed = np.stack((columns, -columns % n))
+    vid = np.arange(vcount, dtype=np.int32)
 
-    # The two signs never collide: (a, c) = (-a, -c) forces gcd(a, c, n) > 1.
-    vertex_table = np.full((n, n), -1, dtype=np.int64)
-    vertex_sign = np.zeros((n, n), dtype=np.int64)
-    for sign in (1, -1):
-        vertex_table[sign * av % n, sign * cv % n] = np.arange(vcount)
-        vertex_sign[sign * av % n, sign * cv % n] = sign
+    # Three tables over the cells b*m + d, 0 <= b, d < m = 2n: the vertex id w
+    # with (b, d) = s*(a_w, c_w) mod n, and s*(b0_w, d0_w) mod n.  Each entry
+    # sits at the four cells congruent to it mod n, so an unreduced column
+    # (b, d) in [0, 2n)^2 indexes them directly.  The two signs never
+    # collide: (a, c) = (-a, -c) forces gcd(a, c, n) > 1.
+    m = 2 * n
+    cells = (signed[:, 0] * m + signed[:, 1])[..., None] + np.array(
+        [0, n, n * m, n * m + n], dtype=np.int32)
+    vertex_cell = np.full(m * m, -1, dtype=np.int32)
+    vertex_cell[cells] = vid[:, None]
+    b0_cell = np.empty(m * m, dtype=np.int32)
+    b0_cell[cells] = signed[:, 2, :, None]
+    d0_cell = np.empty(m * m, dtype=np.int32)
+    d0_cell[cells] = signed[:, 3, :, None]
+    vertex_grid = vertex_cell.reshape(m, m)[:n, :n].copy()
 
-    t = np.tile(np.arange(n, dtype=np.int64), vcount)
-    A = np.repeat(av, n)
-    C = np.repeat(cv, n)
-    B = (np.repeat(b0, n) + t * A) % n
-    D = (np.repeat(d0, n) + t * C) % n
+    # The darts as a V x n block: dart (v, t) is row v, column t.  Its second
+    # column (b, d) = (b0 + t*a, d0 + t*c) mod n is read, unreduced, off the
+    # table of products k*t mod n.
+    t = np.arange(n, dtype=np.int32)
+    times = t[:, None] * t % n
+    cell = (b0 * m + d0)[:, None] + times[av] * m + times[cv]
+    sigma = (vid * n)[:, None] + (t + 1) % n
 
-    idx = np.arange(order, dtype=np.int64)
-    sigma = idx - t + (t + 1) % n
-
-    # alpha: g -> g*S = (B, -A; D, -C), the dart from w = s*(B, D) to s*(-A, -C).
-    w = vertex_table[B, D]
-    if np.any(w < 0):
+    # alpha: g -> g*S = (b, -a; d, -c), the dart from w = s*(b, d) to
+    # s*(-a, -c), which is w*n + s*(c*b0_w - a*d0_w) mod n.
+    target = vertex_cell.take(cell)
+    if (target < 0).any():
         raise BrokenInvariant(f"a dart column is not a vertex at level {n}; construction bug")
-    s = vertex_sign[B, D]
-    alpha = w * n + s * (C * b0[w] - A * d0[w]) % n
-    del t, A, C, B, D, w, s  # free seven dart-length columns before the face arrays
+    step = cv[:, None] * b0_cell.take(cell)
+    step -= av[:, None] * d0_cell.take(cell)
+    del cell
+    step -= step // n * n  # mod n: numpy's % is several times slower on negative ints
+    alpha = target * n
+    alpha += step
+    del step
 
-    # Face i is row i: its darts in phi order from the least one.  A face has
-    # three distinct corners and the darts of vertex v are v*n .. v*n + n - 1,
-    # so the least dart leaves the least corner.
-    phi = sigma[alpha]
-    reps = np.minimum(np.minimum(idx, phi), phi[phi])
-    leaders = idx[reps == idx]
-    face_darts = np.stack((leaders, phi[leaders], phi[phi[leaders]]), axis=1)
-    face_of_dart = np.empty(order, dtype=np.int64)
-    face_of_dart[face_darts] = np.arange(leaders.shape[0], dtype=np.int64)[:, None]
+    # Face i is row i: its darts in phi order from the least one.  The face
+    # of dart (v, t) has the corners v, target(v, t) and target(v, t - 1)
+    # (phi^2 = alpha sigma^-1), all distinct; the darts of vertex v are
+    # v*n .. v*n + n - 1, so the dart leads its face iff v is its least corner.
+    above = target > vid[:, None]
+    leaders = np.flatnonzero(above & np.concatenate((above[:, -1:], above[:, :-1]), axis=1))
+    del above
+    sigma, alpha, target = sigma.ravel(), alpha.ravel(), target.ravel()
+    face_darts = np.empty((leaders.shape[0], 3), dtype=np.int32)
+    face_darts[:, 0] = leaders
+    face_darts[:, 1] = sigma.take(alpha.take(leaders))
+    face_darts[:, 2] = sigma.take(alpha.take(face_darts[:, 1]))
+    face_of_dart = np.empty(order, dtype=np.int32)
+    face_of_dart[face_darts] = np.arange(leaders.shape[0], dtype=np.int32)[:, None]
 
-    vertices = [FareyFraction(int(a), int(c), n) for a, c in pairs]
-    return FareyMap(n, vertices, vertex_table.tolist(), bezout, sigma, alpha, face_of_dart,
+    vertices = [FareyFraction(a, c, n) for a, c in pairs]
+    return FareyMap(n, vertices, vertex_grid, bezout, sigma, alpha, target, face_of_dart,
                     face_darts)
 
 

@@ -141,17 +141,29 @@ def second_circuit_seed(p: int) -> tuple[FareyFraction, ...]:
     return tuple(head + tail)
 
 
+def second_circuit_slots(p: int) -> tuple[list[int], list[int]]:
+    """The numerators and denominators of the p(p-4) slots of
+    second_circuit(p), in walk order, as two lists of integers.
+
+    Slot k(p-4) + i is seed vertex i, a/c, translated by k: (a + k c)/c with
+    the numerator reduced mod p.  Every seed denominator c lies in
+    2..(p-1)/2, strictly between 0 and p/2, so each slot pair is canonical.
+    """
+    seed = second_circuit_seed(p)
+    nums = [(v.num + k * v.den) % p for k in range(p) for v in seed]
+    return nums, [v.den for v in seed] * p
+
+
 def second_circuit(p: int) -> Circuit:
     """Concatenation of the p translates of the seed; the distance-2 circuit.
 
-    Slot (k, a/c) is the seed vertex a/c translated by k, i.e. (a + k c)/c.
-    Every seed denominator c lies in 2..(p-1)/2, strictly between 0 and p/2,
-    so a/c is canonical for every numerator 0 <= a < p: each row c is built
-    once as p validated fractions, and the walk indexes into the rows.
+    The slots are second_circuit_slots(p).  Each denominator c takes every
+    numerator 0 <= a < p, so row c is built once as p validated fractions
+    and the walk indexes into the rows.
     """
-    seed = second_circuit_seed(p)
+    nums, dens = second_circuit_slots(p)
     rows = {c: [FareyFraction(a, c, p) for a in range(p)] for c in range(2, (p + 1) // 2)}
-    walk = [rows[v.den][(v.num + k * v.den) % p] for k in range(p) for v in seed]
+    walk = [rows[c][a] for a, c in zip(nums, dens)]
     return Circuit(tuple(walk), p)
 
 

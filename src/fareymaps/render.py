@@ -11,7 +11,7 @@ import numpy as np
 from .arith import canonical
 from .errors import Unsupported
 from .maps import FareyMap, gather_rows
-from .metrics import distances_from, first_circuit, is_prime_level, poles, second_circuit
+from .metrics import distances_from, first_circuit, is_prime_level, poles, second_circuit_slots
 
 _SCALE = 110.0
 _EXTENT = 3.6
@@ -42,9 +42,9 @@ def layout_positions(fmap: FareyMap) -> dict[int, tuple[float, float]]:
         ring1 = first_circuit(n).vertices
         for j, v in enumerate(ring1):
             positions[fmap.vertex_id(v)] = _polar(1.0, 2 * math.pi * j / len(ring1))
-        walk = second_circuit(n).vertices
-        for j, v in enumerate(walk):
-            vid = fmap.vertex_id(v)
+        # the walk's vertex ids straight from its integer slots
+        walk = fmap.vertex_ids(*second_circuit_slots(n)).tolist()
+        for j, vid in enumerate(walk):
             if vid not in positions:
                 positions[vid] = _polar(2.0, 2 * math.pi * j / len(walk))
         outer = poles(n)[1:]

@@ -4,7 +4,8 @@ closed-form checks can fail."""
 import pytest
 
 from fareymaps import metrics
-from fareymaps.invariants import run_invariant_suite
+from fareymaps.invariants import check_map, run_invariant_suite
+from fareymaps.maps import build_map
 
 # The check names, in battery order, grouped by the levels they run at.
 EVERY_LEVEL = [
@@ -39,6 +40,21 @@ def test_battery_names_in_order_and_all_ok(n):
     results = run_invariant_suite(n)
     assert [name for name, _ in results] == expected_names(n)
     assert all(ok for _, ok in results), [name for name, ok in results if not ok]
+
+
+@pytest.mark.parametrize("n", LEVELS)
+def test_check_map_agrees_with_the_suite(n):
+    assert check_map(build_map(n)) == run_invariant_suite(n)
+
+
+def test_check_map_checks_the_map_it_is_given():
+    m = build_map(11)
+    alpha = m.alpha.copy()
+    alpha[[0, 1]] = alpha[[1, 0]]  # two darts now reverse onto the wrong edges
+    m.alpha = alpha
+    results = dict(check_map(m))
+    assert results["alpha is a fixed-point-free involution"] is False
+    assert results["sigma has order n"]
 
 
 def misclassifying(formula):

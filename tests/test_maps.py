@@ -8,9 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fareymaps.arith import FareyFraction, ModMatrix, canonical, is_adjacent, mobius_mod
-from fareymaps.errors import FareyMapError, MalformedMap, ResourceLimit, UnknownVertex, Unsupported
+from fareymaps import maps
+from fareymaps.arith import FareyFraction, ModMatrix, canonical, is_adjacent, mobius_mod, vertex_pairs
+from fareymaps.errors import (
+    BrokenInvariant,
+    FareyMapError,
+    MalformedMap,
+    ResourceLimit,
+    UnknownVertex,
+    Unsupported,
+)
 from fareymaps.maps import (
+    DEFAULT_LEVEL_BOUND,
     build_map,
     from_json,
     genus,
@@ -407,8 +416,12 @@ def test_exports_are_deterministic():
 def test_exports_match_golden_digests():
     # the SHA-256 sums the benchmark recorded for each export (read only)
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["export"]
-    # every level of the export ladder, both render layouts and the largest arrays
-    for n in (3, 4, 5, 6, 7, 12, 13, 31, 32, 36, 40, 41, 45, 48, 53, 64, 101):
+    # every level of the export ladder, both render layouts, every prime
+    # layout (its distance-2 ring comes from the circuit's integer slots)
+    # and the largest arrays
+    primes = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83,
+              89, 97, 101)
+    for n in sorted({3, 4, 6, 12, 32, 36, 40, 45, 48, 64, *primes}):
         m = build_map(n)
         for key, text in (("json", to_json(m)), ("dot", to_dot(m)), ("svg", render_map(m))):
             digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -447,3 +460,106 @@ def test_build_speed_at_default_bound():
     elapsed = time.perf_counter() - start
     assert m.dart_count == mu(101) == 515100
     assert elapsed < 1.0, f"build_map(101) took {elapsed:.2f}s"
+
+
+def reference_euclid(a, c, n):
+    """Some (b0, d0) with a*d0 - c*b0 = 1 mod n, by the scalar extended Euclid."""
+    old_r, r = a, c
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    ginv = pow(old_r % n, -1, n)
+    return -old_y * ginv % n, old_x * ginv % n
+
+
+def reference_build(n):
+    """The dart layout from int64 dart-length columns (np.repeat / np.tile)
+    and the scalar Euclid: the construction the block kernel replaced."""
+    pairs = vertex_pairs(n)
+    vcount = len(pairs)
+    av, cv = np.array(pairs, dtype=np.int64).T
+    b0, d0 = np.array([reference_euclid(a, c, n) for a, c in pairs], dtype=np.int64).T
+    vertex_table = np.full((n, n), -1, dtype=np.int64)
+    vertex_sign = np.zeros((n, n), dtype=np.int64)
+    for sign in (1, -1):
+        vertex_table[sign * av % n, sign * cv % n] = np.arange(vcount)
+        vertex_sign[sign * av % n, sign * cv % n] = sign
+    t = np.tile(np.arange(n, dtype=np.int64), vcount)
+    A = np.repeat(av, n)
+    C = np.repeat(cv, n)
+    B = (np.repeat(b0, n) + t * A) % n
+    D = (np.repeat(d0, n) + t * C) % n
+    idx = np.arange(vcount * n, dtype=np.int64)
+    sigma = idx - t + (t + 1) % n
+    w = vertex_table[B, D]
+    alpha = w * n + vertex_sign[B, D] * (C * b0[w] - A * d0[w]) % n
+    phi = sigma[alpha]
+    reps = np.minimum(np.minimum(idx, phi), phi[phi])
+    leaders = idx[reps == idx]
+    face_darts = np.stack((leaders, phi[leaders], phi[phi[leaders]]), axis=1)
+    face_of_dart = np.empty(vcount * n, dtype=np.int64)
+    face_of_dart[face_darts] = np.arange(leaders.shape[0])[:, None]
+    return pairs, sigma, alpha, face_darts, face_of_dart
+
+
+@pytest.mark.parametrize("n", range(3, DEFAULT_LEVEL_BOUND + 1))
+def test_dart_layout_matches_reference_build(n):
+    # The golden digests do not pin dart ids, face ids or face order (the
+    # JSON export sorts its faces); this does.  The arrays behind the list
+    # accessors are compared at every level; the lists themselves, which
+    # cost a Python object per entry, at the small levels and a few large.
+    pairs, sigma, alpha, face_darts, face_of_dart = reference_build(n)
+    m = build_map(n)
+    assert [(v.num, v.den) for v in m.vertices] == pairs
+    assert np.array_equal(m.sigma, sigma)
+    assert np.array_equal(m.alpha, alpha)
+    assert np.array_equal(m._dart_target, alpha // n)
+    assert np.array_equal(m._face_darts, face_darts)
+    assert np.array_equal(m._face_of_dart, face_of_dart)
+    if n <= 31 or n in (53, 64):
+        assert m.face_vertex_rows() == (face_darts // n).tolist()
+        neighbours = (alpha // n).reshape(-1, n).tolist()
+        assert [m.neighbor_ids(v) for v in range(m.vertex_count)] == neighbours
+
+
+def test_build_map_memory():
+    # int32 dart arrays: 20 bytes per dart; the peak at the bound was 50 MB
+    # with int64 dart-length columns
+    tracemalloc.start()
+    try:
+        m = build_map(DEFAULT_LEVEL_BOUND)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30_000_000, peak
+    arrays = (m.sigma, m.alpha, m._dart_target, m._face_of_dart, m._face_darts)
+    assert sum(a.nbytes for a in arrays) <= 20 * m.dart_count
+
+
+def test_build_map_raises_on_broken_construction(monkeypatch):
+    # one vertex short of mu/n
+    monkeypatch.setattr(maps, "vertex_pairs", lambda n: vertex_pairs(n)[1:])
+    with pytest.raises(BrokenInvariant, match="vertices at level 7"):
+        build_map(7)
+    monkeypatch.undo()
+    # a Bezout column (0, 0) makes the dart (v, 0) end at 0/0, not a vertex
+    monkeypatch.setattr(maps, "_bezout_column", lambda a, c, n: (0, 0))
+    with pytest.raises(BrokenInvariant, match="not a vertex"):
+        build_map(7)
+
+
+def test_vertex_ids_match_vertex_id():
+    for n in (3, 4, 7, 12, 31):
+        m = build_map(n)
+        nums = np.array([v.num for v in m.vertices])
+        dens = np.array([v.den for v in m.vertices])
+        assert m.vertex_ids(nums, dens).tolist() == list(range(m.vertex_count))
+        # the other sign representative, unreduced, names the same vertex
+        assert m.vertex_ids(-nums - n, -dens).tolist() == list(range(m.vertex_count))
+        assert m.vertex_ids(nums.reshape(1, -1), dens.reshape(1, -1)).shape == (1, m.vertex_count)
+    with pytest.raises(UnknownVertex):
+        build_map(12).vertex_ids([2, 1], [0, 2])  # 2/0 has gcd 2 with 12
