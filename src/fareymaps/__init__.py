@@ -32,8 +32,10 @@ from .metrics import (
     Circuit,
     Decomposition,
     bfs_distance,
+    bfs_distances,
     decompose,
     diameter,
+    distance_classes,
     distance_formula,
     first_circuit,
     poles,

@@ -1,12 +1,15 @@
 """The per-level invariant battery: counts, Euler characteristic, the dart
-permutations, the edge criterion and, at prime levels, the distance classes."""
+permutations, the edge criterion and, at prime levels, the distance classes.
+
+Every check runs on integer vertex ids and the map's int columns; no
+FareyFraction is built for a map vertex."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from . import metrics
-from .arith import canonical, is_adjacent
+from .errors import BrokenInvariant
 from .maps import FareyMap, build_map, genus, mu
 
 
@@ -38,58 +41,74 @@ def check_map(m: FareyMap) -> list[tuple[str, bool]]:
     step = np.roll(idx.reshape(-1, n), -1, axis=1)
     results.append(("sigma has order n", np.array_equal(m.sigma.reshape(-1, n), step)))
     phi = m.sigma[m.alpha]
+    phi2 = phi[phi]
     results.append(
         (
             "face orbits all have size 3",
-            np.array_equal(phi[phi[phi]], idx)
+            np.array_equal(phi[phi2], idx)
             and not np.any(phi == idx)
-            and not np.any(phi[phi] == idx),
+            and not np.any(phi2 == idx),
         )
     )
 
+    nums, dens = m.vertex_columns()
     if n <= 13:
-        vs = m.vertices
-        edges = {frozenset(e) for e in m.edge_id_pairs()}
-        oracle = {
-            frozenset((i, j))
-            for i in range(len(vs))
-            for j in range(i + 1, len(vs))
-            if is_adjacent(vs[i], vs[j])
-        }
-        results.append(("edge set matches the determinant criterion", edges == oracle))
+        # V x V: entry (i, j) is the cross-determinant of vertices i and j
+        det = (nums[:, None] * dens - nums * dens[:, None]) % n
+        adjacent = np.zeros(det.shape, dtype=bool)
+        src, tgt = m.edge_columns()
+        adjacent[src, tgt] = adjacent[tgt, src] = True
+        results.append(("edge set matches the determinant criterion",
+                        np.array_equal(adjacent, (det == 1) | (det == n - 1))))
 
     if metrics.is_prime_level(n):
         if n <= 13:
             results.append(("distance formula matches BFS on all pairs", _formula_matches_bfs(m)))
             results.append(("diameter is 3", metrics.diameter(m) == 3))
-        north = canonical(1, 0, n)
-        parts = metrics.decompose(n)
-        walk = parts.sphere2
-        support = walk.support()
-        results.append(("second circuit has length p(p-4)", len(walk) == n * (n - 4)))
-        # Each walk vertex is checked once, not once per visit.
+        walk = _second_circuit_ids(m)
+        support = np.unique(walk)
+        results.append(("second circuit has length p(p-4)", walk.shape[0] == n * (n - 4)))
+        # Each walk vertex is checked once, not once per visit; 1/0 is (1, 0).
         results.append(
             (
                 "second circuit stays at distance 2",
-                all(metrics.distance_formula(north, v, n) == 2 for v in support),
+                bool(np.all(metrics.distance_classes(1, 0, nums[support], dens[support], n) == 2)),
             )
         )
-        union = {parts.north} | set(parts.sphere1.vertices) | support | set(parts.poles)
-        sizes = 1 + len(parts.sphere1) + len(support) + len(parts.poles)
+        # 1/0, the ring k/1, the walk and the poles a/0 other than 1/0 each
+        # cover every vertex exactly once.
+        half = (n - 1) // 2
+        ring = m.vertex_ids(np.arange(n), 1)
+        poles = m.vertex_ids(np.arange(2, half + 1), 0)
+        ids = np.concatenate((m.vertex_ids([1], [0]), ring, support, poles))
         results.append(
             ("distance classes partition the vertex set",
-             union == set(m.vertices) and sizes == m.vertex_count)
+             bool(np.all(np.bincount(ids, minlength=m.vertex_count) == 1)))
         )
     return results
 
 
+def _second_circuit_ids(m: FareyMap) -> np.ndarray:
+    """The vertex ids of the slots of metrics.second_circuit(p), in walk order.
+
+    Each slot and the next, the last and the first too, must have
+    cross-determinant +-1, as in a Circuit; else BrokenInvariant is raised.
+    """
+    p = m.level
+    nums, dens = (np.array(column) for column in metrics.second_circuit_slots(p))
+    det = (nums * np.roll(dens, -1) - np.roll(nums, -1) * dens) % p
+    broken = np.flatnonzero((det != 1) & (det != p - 1))
+    if broken.shape[0]:
+        i = int(broken[0])
+        raise BrokenInvariant(f"circuit broken at slot {i}: {nums[i]}/{dens[i]}")
+    return m.vertex_ids(nums, dens)
+
+
 def _formula_matches_bfs(m: FareyMap) -> bool:
     """The closed-form distance against the BFS distance on every vertex
-    pair, with one BFS from each source vertex."""
-    n = m.level
-    vs = m.vertices
-    for i, f in enumerate(vs):
-        dist = metrics.distances_from(m, i)
-        if any(metrics.distance_formula(f, vs[j], n) != dist[j] for j in range(i + 1, len(vs))):
-            return False
-    return True
+    pair: one breadth-first search from all sources at once, whose adjacency
+    is the map's dart targets, against the V x V closed-form matrix."""
+    nums, dens = m.vertex_columns()
+    formula = metrics.distance_classes(nums[:, None], dens[:, None], nums, dens, m.level)
+    np.fill_diagonal(formula, 0)
+    return np.array_equal(metrics.bfs_distances(m, np.arange(m.vertex_count)), formula)

@@ -25,7 +25,10 @@ both sign representatives (a, c) and (-a, -c) of every vertex, so:
 Storage: the dart arrays are int32, 20 bytes per dart: sigma, alpha and the
 dart targets (one entry per dart), the face of each dart, and the F x 3 face
 darts (F = mu/3, so one entry per dart again).  build_map computes them as
-V x n blocks, one row per vertex, from the per-vertex columns.
+V x n blocks, one row per vertex, from the per-vertex columns.  A vertex is
+its id: the map keeps the int (num, den) columns of the vertices, which the
+counts, the labels, dart_between and vertex_columns() read, and builds the
+FareyFraction list `vertices` only when it is first read.
 
 A built map is immutable; concurrent readers are safe.  The derived tables
 (edge columns, labels, face neighbours, face translation) are filled in on
@@ -38,6 +41,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -101,16 +105,18 @@ def _bezout_column(a: int, c: int, n: int) -> tuple[int, int]:
 class FareyMap:
     """Immutable combinatorial map M3(n); build with build_map()."""
 
-    def __init__(self, level: int, vertices, vertex_grid, bezout, sigma, alpha, dart_target,
+    def __init__(self, level: int, columns, vertex_grid, sigma, alpha, dart_target,
                  face_of_dart, face_darts):
         self.level = level
-        self.vertices: list[FareyFraction] = vertices
         self.sigma: np.ndarray = sigma
         self.alpha: np.ndarray = alpha
-        vertex_grid.flags.writeable = False
+        for array in (columns, vertex_grid, dart_target):
+            array.flags.writeable = False
+        # rows a, c, b0, d0 over the vertex ids: vertex v is a/c, and
+        # a*d0 - c*b0 = 1 mod n
+        self._columns: np.ndarray = columns
         self._vertex_grid: np.ndarray = vertex_grid
         self._vertex_table: list[list[int]] = vertex_grid.tolist()
-        self._bezout: list[tuple[int, int]] = bezout
         self._dart_target: np.ndarray = dart_target
         self._face_of_dart: np.ndarray = face_of_dart
         self._face_darts: np.ndarray = face_darts
@@ -127,7 +133,7 @@ class FareyMap:
 
     @property
     def vertex_count(self) -> int:
-        return len(self.vertices)
+        return int(self._columns.shape[1])
 
     @property
     def edge_count(self) -> int:
@@ -136,6 +142,20 @@ class FareyMap:
     @property
     def face_count(self) -> int:
         return int(self._face_darts.shape[0])
+
+    # -- vertices -------------------------------------------------------
+
+    @cached_property
+    def vertices(self) -> list[FareyFraction]:
+        """The vertices as FareyFractions, by vertex id; built on first read."""
+        n = self.level
+        nums, dens = self.vertex_columns()
+        return [FareyFraction(a, c, n) for a, c in zip(nums.tolist(), dens.tolist())]
+
+    def vertex_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only int columns (nums, dens): vertex id v is nums[v]/dens[v],
+        the canonical pairs of vertex_pairs(n) in (den, num) order."""
+        return self._columns[0], self._columns[1]
 
     # -- incidence ------------------------------------------------------
 
@@ -158,17 +178,25 @@ class FareyMap:
         """The dart from vertex id u to vertex id w; M3(n) has no multi-edges."""
         n = self.level
         if 0 <= u < self.vertex_count and 0 <= w < self.vertex_count:
-            f, g = self.vertices[u], self.vertices[w]
-            det = (f.num * g.den - f.den * g.num) % n
+            a, c, b0, d0 = self._columns[:, u].tolist()
+            b, d = self._columns[:2, w].tolist()
+            det = (a * d - c * b) % n
             if det in (1, n - 1):
-                b0, d0 = self._bezout[u]
                 sign = 1 if det == 1 else -1
-                return u * n + sign * (g.num * d0 - g.den * b0) % n
+                return u * n + sign * (b * d0 - d * b0) % n
         raise UnknownVertex(f"no edge from vertex id {u} to vertex id {w}")
 
     def neighbor_ids(self, vid: int) -> list[int]:
+        """The n neighbour ids of vertex id vid, in sigma rotation order."""
+        if not 0 <= vid < self.vertex_count:
+            raise UnknownVertex(f"no vertex with id {vid} in M3({self.level})")
         n = self.level
         return self._dart_target[vid * n:(vid + 1) * n].tolist()
+
+    def dart_targets(self) -> np.ndarray:
+        """The read-only V x n block of dart targets: row v lists the
+        neighbour ids of vertex v in sigma rotation order."""
+        return self._dart_target.reshape(-1, self.level)
 
     def neighbors(self, v: FareyFraction) -> tuple[FareyFraction, ...]:
         """The n neighbours of v as a cyclic sequence in sigma rotation order."""
@@ -197,7 +225,8 @@ class FareyMap:
     def _label_table(self) -> list[str]:
         """str(v) of every vertex, by vertex id."""
         if self._labels is None:
-            self._labels = [str(v) for v in self.vertices]
+            nums, dens = self.vertex_columns()
+            self._labels = [f"{a}/{c}" for a, c in zip(nums.tolist(), dens.tolist())]
         return self._labels
 
     # -- faces ----------------------------------------------------------
@@ -233,7 +262,8 @@ class FareyMap:
         """
         if self._face_translation is None:
             n = self.level
-            shift = [self.vertex_id(v.translated(1)) for v in self.vertices]
+            nums, dens = self.vertex_columns()
+            shift = self.vertex_ids(nums + dens, dens).tolist()
             targets = self._dart_target[::n].tolist()  # the targets of the darts (v, 0)
             first = np.array([self.dart_between(shift[v], shift[w]) for v, w in enumerate(targets)])
             v, t = np.divmod(self._face_darts[:, 0], n)
@@ -364,9 +394,7 @@ def build_map(n: int) -> FareyMap:
     face_of_dart = np.empty(order, dtype=np.int32)
     face_of_dart[face_darts] = np.arange(leaders.shape[0], dtype=np.int32)[:, None]
 
-    vertices = [FareyFraction(a, c, n) for a, c in pairs]
-    return FareyMap(n, vertices, vertex_grid, bezout, sigma, alpha, target, face_of_dart,
-                    face_darts)
+    return FareyMap(n, columns, vertex_grid, sigma, alpha, target, face_of_dart, face_darts)
 
 
 # -- export / import -------------------------------------------------------

@@ -5,7 +5,9 @@ N = 1/0 into N itself, a circuit of the p vertices with denominator 1, a
 closed walk through all vertices with denominator not in {0, +-1}, and the
 remaining poles a/0 at distance 3.  The closed-form distance test is the
 cross-determinant class; a BFS over the 1-skeleton serves as the independent
-oracle and is the only metric offered at composite levels.
+oracle and is the only metric offered at composite levels.  Both run as
+array kernels on int columns and vertex ids: `distance_classes` and
+`bfs_distances`.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .arith import FareyFraction, canonical, distinct_prime_factors
-from .errors import BrokenInvariant, EqualVertices, LevelMismatch, NotPrime
+from .errors import BrokenInvariant, EqualVertices, LevelMismatch, NotPrime, UnknownVertex
 from .maps import FareyMap
 
 
@@ -72,6 +76,18 @@ class Decomposition:
     poles: tuple[FareyFraction, ...]  # the distance-3 poles, north excluded
 
 
+def distance_classes(a, c, b, d, p: int):
+    """The closed-form distance from a/c to b/d in M3(p), elementwise: 1, 2
+    or 3 by the class of the cross-determinant ad - bc mod p.
+
+    The arguments are ints or broadcastable integer arrays; the result has
+    their shape.  Equal vertices have determinant 0 and read 3, so callers
+    exclude them.  Nothing is checked: p must be a prime >= 5.
+    """
+    delta = (a * d - b * c) % p
+    return 2 + (delta == 0) - ((delta == 1) | (delta == p - 1))
+
+
 def distance_formula(f: FareyFraction, g: FareyFraction, p: int) -> int:
     """Closed-form distance in M3(p): 1, 2 or 3 by the class of ad - bc mod p."""
     _require_prime(p)
@@ -79,12 +95,7 @@ def distance_formula(f: FareyFraction, g: FareyFraction, p: int) -> int:
         raise LevelMismatch(f"vertices at level {f.level}/{g.level}, not {p}")
     if f == g:
         raise EqualVertices(f"distance classification needs distinct vertices, got {f}")
-    delta = (f.num * g.den - g.num * f.den) % p
-    if delta in (1, p - 1):
-        return 1
-    if delta == 0:
-        return 3
-    return 2
+    return int(distance_classes(f.num, f.den, g.num, g.den, p))
 
 
 def bfs_distance(fmap: FareyMap, f: FareyFraction, g: FareyFraction) -> int:
@@ -106,24 +117,49 @@ def bfs_distance(fmap: FareyMap, f: FareyFraction, g: FareyFraction) -> int:
     raise BrokenInvariant("1-skeleton is connected; unreachable vertex")
 
 
-def distances_from(fmap: FareyMap, start: int) -> list[int]:
-    """BFS distance from vertex id start to every vertex id."""
-    dist = [-1] * fmap.vertex_count
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in fmap.neighbor_ids(u):
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
+def bfs_distances(fmap: FareyMap, sources) -> np.ndarray:
+    """S x V array: entry (s, w) is the BFS distance from vertex id sources[s]
+    to vertex id w, or -1 if w is unreachable.
+
+    The search is breadth-first over all sources at once: the frontier is
+    every (row, vertex) with entry d, read off as np.nonzero(dist == d); its
+    neighbours are one gather on the V x n block of dart targets, and the
+    unvisited ones get d + 1 in one assignment.  It stops when every entry
+    is set or the frontier is empty.  Raises UnknownVertex for a source
+    outside 0..V-1.
+    """
+    sources = np.asarray(sources, dtype=np.intp).ravel()
+    vcount = fmap.vertex_count
+    if ((sources < 0) | (sources >= vcount)).any():
+        raise UnknownVertex(f"a source is not a vertex id of M3({fmap.level})")
+    targets = fmap.dart_targets()
+    dist = np.full((sources.shape[0], vcount), -1, dtype=np.int32)
+    cells = dist.reshape(-1)  # entry (s, w) is cell s*V + w
+    rows = np.arange(sources.shape[0])
+    dist[rows, sources] = 0
+    frontier = sources
+    unset = cells.shape[0] - rows.shape[0]
+    d = 0
+    while rows.shape[0] and unset:
+        d += 1
+        reached = (rows * vcount)[:, None] + targets.take(frontier, axis=0)
+        cells[reached[cells.take(reached) < 0]] = d
+        rows, frontier = np.nonzero(dist == d)
+        unset -= rows.shape[0]
     return dist
 
 
+def distances_from(fmap: FareyMap, start: int) -> list[int]:
+    """BFS distance from vertex id start to every vertex id: row 0 of
+    bfs_distances(fmap, [start])."""
+    return bfs_distances(fmap, [start])[0].tolist()
+
+
 def diameter(fmap: FareyMap) -> int:
-    """Max over all vertex pairs of the BFS distance: the eccentricity of 1/0,
-    since PSL(2, Z_n) acts transitively on the vertices by map automorphisms."""
-    return max(distances_from(fmap, fmap.vertex_id(canonical(1, 0, fmap.level))))
+    """Max over all vertex pairs of the BFS distance: the eccentricity of any
+    one vertex, here vertex id 0 (the pole 1/0), since PSL(2, Z_n) acts
+    transitively on the vertices by map automorphisms."""
+    return int(bfs_distances(fmap, [0]).max())
 
 
 def first_circuit(p: int) -> Circuit:
@@ -132,13 +168,16 @@ def first_circuit(p: int) -> Circuit:
     return Circuit(tuple(canonical(k, 1, p) for k in range(p)), p)
 
 
-def second_circuit_seed(p: int) -> tuple[FareyFraction, ...]:
-    """The length p-4 seed: 1/((p-1)/2), ..., 1/2, 2/3, ..., ((p-3)/2)/((p-1)/2)."""
+def _seed_pairs(p: int) -> list[tuple[int, int]]:
+    """The canonical (num, den) pairs of second_circuit_seed(p)."""
     _require_prime(p)
     half = (p - 1) // 2
-    head = [canonical(1, k, p) for k in range(half, 1, -1)]
-    tail = [canonical(m - 1, m, p) for m in range(3, half + 1)]
-    return tuple(head + tail)
+    return [(1, k) for k in range(half, 1, -1)] + [(m - 1, m) for m in range(3, half + 1)]
+
+
+def second_circuit_seed(p: int) -> tuple[FareyFraction, ...]:
+    """The length p-4 seed: 1/((p-1)/2), ..., 1/2, 2/3, ..., ((p-3)/2)/((p-1)/2)."""
+    return tuple(FareyFraction(a, c, p) for a, c in _seed_pairs(p))
 
 
 def second_circuit_slots(p: int) -> tuple[list[int], list[int]]:
@@ -148,10 +187,11 @@ def second_circuit_slots(p: int) -> tuple[list[int], list[int]]:
     Slot k(p-4) + i is seed vertex i, a/c, translated by k: (a + k c)/c with
     the numerator reduced mod p.  Every seed denominator c lies in
     2..(p-1)/2, strictly between 0 and p/2, so each slot pair is canonical.
+    No FareyFraction is built.
     """
-    seed = second_circuit_seed(p)
-    nums = [(v.num + k * v.den) % p for k in range(p) for v in seed]
-    return nums, [v.den for v in seed] * p
+    seed = _seed_pairs(p)
+    nums = [(a + k * c) % p for k in range(p) for a, c in seed]
+    return nums, [c for _, c in seed] * p
 
 
 def second_circuit(p: int) -> Circuit:

@@ -11,7 +11,7 @@ import numpy as np
 from .arith import canonical
 from .errors import Unsupported
 from .maps import FareyMap, gather_rows
-from .metrics import distances_from, first_circuit, is_prime_level, poles, second_circuit_slots
+from .metrics import bfs_distances, first_circuit, is_prime_level, poles, second_circuit_slots
 
 _SCALE = 110.0
 _EXTENT = 3.6
@@ -52,9 +52,9 @@ def layout_positions(fmap: FareyMap) -> dict[int, tuple[float, float]]:
             positions[fmap.vertex_id(v)] = _polar(3.0, 2 * math.pi * j / len(outer))
         return positions
     # BFS shells
-    dist = distances_from(fmap, north)
-    for d in range(1, max(dist) + 1):
-        shell = sorted(i for i, x in enumerate(dist) if x == d)
+    dist = bfs_distances(fmap, [north])[0]
+    for d in range(1, int(dist.max()) + 1):
+        shell = np.flatnonzero(dist == d).tolist()
         for j, vid in enumerate(shell):
             positions[vid] = _polar(float(d), 2 * math.pi * j / len(shell))
     return positions

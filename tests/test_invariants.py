@@ -1,11 +1,15 @@
-"""The `verify` battery: which checks run at which level, and that the
-closed-form checks can fail."""
+"""The `verify` battery: which checks run at which level, that it agrees
+with the object-based battery it replaced, and that the closed-form checks
+can fail."""
 
+import numpy as np
 import pytest
 
 from fareymaps import metrics
+from fareymaps.arith import canonical, is_adjacent
+from fareymaps.errors import BrokenInvariant
 from fareymaps.invariants import check_map, run_invariant_suite
-from fareymaps.maps import build_map
+from fareymaps.maps import build_map, genus, mu
 
 # The check names, in battery order, grouped by the levels they run at.
 EVERY_LEVEL = [
@@ -47,6 +51,87 @@ def test_check_map_agrees_with_the_suite(n):
     assert check_map(build_map(n)) == run_invariant_suite(n)
 
 
+def reference_check_map(m):
+    """The battery as it was on FareyFraction objects: is_adjacent on every
+    vertex pair, distance_formula per pair and per walk vertex, and the
+    classes of metrics.decompose as sets of fractions."""
+    n = m.level
+    results = []
+    order = mu(n)
+    results.append(
+        (
+            "counts V=mu/n E=mu/2 F=mu/3",
+            (m.vertex_count, m.edge_count, m.face_count)
+            == (order // n, order // 2, order // 3),
+        )
+    )
+    results.append(
+        ("euler characteristic = 2 - 2g", m.euler_characteristic() == 2 - 2 * genus(n))
+    )
+
+    idx = np.arange(m.dart_count, dtype=m.alpha.dtype)
+    ok = np.array_equal(m.alpha[m.alpha], idx) and not np.any(m.alpha == idx)
+    results.append(("alpha is a fixed-point-free involution", ok))
+    step = np.roll(idx.reshape(-1, n), -1, axis=1)
+    results.append(("sigma has order n", np.array_equal(m.sigma.reshape(-1, n), step)))
+    phi = m.sigma[m.alpha]
+    results.append(
+        (
+            "face orbits all have size 3",
+            np.array_equal(phi[phi[phi]], idx)
+            and not np.any(phi == idx)
+            and not np.any(phi[phi] == idx),
+        )
+    )
+
+    if n <= 13:
+        vs = m.vertices
+        edges = {frozenset(e) for e in m.edge_id_pairs()}
+        oracle = {
+            frozenset((i, j))
+            for i in range(len(vs))
+            for j in range(i + 1, len(vs))
+            if is_adjacent(vs[i], vs[j])
+        }
+        results.append(("edge set matches the determinant criterion", edges == oracle))
+
+    if metrics.is_prime_level(n):
+        if n <= 13:
+            vs = m.vertices
+            matches = all(
+                metrics.distance_formula(f, vs[j], n) == metrics.distances_from(m, i)[j]
+                for i, f in enumerate(vs)
+                for j in range(i + 1, len(vs))
+            )
+            results.append(("distance formula matches BFS on all pairs", matches))
+            results.append(("diameter is 3", metrics.diameter(m) == 3))
+        north = canonical(1, 0, n)
+        parts = metrics.decompose(n)
+        walk = parts.sphere2
+        support = walk.support()
+        results.append(("second circuit has length p(p-4)", len(walk) == n * (n - 4)))
+        results.append(
+            (
+                "second circuit stays at distance 2",
+                all(metrics.distance_formula(north, v, n) == 2 for v in support),
+            )
+        )
+        union = {parts.north} | set(parts.sphere1.vertices) | support | set(parts.poles)
+        sizes = 1 + len(parts.sphere1) + len(support) + len(parts.poles)
+        results.append(
+            ("distance classes partition the vertex set",
+             union == set(m.vertices) and sizes == m.vertex_count)
+        )
+    return results
+
+
+@pytest.mark.parametrize("n", LEVELS)
+def test_check_map_agrees_with_the_object_battery(n):
+    got = check_map(build_map(n))
+    assert got == reference_check_map(build_map(n))
+    assert all(type(ok) is bool for _, ok in got)
+
+
 def test_check_map_checks_the_map_it_is_given():
     m = build_map(11)
     alpha = m.alpha.copy()
@@ -57,26 +142,52 @@ def test_check_map_checks_the_map_it_is_given():
     assert results["sigma has order n"]
 
 
-def misclassifying(formula):
-    """distance_formula, except that the determinant class +-2 reads as 3."""
+def misclassifying(kernel):
+    """distance_classes, except that the determinant class +-2 reads as 3."""
 
-    def wrong(f, g, p):
-        delta = (f.num * g.den - g.num * f.den) % p
-        return 3 if delta in (2, p - 2) else formula(f, g, p)
+    def wrong(a, c, b, d, p):
+        delta = (a * d - b * c) % p
+        return np.where((delta == 2) | (delta == p - 2), 3, kernel(a, c, b, d, p))
 
     return wrong
 
 
 def test_wrong_formula_fails_the_bfs_check(monkeypatch):
-    monkeypatch.setattr(metrics, "distance_formula", misclassifying(metrics.distance_formula))
+    monkeypatch.setattr(metrics, "distance_classes", misclassifying(metrics.distance_classes))
     results = dict(run_invariant_suite(7))
     assert results["distance formula matches BFS on all pairs"] is False
     assert results["diameter is 3"]
 
 
 def test_wrong_formula_fails_the_second_circuit_check(monkeypatch):
-    monkeypatch.setattr(metrics, "distance_formula", misclassifying(metrics.distance_formula))
+    monkeypatch.setattr(metrics, "distance_classes", misclassifying(metrics.distance_classes))
     results = dict(run_invariant_suite(31))
     assert results["second circuit stays at distance 2"] is False
     assert results["second circuit has length p(p-4)"]
     assert results["distance classes partition the vertex set"]
+
+
+def test_bfs_check_reads_the_map_it_is_given():
+    # the all-pairs oracle is a BFS over the map's own dart targets: sending
+    # a dart of 1/0 to a neighbour of 2/0 instead must fail it
+    m = build_map(7)
+    targets = m._dart_target.copy()
+    targets[[0, 7]] = targets[[7, 0]]
+    m._dart_target = targets
+    results = dict(check_map(m))
+    assert results["distance formula matches BFS on all pairs"] is False
+    assert results["alpha is a fixed-point-free involution"]
+
+
+def test_broken_second_circuit_slot_raises(monkeypatch):
+    # a slot whose cross-determinant with the next is not +-1 breaks the walk,
+    # as it breaks a Circuit
+    def broken_slots(p):
+        nums, dens = second_circuit_slots(p)
+        nums[3] = (nums[3] + 1) % p
+        return nums, dens
+
+    second_circuit_slots = metrics.second_circuit_slots
+    monkeypatch.setattr(metrics, "second_circuit_slots", broken_slots)
+    with pytest.raises(BrokenInvariant, match="circuit broken at slot"):
+        run_invariant_suite(11)

@@ -18,6 +18,7 @@ from fareymaps.errors import (
     UnknownVertex,
     Unsupported,
 )
+from fareymaps.invariants import check_map
 from fareymaps.maps import (
     DEFAULT_LEVEL_BOUND,
     build_map,
@@ -29,6 +30,7 @@ from fareymaps.maps import (
     to_dot,
     to_json,
 )
+from fareymaps.metrics import bfs_distance, diameter
 from fareymaps.render import render_map
 
 GOLDEN = Path(__file__).resolve().parents[1] / "benchmarks" / "golden.json"
@@ -563,3 +565,50 @@ def test_vertex_ids_match_vertex_id():
         assert m.vertex_ids(nums.reshape(1, -1), dens.reshape(1, -1)).shape == (1, m.vertex_count)
     with pytest.raises(UnknownVertex):
         build_map(12).vertex_ids([2, 1], [0, 2])  # 2/0 has gcd 2 with 12
+
+
+def test_neighbor_ids_rejects_unknown_ids():
+    m7 = build_map(7)
+    for vid in (-1, m7.vertex_count, 99):
+        with pytest.raises(UnknownVertex):
+            m7.neighbor_ids(vid)
+
+
+def test_vertex_columns_are_the_vertex_pairs():
+    for n in (3, 4, 7, 12, 31, 101):
+        m = build_map(n)
+        nums, dens = m.vertex_columns()
+        assert list(zip(nums.tolist(), dens.tolist())) == vertex_pairs(n)
+        for column in (nums, dens):
+            with pytest.raises(ValueError):
+                column[0] = 1
+        assert m.vertex_count == nums.shape[0]
+
+
+def test_vertices_are_built_once_on_first_read():
+    m = build_map(12)
+    vs = m.vertices
+    assert vs is m.vertices
+    assert vs == [FareyFraction(a, c, 12) for a, c in vertex_pairs(12)]
+
+
+def test_verify_calls_build_no_vertex_fraction(monkeypatch):
+    # build_map, the battery and the point queries of `verify` work on
+    # vertex ids and int columns; the query fractions are built beforehand
+    north, pole, zero, one = (canonical(a, c, 53) for a, c in ((1, 0), (2, 0), (0, 1), (1, 1)))
+    built = []
+    post_init = FareyFraction.__post_init__
+
+    def counting(self):
+        built.append(str(self))
+        post_init(self)
+
+    monkeypatch.setattr(FareyFraction, "__post_init__", counting)
+    m = build_map(53)
+    assert all(ok for _, ok in check_map(m))
+    assert m.has_face([north, zero, one]) and not m.has_face([north, pole, zero])
+    assert bfs_distance(m, north, pole) == 3
+    assert diameter(m) == 3
+    assert built == []
+    assert len(m.vertices) == m.vertex_count  # built on request
+    assert len(built) == m.vertex_count

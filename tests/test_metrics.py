@@ -1,5 +1,8 @@
 import hashlib
+import random
 
+import networkx as nx
+import numpy as np
 import pytest
 
 from fareymaps.arith import canonical, is_adjacent
@@ -9,8 +12,10 @@ from fareymaps.maps import build_map
 from fareymaps.metrics import (
     Circuit,
     bfs_distance,
+    bfs_distances,
     decompose,
     diameter,
+    distance_classes,
     distance_formula,
     distances_from,
     first_circuit,
@@ -232,3 +237,50 @@ def test_decompose_partitions_vertex_set():
         union = set().union(*parts)
         assert len(union) == a + b + c + d
         assert union == set(build_map(p).vertices)
+
+
+def test_distances_from_rejects_unknown_ids():
+    m7 = build_map(7)
+    for start in (-1, m7.vertex_count, 99):
+        with pytest.raises(UnknownVertex):
+            distances_from(m7, start)
+    with pytest.raises(UnknownVertex):
+        bfs_distances(m7, [0, -1])
+
+
+def edge_graph(m):
+    graph = nx.Graph()
+    graph.add_nodes_from(range(m.vertex_count))
+    graph.add_edges_from(m.edge_id_pairs())
+    return graph
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_bfs_kernel_all_sources_equals_networkx(n):
+    m = build_map(n)
+    dist = bfs_distances(m, np.arange(m.vertex_count))
+    assert dist.shape == (m.vertex_count, m.vertex_count)
+    for u, lengths in nx.all_pairs_shortest_path_length(edge_graph(m)):
+        assert dist[u].tolist() == [lengths[w] for w in range(m.vertex_count)]
+
+
+@pytest.mark.parametrize("n", [64, 101])
+def test_bfs_kernel_seeded_sources_equal_networkx(n):
+    m = build_map(n)
+    graph = edge_graph(m)
+    sources = random.Random(n).sample(range(m.vertex_count), 4)
+    dist = bfs_distances(m, sources)
+    for row, u in enumerate(sources):
+        lengths = nx.single_source_shortest_path_length(graph, u)
+        assert dist[row].tolist() == [lengths[w] for w in range(m.vertex_count)]
+    assert distances_from(m, sources[0]) == dist[0].tolist()
+
+
+def test_distance_classes_equal_networkx_on_all_pairs():
+    for p in (5, 7, 11, 13):
+        m = build_map(p)
+        nums, dens = m.vertex_columns()
+        table = distance_classes(nums[:, None], dens[:, None], nums, dens, p)
+        assert table.shape == (m.vertex_count, m.vertex_count)
+        for u, lengths in nx.all_pairs_shortest_path_length(edge_graph(m)):
+            assert table[u].tolist() == [lengths[w] or 3 for w in range(m.vertex_count)]
