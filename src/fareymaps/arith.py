@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from .errors import (
     BrokenInvariant, LevelMismatch, MalformedLabel, NotAVertex, NotUnimodular, Unsupported,
 )
@@ -126,14 +128,28 @@ def canonical(a: int, c: int, n: int) -> FareyFraction:
     return FareyFraction(a, c, n)
 
 
+def vertex_columns(n: int) -> np.ndarray:
+    """The canonical vertex pairs at level n as a 2 x V int32 array: row 0
+    the numerators, row 1 the denominators, columns in (den, num) order.
+
+    Row c of an (n//2 + 1) x n grid holds the candidates a/c.  The canonical
+    pairs read off the row structure: the poles a/0 with 1 <= a <= n/2,
+    every numerator for 0 < 2c < n and, for even n, the numerators 2a <= n
+    at c = n/2.  One gcd mask keeps the pairs with gcd(a, c, n) = 1.
+    """
+    half = n // 2
+    a = np.arange(n, dtype=np.int32)
+    keep = np.gcd(np.gcd(a, n), a[:half + 1, None]) == 1
+    keep[0, half + 1:] = False
+    if n % 2 == 0:
+        keep[half, half + 1:] = False
+    return np.array(np.nonzero(keep)[::-1], dtype=np.int32)
+
+
 def vertex_pairs(n: int) -> list[tuple[int, int]]:
-    """The canonical (num, den) vertex pairs at level n, in (den, num) order."""
-    out = []
-    for c in range(n // 2 + 1):
-        for a in range(n):
-            if _is_canonical_pair(a, c, n) and gcd(gcd(a, c), n) == 1:
-                out.append((a, c))
-    return out
+    """The canonical (num, den) vertex pairs at level n, in (den, num) order:
+    the columns of vertex_columns(n) as a list of int tuples."""
+    return list(zip(*vertex_columns(n).tolist()))
 
 
 def is_adjacent(f: FareyFraction, g: FareyFraction) -> bool:

@@ -9,10 +9,12 @@ multiplication by ST, which has order 3.  Any consistent convention gives an
 isomorphic map; this one is fixed so that tests and exports are
 deterministic.
 
-Indexing: vertices are sorted by (den, num); the darts with source vertex v
-occupy the block v*n .. v*n + n - 1, the dart (v, t) having second column
-(b, d) = (b0 + t*a, d0 + t*c) for a fixed solution (b0, d0) of
-a*d0 - c*b0 = 1 mod n, so that t = b*d0 - d*b0 mod n.  Under this indexing
+Indexing: vertices are sorted by (den, num), as arith.vertex_columns lists
+them; the darts with source vertex v occupy the block v*n .. v*n + n - 1,
+the dart (v, t) having second column (b, d) = (b0 + t*a, d0 + t*c) for a
+fixed solution (b0, d0) of a*d0 - c*b0 = 1 mod n, so that
+t = b*d0 - d*b0 mod n.  (b0, d0) comes from the extended Euclid on (a, c),
+run on all vertices at once (_bezout_columns).  Under this indexing
 sigma is simply (v, t) -> (v, t + 1 mod n), and the block of a vertex lists
 its n neighbours in rotation order.  An n x n table gives the vertex id of
 both sign representatives (a, c) and (-a, -c) of every vertex, so:
@@ -25,7 +27,9 @@ both sign representatives (a, c) and (-a, -c) of every vertex, so:
 Storage: the dart arrays are int32, 20 bytes per dart: sigma, alpha and the
 dart targets (one entry per dart), the face of each dart, and the F x 3 face
 darts (F = mu/3, so one entry per dart again).  build_map computes them as
-V x n blocks, one row per vertex, from the per-vertex columns.  A vertex is
+V x n blocks, one row per vertex, from the per-vertex columns, which come
+from the two numpy kernels above, so no Python step runs per vertex or per
+dart.  A vertex is
 its id: the map keeps the int (num, den) columns of the vertices, which the
 counts, the labels, dart_between and vertex_columns() read, and builds the
 FareyFraction list `vertices` only when it is first read.
@@ -39,13 +43,15 @@ racing another sees equal tables.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 import numpy as np
 
-from .arith import FareyFraction, distinct_prime_factors, vertex_pairs
+from .arith import FareyFraction, distinct_prime_factors, vertex_columns
 from .errors import (
     BrokenInvariant,
     FareyMapError,
@@ -84,22 +90,33 @@ def genus(n: int) -> int:
     return int(value)
 
 
-def _bezout_column(a: int, c: int, n: int) -> tuple[int, int]:
-    """Some (b0, d0) with a*d0 - c*b0 = 1 mod n; needs gcd(a, c, n) = 1."""
-    # x*a + y*c = g over Z, then scale by the inverse of g mod n.
-    old_r, r = a, c
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    g = old_r
-    ginv = pow(g % n, -1, n)
-    d0 = old_x * ginv % n
-    b0 = -old_y * ginv % n
-    return b0, d0
+def _bezout_columns(nums: np.ndarray, dens: np.ndarray, n: int) -> np.ndarray:
+    """The 2 x V int32 rows (b0, d0) with a*d0 - c*b0 = 1 mod n for every
+    column (a, c) = (nums[v], dens[v]) of non-negative residues with
+    gcd(a, c, n) = 1.
+
+    The extended Euclid runs on all columns at once, with the quotients of
+    the scalar Euclid on (a, c), until every column has a zero remainder;
+    it gives x*a + y*c = g = gcd(a, c), and (b0, d0) = g^-1 * (-y, x) mod n,
+    the inverse read off one table of the units mod n.  The coefficients
+    keep |x|, |y| <= n, and so does each quotient times a coefficient, so
+    int32 holds every step; g^-1 * x stays below n^2, which int32 holds up
+    to level 46,340.
+    """
+    # rows (r, -y, x) of the last two Euclid steps: x*a + y*c = r
+    old, new = np.zeros((2, 3, nums.shape[0]), dtype=np.int32)
+    old[0], old[2] = nums, 1
+    new[0], new[1] = dens, -1
+    # A finished column has one zero remainder, so its quotient is 0 (numpy
+    # divides ints by zero as 0) and its two rows just trade places.
+    with np.errstate(divide="ignore"):
+        while (old[0] * new[0]).any():
+            old -= old[0] // new[0] * new
+            old, new = new, old
+    inverse = np.array([pow(k, -1, n) if gcd(k, n) == 1 else 0 for k in range(n)],
+                       dtype=np.int32)
+    last = np.where(new[0] == 0, old, new)
+    return last[1:] * inverse[last[0]] % n
 
 
 class FareyMap:
@@ -153,8 +170,8 @@ class FareyMap:
         return [FareyFraction(a, c, n) for a, c in zip(nums.tolist(), dens.tolist())]
 
     def vertex_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The read-only int columns (nums, dens): vertex id v is nums[v]/dens[v],
-        the canonical pairs of vertex_pairs(n) in (den, num) order."""
+        """The read-only int32 columns (nums, dens): vertex id v is
+        nums[v]/dens[v], the rows of arith.vertex_columns(n)."""
         return self._columns[0], self._columns[1]
 
     # -- incidence ------------------------------------------------------
@@ -323,21 +340,29 @@ class FareyMap:
 
 
 def build_map(n: int) -> FareyMap:
-    """Construct M3(n) with its dart permutations and faces."""
+    """Construct M3(n) with its dart permutations and faces.
+
+    The level is read with operator.index, so numpy integers are accepted
+    and stored as a Python int; anything else, 7.0 or "7" say, raises
+    Unsupported.
+    """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise Unsupported(f"build_map needs an integer level, got {n!r}") from None
     if n < 3:
         raise Unsupported(f"build_map needs n >= 3, got {n}")
     if n > DEFAULT_LEVEL_BOUND:
         raise ResourceLimit(f"level {n} above bound {DEFAULT_LEVEL_BOUND}")
 
-    pairs = vertex_pairs(n)
-    vcount = len(pairs)
+    pairs = vertex_columns(n)
+    vcount = pairs.shape[1]
     order = mu(n)
     if vcount * n != order:
         raise BrokenInvariant(f"{vcount} vertices at level {n}, not mu/n = {order // n}")
 
-    bezout = [_bezout_column(a, c, n) for a, c in pairs]
     # Rows a, c, b0, d0 over the vertex ids, and the same rows negated.
-    columns = np.array([*zip(*pairs), *zip(*bezout)], dtype=np.int32)
+    columns = np.concatenate((pairs, _bezout_columns(*pairs, n)))
     av, cv, b0, d0 = columns
     signed = np.stack((columns, -columns % n))
     vid = np.arange(vcount, dtype=np.int32)

@@ -3,13 +3,22 @@ import json
 import time
 import tracemalloc
 from itertools import combinations_with_replacement
+from math import gcd
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fareymaps import maps
-from fareymaps.arith import FareyFraction, ModMatrix, canonical, is_adjacent, mobius_mod, vertex_pairs
+from fareymaps.arith import (
+    FareyFraction,
+    ModMatrix,
+    canonical,
+    is_adjacent,
+    mobius_mod,
+    vertex_columns,
+    vertex_pairs,
+)
 from fareymaps.errors import (
     BrokenInvariant,
     FareyMapError,
@@ -464,6 +473,22 @@ def test_build_speed_at_default_bound():
     assert elapsed < 1.0, f"build_map(101) took {elapsed:.2f}s"
 
 
+def reference_vertex_pairs(n):
+    """The canonical (num, den) vertex pairs in (den, num) order, by the
+    scalar loop over every candidate a/c: the enumeration the vertex kernel
+    replaced."""
+    out = []
+    for c in range(n // 2 + 1):
+        for a in range(n):
+            if c == 0:
+                canonical_pair = 1 <= a <= n // 2
+            else:
+                canonical_pair = 2 * c < n or 2 * a <= n
+            if canonical_pair and gcd(gcd(a, c), n) == 1:
+                out.append((a, c))
+    return out
+
+
 def reference_euclid(a, c, n):
     """Some (b0, d0) with a*d0 - c*b0 = 1 mod n, by the scalar extended Euclid."""
     old_r, r = a, c
@@ -479,9 +504,10 @@ def reference_euclid(a, c, n):
 
 
 def reference_build(n):
-    """The dart layout from int64 dart-length columns (np.repeat / np.tile)
-    and the scalar Euclid: the construction the block kernel replaced."""
-    pairs = vertex_pairs(n)
+    """The dart layout from int64 dart-length columns (np.repeat / np.tile),
+    the scalar enumeration and the scalar Euclid: the construction the
+    block kernel replaced."""
+    pairs = reference_vertex_pairs(n)
     vcount = len(pairs)
     av, cv = np.array(pairs, dtype=np.int64).T
     b0, d0 = np.array([reference_euclid(a, c, n) for a, c in pairs], dtype=np.int64).T
@@ -506,6 +532,33 @@ def reference_build(n):
     face_of_dart = np.empty(vcount * n, dtype=np.int64)
     face_of_dart[face_darts] = np.arange(leaders.shape[0])[:, None]
     return pairs, sigma, alpha, face_darts, face_of_dart
+
+
+def test_vertex_kernel_matches_scalar_enumeration():
+    assert reference_vertex_pairs(2) == [(1, 0), (0, 1), (1, 1)]
+    for n in range(2, DEFAULT_LEVEL_BOUND + 1):
+        columns = vertex_columns(n)
+        assert columns.dtype == np.int32 and columns.shape[0] == 2
+        assert list(zip(*columns.tolist())) == reference_vertex_pairs(n), n
+        assert vertex_pairs(n) == reference_vertex_pairs(n), n
+
+
+def test_bezout_kernel_matches_scalar_euclid():
+    for n in range(3, DEFAULT_LEVEL_BOUND + 1):
+        nums, dens = vertex_columns(n)
+        bezout = maps._bezout_columns(nums, dens, n)
+        assert bezout.dtype == np.int32 and bezout.shape == (2, nums.shape[0])
+        want = [reference_euclid(a, c, n) for a, c in zip(nums.tolist(), dens.tolist())]
+        assert list(zip(*bezout.tolist())) == want, n
+        b0, d0 = bezout.astype(np.int64)
+        assert ((nums * d0 - dens * b0) % n == 1).all(), n
+    # any non-negative residue pair with gcd(a, c, n) = 1, in any order
+    for n in (12, 30, 97):
+        a, c = np.array([(a, c) for a in range(n) for c in range(n)
+                         if gcd(gcd(a, c), n) == 1], dtype=np.int32).T
+        bezout = maps._bezout_columns(a, c, n)
+        assert list(zip(*bezout.tolist())) == [
+            reference_euclid(x, y, n) for x, y in zip(a.tolist(), c.tolist())]
 
 
 @pytest.mark.parametrize("n", range(3, DEFAULT_LEVEL_BOUND + 1))
@@ -544,14 +597,38 @@ def test_build_map_memory():
 
 def test_build_map_raises_on_broken_construction(monkeypatch):
     # one vertex short of mu/n
-    monkeypatch.setattr(maps, "vertex_pairs", lambda n: vertex_pairs(n)[1:])
+    monkeypatch.setattr(maps, "vertex_columns", lambda n: vertex_columns(n)[:, 1:])
     with pytest.raises(BrokenInvariant, match="vertices at level 7"):
         build_map(7)
     monkeypatch.undo()
     # a Bezout column (0, 0) makes the dart (v, 0) end at 0/0, not a vertex
-    monkeypatch.setattr(maps, "_bezout_column", lambda a, c, n: (0, 0))
+    monkeypatch.setattr(maps, "_bezout_columns",
+                        lambda nums, dens, n: np.zeros((2, nums.shape[0]), dtype=np.int32))
     with pytest.raises(BrokenInvariant, match="not a vertex"):
         build_map(7)
+
+
+@pytest.mark.parametrize("n", (3, 12, 53, 101))
+def test_build_map_arrays_are_int32(n):
+    # the kernels mix int32 arrays with Python ints; under NumPy 1.x value
+    # casting a mixed expression that upcasts would show here
+    m = build_map(n)
+    arrays = (*m.vertex_columns(), m._columns, m.sigma, m.alpha, m._dart_target,
+              m._face_of_dart, m._face_darts)
+    assert [a.dtype for a in arrays] == [np.dtype(np.int32)] * len(arrays)
+
+
+def test_build_map_reads_the_level_as_an_index():
+    m, want = build_map(np.int64(7)), build_map(7)
+    assert type(m.level) is int and m.level == 7
+    for name in ("_columns", "_vertex_grid", "sigma", "alpha", "_dart_target",
+                 "_face_of_dart", "_face_darts"):
+        assert np.array_equal(getattr(m, name), getattr(want, name)), name
+    assert to_json(m) == to_json(want)
+    for level in (7.0, "7", None):
+        with pytest.raises(Unsupported):
+            build_map(level)
+    assert issubclass(Unsupported, FareyMapError)
 
 
 def test_vertex_ids_match_vertex_id():
