@@ -14,6 +14,7 @@ All types here are immutable; values can be shared freely between threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -38,6 +39,14 @@ def distinct_prime_factors(n: int) -> list[int]:
     if m > 1:
         out.append(m)
     return out
+
+
+def as_integer(value, what: str) -> int:
+    """value as a Python int by operator.index (numpy ints pass), else Unsupported."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise Unsupported(f"{what}, got {value!r}") from None
 
 
 def _split_fraction(text: str) -> tuple[int, int]:
@@ -116,9 +125,11 @@ def canonical(a: int, c: int, n: int) -> FareyFraction:
     """The canonical Farey fraction equal to a/c mod n.
 
     Raises NotAVertex (from the FareyFraction check) when
-    gcd(a mod n, c mod n, n) != 1.  The level is checked first, since
-    reducing mod n needs n >= 2.
+    gcd(a mod n, c mod n, n) != 1, and Unsupported unless a, c and n are
+    integers.  The level is checked first, since reducing mod n needs n >= 2.
     """
+    what = "canonical needs integers"
+    a, c, n = as_integer(a, what), as_integer(c, what), as_integer(n, what)
     if n < 2:
         raise Unsupported(f"level must be >= 2, got {n}")
     a %= n

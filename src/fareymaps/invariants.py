@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import metrics
-from .errors import BrokenInvariant
 from .maps import FareyMap, build_map, genus, mu
 
 
@@ -65,7 +64,7 @@ def check_map(m: FareyMap) -> list[tuple[str, bool]]:
         if n <= 13:
             results.append(("distance formula matches BFS on all pairs", _formula_matches_bfs(m)))
             results.append(("diameter is 3", metrics.diameter(m) == 3))
-        walk = _second_circuit_ids(m)
+        north, ring, walk, poles = metrics.decomposition_ids(m)
         support = np.unique(walk)
         results.append(("second circuit has length p(p-4)", walk.shape[0] == n * (n - 4)))
         # Each walk vertex is checked once, not once per visit; 1/0 is (1, 0).
@@ -77,31 +76,12 @@ def check_map(m: FareyMap) -> list[tuple[str, bool]]:
         )
         # 1/0, the ring k/1, the walk and the poles a/0 other than 1/0 each
         # cover every vertex exactly once.
-        half = (n - 1) // 2
-        ring = m.vertex_ids(np.arange(n), 1)
-        poles = m.vertex_ids(np.arange(2, half + 1), 0)
-        ids = np.concatenate((m.vertex_ids([1], [0]), ring, support, poles))
+        ids = np.concatenate((north, ring, support, poles))
         results.append(
             ("distance classes partition the vertex set",
              bool(np.all(np.bincount(ids, minlength=m.vertex_count) == 1)))
         )
     return results
-
-
-def _second_circuit_ids(m: FareyMap) -> np.ndarray:
-    """The vertex ids of the slots of metrics.second_circuit(p), in walk order.
-
-    Each slot and the next, the last and the first too, must have
-    cross-determinant +-1, as in a Circuit; else BrokenInvariant is raised.
-    """
-    p = m.level
-    nums, dens = (np.array(column) for column in metrics.second_circuit_slots(p))
-    det = (nums * np.roll(dens, -1) - np.roll(nums, -1) * dens) % p
-    broken = np.flatnonzero((det != 1) & (det != p - 1))
-    if broken.shape[0]:
-        i = int(broken[0])
-        raise BrokenInvariant(f"circuit broken at slot {i}: {nums[i]}/{dens[i]}")
-    return m.vertex_ids(nums, dens)
 
 
 def _formula_matches_bfs(m: FareyMap) -> bool:

@@ -43,7 +43,6 @@ racing another sees equal tables.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -51,7 +50,7 @@ from math import gcd
 
 import numpy as np
 
-from .arith import FareyFraction, distinct_prime_factors, vertex_columns
+from .arith import FareyFraction, as_integer, distinct_prime_factors, vertex_columns
 from .errors import (
     BrokenInvariant,
     FareyMapError,
@@ -67,6 +66,7 @@ DEFAULT_LEVEL_BOUND = 101
 
 def mu(n: int) -> int:
     """Order of PSL(2, Z_n) = number of darts: n^3/2 * prod(1 - 1/p^2)."""
+    n = as_integer(n, "mu(n) needs an integer level")
     if n < 3:
         raise Unsupported(f"mu(n) needs n >= 3, got {n}")
     value = Fraction(n**3, 2)
@@ -82,6 +82,7 @@ def genus(n: int) -> int:
 
     That is 1 + mu(n) * (n - 6) / (12 n), from 2 - 2g = mu/n - mu/2 + mu/3.
     """
+    n = as_integer(n, "genus(n) needs an integer level")
     if n < 3:
         raise Unsupported(f"genus(n) needs n >= 3, got {n}")
     value = 1 + Fraction(mu(n) * (n - 6), 12 * n)
@@ -133,7 +134,6 @@ class FareyMap:
         # a*d0 - c*b0 = 1 mod n
         self._columns: np.ndarray = columns
         self._vertex_grid: np.ndarray = vertex_grid
-        self._vertex_table: list[list[int]] = vertex_grid.tolist()
         self._dart_target: np.ndarray = dart_target
         self._face_of_dart: np.ndarray = face_of_dart
         self._face_darts: np.ndarray = face_darts
@@ -178,7 +178,7 @@ class FareyMap:
 
     def vertex_id(self, v: FareyFraction) -> int:
         if isinstance(v, FareyFraction) and v.level == self.level:
-            return self._vertex_table[v.num][v.den]
+            return self._vertex_grid.item(v.num, v.den)
         raise UnknownVertex(f"{v} is not a vertex of M3({self.level})")
 
     def vertex_ids(self, nums, dens) -> np.ndarray:
@@ -272,19 +272,20 @@ class FareyMap:
         """Entry i is the face id of the image of face i under t -> t + 1.
         Computed once per map; read-only.
 
-        Left multiplication by T commutes with sigma and alpha, so it sends
-        the block of vertex v onto the block of v + 1 turned by a fixed step:
-        the dart (v, t) goes to (v + 1, t + k_v), and k_v is read off the
-        image of the dart (v, 0).
+        Left multiplication by T commutes with sigma and alpha: it sends the
+        dart (v, t), the matrix (a b0 + t*a; c d0 + t*c), to the dart
+        (w, t + k_v), where (a + c, c) = s*(a_w, c_w) for a sign s and
+        k_v = s*((b0 + d0)*d0_w - d0*b0_w) mod n, below 2n^2 before the mod.
         """
         if self._face_translation is None:
             n = self.level
-            nums, dens = self.vertex_columns()
-            shift = self.vertex_ids(nums + dens, dens).tolist()
-            targets = self._dart_target[::n].tolist()  # the targets of the darts (v, 0)
-            first = np.array([self.dart_between(shift[v], shift[w]) for v, w in enumerate(targets)])
+            a, c, b0, d0 = self._columns
+            w = self.vertex_ids(a + c, c)
+            aw, cw, b0w, d0w = self._columns[:, w]
+            sign = np.where(((a + c - aw) % n == 0) & ((c - cw) % n == 0), 1, -1)
+            k = sign * ((b0 + d0) * d0w - d0 * b0w) % n
             v, t = np.divmod(self._face_darts[:, 0], n)
-            image = first[v] // n * n + (first[v] + t) % n
+            image = w[v] * n + (t + k[v]) % n
             translation = self._face_of_dart[image]
             translation.flags.writeable = False
             self._face_translation = translation
@@ -342,14 +343,10 @@ class FareyMap:
 def build_map(n: int) -> FareyMap:
     """Construct M3(n) with its dart permutations and faces.
 
-    The level is read with operator.index, so numpy integers are accepted
-    and stored as a Python int; anything else, 7.0 or "7" say, raises
-    Unsupported.
+    The level is read with arith.as_integer: numpy integers are stored as a
+    Python int, and anything else, 7.0 or "7" say, raises Unsupported.
     """
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise Unsupported(f"build_map needs an integer level, got {n!r}") from None
+    n = as_integer(n, "build_map needs an integer level")
     if n < 3:
         raise Unsupported(f"build_map needs n >= 3, got {n}")
     if n > DEFAULT_LEVEL_BOUND:

@@ -7,7 +7,7 @@ remaining poles a/0 at distance 3.  The closed-form distance test is the
 cross-determinant class; a BFS over the 1-skeleton serves as the independent
 oracle and is the only metric offered at composite levels.  Both run as
 array kernels on int columns and vertex ids: `distance_classes` and
-`bfs_distances`.
+`bfs_distances`; `decomposition_ids` gives the four parts as vertex ids.
 """
 
 from __future__ import annotations
@@ -149,12 +149,6 @@ def bfs_distances(fmap: FareyMap, sources) -> np.ndarray:
     return dist
 
 
-def distances_from(fmap: FareyMap, start: int) -> list[int]:
-    """BFS distance from vertex id start to every vertex id: row 0 of
-    bfs_distances(fmap, [start])."""
-    return bfs_distances(fmap, [start])[0].tolist()
-
-
 def diameter(fmap: FareyMap) -> int:
     """Max over all vertex pairs of the BFS distance: the eccentricity of any
     one vertex, here vertex id 0 (the pole 1/0), since PSL(2, Z_n) acts
@@ -211,6 +205,24 @@ def poles(p: int) -> tuple[FareyFraction, ...]:
     """All (p-1)/2 poles 1/0, 2/0, ..., ((p-1)/2)/0."""
     _require_prime(p)
     return tuple(canonical(a, 0, p) for a in range(1, (p - 1) // 2 + 1))
+
+
+def decomposition_ids(fmap: FareyMap) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """decompose(p) as four int arrays of vertex ids of M3(p): 1/0, the ring
+    k/1 (k = 0..p-1), the p(p-4) walk slots of second_circuit_slots(p) in
+    order and with repeats, and the poles a/0 (a = 2..(p-1)/2).  Each slot
+    and the next, the last and the first too, must have cross-determinant
+    +-1, as in a Circuit; else BrokenInvariant is raised."""
+    p = fmap.level
+    nums, dens = (np.array(column) for column in second_circuit_slots(p))
+    det = (nums * np.roll(dens, -1) - np.roll(nums, -1) * dens) % p
+    broken = np.flatnonzero((det != 1) & (det != p - 1))
+    if broken.shape[0]:
+        i = int(broken[0])
+        raise BrokenInvariant(f"circuit broken at slot {i}: {nums[i]}/{dens[i]}")
+    k = np.arange(p)
+    return (fmap.vertex_ids([1], [0]), fmap.vertex_ids(k, 1), fmap.vertex_ids(nums, dens),
+            fmap.vertex_ids(k[2:(p + 1) // 2], 0))
 
 
 def decompose(p: int) -> Decomposition:

@@ -8,10 +8,9 @@ import math
 
 import numpy as np
 
-from .arith import canonical
 from .errors import Unsupported
 from .maps import FareyMap, gather_rows
-from .metrics import bfs_distances, first_circuit, is_prime_level, poles, second_circuit_slots
+from .metrics import bfs_distances, decomposition_ids, is_prime_level
 
 _SCALE = 110.0
 _EXTENT = 3.6
@@ -28,31 +27,26 @@ def _polar(radius: float, angle: float) -> tuple[float, float]:
 
 
 def layout_positions(fmap: FareyMap) -> dict[int, tuple[float, float]]:
-    """Vertex id -> planar position: 1/0 at the origin, the distance-1
-    circuit on radius 1, the distance-2 walk on radius 2 (first visit fixes
-    the slot), remaining poles outside; composite levels fall back to BFS
-    shells from 1/0."""
+    """Vertex id -> planar position: 1/0 (vertex id 0) at the origin, the
+    distance-1 circuit on radius 1, the distance-2 walk on radius 2 (first
+    visit fixes the slot), remaining poles outside; composite levels fall
+    back to BFS shells from 1/0."""
     n = fmap.level
     if n < 3:
         raise Unsupported(f"no layout below level 3, got {n}")
-    positions: dict[int, tuple[float, float]] = {}
-    north = fmap.vertex_id(canonical(1, 0, n))
-    positions[north] = (0.0, 0.0)
+    positions: dict[int, tuple[float, float]] = {0: (0.0, 0.0)}
     if is_prime_level(n):
-        ring1 = first_circuit(n).vertices
-        for j, v in enumerate(ring1):
-            positions[fmap.vertex_id(v)] = _polar(1.0, 2 * math.pi * j / len(ring1))
-        # the walk's vertex ids straight from its integer slots
-        walk = fmap.vertex_ids(*second_circuit_slots(n)).tolist()
+        _, ring, walk, outer = (ids.tolist() for ids in decomposition_ids(fmap))
+        for j, vid in enumerate(ring):
+            positions[vid] = _polar(1.0, 2 * math.pi * j / len(ring))
         for j, vid in enumerate(walk):
             if vid not in positions:
                 positions[vid] = _polar(2.0, 2 * math.pi * j / len(walk))
-        outer = poles(n)[1:]
-        for j, v in enumerate(outer):
-            positions[fmap.vertex_id(v)] = _polar(3.0, 2 * math.pi * j / len(outer))
+        for j, vid in enumerate(outer):
+            positions[vid] = _polar(3.0, 2 * math.pi * j / len(outer))
         return positions
     # BFS shells
-    dist = bfs_distances(fmap, [north])[0]
+    dist = bfs_distances(fmap, [0])[0]
     for d in range(1, int(dist.max()) + 1):
         shell = np.flatnonzero(dist == d).tolist()
         for j, vid in enumerate(shell):

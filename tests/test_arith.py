@@ -2,6 +2,7 @@ import random
 from datetime import timedelta
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from fareymaps.errors import (
     MalformedLabel,
     NotAVertex,
     NotUnimodular,
+    Unsupported,
 )
 from fareymaps.metrics import Circuit
 
@@ -62,6 +64,17 @@ def test_canonical_examples():
     assert str(canonical(3, 5, 7)) == "4/2"
     assert str(canonical(6, 4, 11)) == "6/4"
     assert str(canonical(9, 0, 11)) == "2/0"
+
+
+def test_canonical_reads_its_arguments_as_indices():
+    want = canonical(1, 2, 7)
+    for args in ((1, 2, np.int64(7)), (np.int64(1), 2, 7), (1, np.int32(2), 7)):
+        f = canonical(*args)
+        assert f == want
+        assert [type(x) for x in (f.num, f.den, f.level)] == [int, int, int], args
+    for args in ((1, 2, 7.0), (1.0, 2, 7), (1, "2", 7), (1, 2, None)):
+        with pytest.raises(Unsupported, match="canonical needs integers"):
+            canonical(*args)
 
 
 def test_canonical_matches_brute_oracle():

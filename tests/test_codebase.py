@@ -1,7 +1,8 @@
 """Static guards over the package source: no `assert` (which `python -O`
 strips), no module reaching into another module's private names, and no
 module outside the map construction and its invariant battery reading the
-dart permutations."""
+dart permutations, and no module but metrics reading the distance-2 walk's
+slots."""
 
 import ast
 from pathlib import Path
@@ -75,5 +76,19 @@ def test_dart_permutations_read_only_by_maps_and_invariants():
         if path.name not in ("maps.py", "invariants.py")
         for node in ast.walk(parse(path))
         if isinstance(node, ast.Attribute) and node.attr in ("alpha", "sigma")
+    ]
+    assert found == []
+
+
+def test_second_circuit_slots_read_only_by_metrics():
+    # the prime layout has one owner: other modules read metrics.decomposition_ids
+    found = [
+        f"{path.name}:{node.lineno} reads second_circuit_slots"
+        for path in MODULES
+        if path.name != "metrics.py"
+        for node in ast.walk(parse(path))
+        if (isinstance(node, ast.Name) and node.id == "second_circuit_slots")
+        or (isinstance(node, ast.Attribute) and node.attr == "second_circuit_slots")
+        or (isinstance(node, ast.alias) and node.name == "second_circuit_slots")
     ]
     assert found == []

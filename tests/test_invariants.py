@@ -99,7 +99,7 @@ def reference_check_map(m):
         if n <= 13:
             vs = m.vertices
             matches = all(
-                metrics.distance_formula(f, vs[j], n) == metrics.distances_from(m, i)[j]
+                metrics.distance_formula(f, vs[j], n) == metrics.bfs_distances(m, [i])[0][j]
                 for i, f in enumerate(vs)
                 for j in range(i + 1, len(vs))
             )

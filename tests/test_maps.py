@@ -74,6 +74,15 @@ def test_mu_unsupported():
         mu(2)
 
 
+def test_mu_and_genus_read_the_level_as_an_index():
+    assert mu(np.int64(7)) == 168 and type(mu(np.int64(7))) is int
+    assert genus(np.int64(7)) == 3 and type(genus(np.int64(7))) is int
+    for count in (mu, genus):
+        for level in (7.0, "7", None):
+            with pytest.raises(Unsupported, match="needs an integer level"):
+                count(level)
+
+
 def test_genus_examples():
     assert genus(7) == 3
     assert genus(11) == 26
@@ -265,6 +274,27 @@ def test_face_tables_match_shared_corner_and_translate_oracles(n):
         assert across == [{g} for g in neighbours[fid].tolist()], (n, fid)
         image = m.face_id_by_vertices([vs[i].translated(1) for i in row])
         assert int(translation[fid]) == image, (n, fid)
+
+
+def reference_face_translation(m):
+    """face_translation() as it was computed before its closed form: one
+    dart_between per vertex for the image of the dart (v, 0)."""
+    n = m.level
+    nums, dens = m.vertex_columns()
+    shift = m.vertex_ids(nums + dens, dens).tolist()
+    targets = m.dart_targets()[:, 0].tolist()
+    first = np.array([m.dart_between(shift[v], shift[w]) for v, w in enumerate(targets)])
+    v, t = np.divmod(m._face_darts[:, 0], n)
+    image = first[v] // n * n + (first[v] + t) % n
+    return m._face_of_dart[image]
+
+
+@pytest.mark.parametrize("n", range(3, 102))
+def test_face_translation_equals_the_dart_between_reference(n):
+    m = build_map(n)
+    translation = m.face_translation()
+    assert translation.dtype == np.int32
+    assert np.array_equal(translation, reference_face_translation(m))
 
 
 def test_dart_between():
@@ -637,6 +667,8 @@ def test_vertex_ids_match_vertex_id():
         nums = np.array([v.num for v in m.vertices])
         dens = np.array([v.den for v in m.vertices])
         assert m.vertex_ids(nums, dens).tolist() == list(range(m.vertex_count))
+        assert [m.vertex_id(v) for v in m.vertices] == list(range(m.vertex_count))
+        assert all(type(m.vertex_id(v)) is int for v in m.vertices)
         # the other sign representative, unreduced, names the same vertex
         assert m.vertex_ids(-nums - n, -dens).tolist() == list(range(m.vertex_count))
         assert m.vertex_ids(nums.reshape(1, -1), dens.reshape(1, -1)).shape == (1, m.vertex_count)

@@ -14,10 +14,10 @@ from fareymaps.metrics import (
     bfs_distance,
     bfs_distances,
     decompose,
+    decomposition_ids,
     diameter,
     distance_classes,
     distance_formula,
-    distances_from,
     first_circuit,
     is_prime_level,
     poles,
@@ -69,7 +69,7 @@ def test_formula_equals_bfs_exhaustive():
 
 def all_pairs_diameter(m):
     """Reference: BFS from every vertex, no use of vertex-transitivity."""
-    return max(max(distances_from(m, v)) for v in range(m.vertex_count))
+    return max(int(bfs_distances(m, [v])[0].max()) for v in range(m.vertex_count))
 
 
 def test_diameter():
@@ -239,11 +239,11 @@ def test_decompose_partitions_vertex_set():
         assert union == set(build_map(p).vertices)
 
 
-def test_distances_from_rejects_unknown_ids():
+def test_bfs_distances_rejects_unknown_ids():
     m7 = build_map(7)
     for start in (-1, m7.vertex_count, 99):
         with pytest.raises(UnknownVertex):
-            distances_from(m7, start)
+            bfs_distances(m7, [start])
     with pytest.raises(UnknownVertex):
         bfs_distances(m7, [0, -1])
 
@@ -273,7 +273,7 @@ def test_bfs_kernel_seeded_sources_equal_networkx(n):
     for row, u in enumerate(sources):
         lengths = nx.single_source_shortest_path_length(graph, u)
         assert dist[row].tolist() == [lengths[w] for w in range(m.vertex_count)]
-    assert distances_from(m, sources[0]) == dist[0].tolist()
+    assert bfs_distances(m, [sources[0]])[0].tolist() == dist[0].tolist()
 
 
 def test_distance_classes_equal_networkx_on_all_pairs():
@@ -284,3 +284,20 @@ def test_distance_classes_equal_networkx_on_all_pairs():
         assert table.shape == (m.vertex_count, m.vertex_count)
         for u, lengths in nx.all_pairs_shortest_path_length(edge_graph(m)):
             assert table[u].tolist() == [lengths[w] or 3 for w in range(m.vertex_count)]
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 102) if is_prime_level(p)])
+def test_decomposition_ids_are_the_decomposition(p):
+    m = build_map(p)
+    parts = decompose(p)
+    north, ring, walk, outer = decomposition_ids(m)
+    assert north.tolist() == [m.vertex_id(parts.north)]
+    assert ring.tolist() == [m.vertex_id(v) for v in parts.sphere1.vertices]
+    assert walk.tolist() == [m.vertex_id(v) for v in parts.sphere2.vertices]
+    assert outer.tolist() == [m.vertex_id(v) for v in parts.poles]
+
+
+def test_decomposition_ids_need_a_prime_level():
+    for n in (6, 9, 25):
+        with pytest.raises(NotPrime):
+            decomposition_ids(build_map(n))
