@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import metrics
-from .maps import FareyMap, build_map, genus, mu
+from .maps import FareyMap, build_map, genus, mu, row_blocks
 
 
 def run_invariant_suite(n: int) -> list[tuple[str, bool]]:
@@ -33,22 +33,31 @@ def check_map(m: FareyMap) -> list[tuple[str, bool]]:
         ("euler characteristic = 2 - 2g", m.euler_characteristic() == 2 - 2 * genus(n))
     )
 
-    idx = np.arange(m.dart_count, dtype=m.alpha.dtype)
-    ok = np.array_equal(m.alpha[m.alpha], idx) and not np.any(m.alpha == idx)
-    results.append(("alpha is a fixed-point-free involution", ok))
-    # sigma turns each vertex's block of n darts by one step: a product of n-cycles
-    step = np.roll(idx.reshape(-1, n), -1, axis=1)
-    results.append(("sigma has order n", np.array_equal(m.sigma.reshape(-1, n), step)))
-    phi = m.sigma[m.alpha]
-    phi2 = phi[phi]
-    results.append(
-        (
-            "face orbits all have size 3",
-            np.array_equal(phi[phi2], idx)
-            and not np.any(phi == idx)
-            and not np.any(phi2 == idx),
-        )
-    )
+    # The dart checks run over blocks of whole vertex rows, so that their
+    # temporaries have the size of a block: a first pass checks sigma and
+    # builds phi = sigma o alpha once, a second checks alpha and phi.
+    sigma, alpha = m.sigma, m.alpha
+    phi = np.empty_like(alpha)
+    blocks = [(lo * n, hi * n) for lo, hi in row_blocks(n, m.vertex_count)]
+    rotation = involution = orbits = True
+    for lo, hi in blocks:
+        # sigma turns each vertex's block of n darts by one step: a product
+        # of n-cycles
+        step = np.roll(np.arange(lo, hi, dtype=alpha.dtype).reshape(-1, n), -1, axis=1)
+        rotation &= np.array_equal(sigma[lo:hi].reshape(-1, n), step)
+        sigma.take(alpha[lo:hi], out=phi[lo:hi])
+    del sigma
+    for lo, hi in blocks:
+        idx = np.arange(lo, hi, dtype=alpha.dtype)
+        involution &= (np.array_equal(alpha.take(alpha[lo:hi]), idx)
+                       and not np.any(alpha[lo:hi] == idx))
+        phi2 = phi.take(phi[lo:hi])
+        orbits &= (np.array_equal(phi.take(phi2), idx)
+                   and not np.any(phi[lo:hi] == idx)
+                   and not np.any(phi2 == idx))
+    results.append(("alpha is a fixed-point-free involution", involution))
+    results.append(("sigma has order n", rotation))
+    results.append(("face orbits all have size 3", orbits))
 
     nums, dens = m.vertex_columns()
     if n <= 13:

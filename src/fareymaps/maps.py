@@ -24,19 +24,24 @@ both sign representatives (a, c) and (-a, -c) of every vertex, so:
   - the dart from u = a/c to w = b/d exists iff e = a*d - c*b is +-1 mod n,
     and it is u*n + e*(b*d0[u] - d*b0[u]) mod n.
 
-Storage: the dart arrays are int32, 20 bytes per dart: sigma, alpha and the
-dart targets (one entry per dart), the face of each dart, and the F x 3 face
-darts (F = mu/3, so one entry per dart again).  build_map computes them as
-V x n blocks, one row per vertex, from the per-vertex columns, which come
-from the two numpy kernels above, so no Python step runs per vertex or per
-dart.  A vertex is
+Storage: the map keeps three int32 dart arrays, 12 bytes per dart: alpha,
+the face of each dart and the F x 3 face darts (F = mu/3, so one entry per
+dart again).  sigma and the dart targets are one line of closed form each:
+sigma is built from (v, t) -> (v, t + 1) whenever m.sigma is read, and the
+target of dart d is alpha[d] // n, the source of the reversed dart, kept on
+first read.  build_map computes alpha and the face leaders as V x n blocks,
+one row per vertex, from the per-vertex columns, which come from the two
+numpy kernels above, so no Python step runs per vertex or per dart; it
+works through row blocks of about 2^17 darts (row_blocks), so its
+temporaries have the size of one block, not of mu.  A vertex is
 its id: the map keeps the int (num, den) columns of the vertices, which the
 counts, the labels, dart_between and vertex_columns() read, and builds the
 FareyFraction list `vertices` only when it is first read.
 
-A built map is immutable; concurrent readers are safe.  The derived tables
-(edge columns, labels, face neighbours, face translation) are filled in on
-first use; a map always computes the same values for them, so a reader
+A built map is immutable: every array it stores or hands out is read-only,
+and concurrent readers are safe.  The derived tables (dart targets, edge
+columns, labels, face neighbours, face translation) are filled in on first
+use; a map always computes the same values for them, so a reader
 racing another sees equal tables.
 """
 
@@ -62,6 +67,10 @@ from .errors import (
 )
 
 DEFAULT_LEVEL_BOUND = 101
+
+# Darts per block of build_map and the battery: 2^17 int32 entries are
+# 512 KB, so a block's temporaries stay near the size of an L2 cache.
+_BLOCK_DARTS = 1 << 17
 
 
 def mu(n: int) -> int:
@@ -120,23 +129,37 @@ def _bezout_columns(nums: np.ndarray, dens: np.ndarray, n: int) -> np.ndarray:
     return last[1:] * inverse[last[0]] % n
 
 
+def row_blocks(n: int, vcount: int) -> list[tuple[int, int]]:
+    """The vertex row ranges (lo, hi), in order, that cover rows 0..vcount-1
+    of a level-n dart block with about 2^17 darts each; the darts of rows
+    lo..hi-1 are lo*n .. hi*n - 1.  Up to 2^17 darts are one block."""
+    rows = max(1, _BLOCK_DARTS // n)
+    return [(lo, min(lo + rows, vcount)) for lo in range(0, vcount, rows)]
+
+
+def _rotated(x, n: int):
+    """sigma of the dart x, or of an int array of darts: (v, t) -> (v, t + 1
+    mod n), that is x - x % n + (x + 1) % n.  It is written with // because
+    numpy's % on int32 is several times slower."""
+    y = x + 1
+    return y - (y // n - x // n) * n
+
+
 class FareyMap:
     """Immutable combinatorial map M3(n); build with build_map()."""
 
-    def __init__(self, level: int, columns, vertex_grid, sigma, alpha, dart_target,
-                 face_of_dart, face_darts):
+    def __init__(self, level: int, columns, vertex_grid, alpha, face_of_dart, face_darts):
         self.level = level
-        self.sigma: np.ndarray = sigma
-        self.alpha: np.ndarray = alpha
-        for array in (columns, vertex_grid, dart_target):
+        for array in (columns, vertex_grid, alpha, face_of_dart, face_darts):
             array.flags.writeable = False
+        self.alpha: np.ndarray = alpha
         # rows a, c, b0, d0 over the vertex ids: vertex v is a/c, and
         # a*d0 - c*b0 = 1 mod n
         self._columns: np.ndarray = columns
         self._vertex_grid: np.ndarray = vertex_grid
-        self._dart_target: np.ndarray = dart_target
         self._face_of_dart: np.ndarray = face_of_dart
         self._face_darts: np.ndarray = face_darts
+        self._dart_targets: np.ndarray | None = None
         self._edge_columns: tuple[np.ndarray, np.ndarray] | None = None
         self._labels: list[str] | None = None
         self._face_neighbours: np.ndarray | None = None
@@ -146,7 +169,7 @@ class FareyMap:
 
     @property
     def dart_count(self) -> int:
-        return int(self.sigma.shape[0])
+        return self.vertex_count * self.level
 
     @property
     def vertex_count(self) -> int:
@@ -173,6 +196,30 @@ class FareyMap:
         """The read-only int32 columns (nums, dens): vertex id v is
         nums[v]/dens[v], the rows of arith.vertex_columns(n)."""
         return self._columns[0], self._columns[1]
+
+    # -- darts ----------------------------------------------------------
+
+    @property
+    def sigma(self) -> np.ndarray:
+        """The rotation (v, t) -> (v, t + 1 mod n) as a read-only int32 array,
+        built from that closed form on every read: dart d goes to d + 1, and
+        the last dart v*n + n - 1 of each vertex back to v*n."""
+        n = self.level
+        sigma = np.arange(1, self.dart_count + 1, dtype=np.int32)
+        sigma[n - 1::n] -= n
+        sigma.flags.writeable = False
+        return sigma
+
+    def dart_targets(self) -> np.ndarray:
+        """The read-only V x n block of dart targets: row v lists the
+        neighbour ids of vertex v in sigma rotation order.  The target of a
+        dart is the source alpha[d] // n of the reversed dart; computed once
+        per map."""
+        if self._dart_targets is None:
+            targets = (self.alpha // self.level).reshape(-1, self.level)
+            targets.flags.writeable = False
+            self._dart_targets = targets
+        return self._dart_targets
 
     # -- incidence ------------------------------------------------------
 
@@ -207,13 +254,7 @@ class FareyMap:
         """The n neighbour ids of vertex id vid, in sigma rotation order."""
         if not 0 <= vid < self.vertex_count:
             raise UnknownVertex(f"no vertex with id {vid} in M3({self.level})")
-        n = self.level
-        return self._dart_target[vid * n:(vid + 1) * n].tolist()
-
-    def dart_targets(self) -> np.ndarray:
-        """The read-only V x n block of dart targets: row v lists the
-        neighbour ids of vertex v in sigma rotation order."""
-        return self._dart_target.reshape(-1, self.level)
+        return self.dart_targets()[vid].tolist()
 
     def neighbors(self, v: FareyFraction) -> tuple[FareyFraction, ...]:
         """The n neighbours of v as a cyclic sequence in sigma rotation order."""
@@ -225,7 +266,7 @@ class FareyMap:
         if self._edge_columns is None:
             v = self.vertex_count
             src = np.arange(self.dart_count) // self.level
-            tgt = self._dart_target
+            tgt = self.dart_targets().ravel()
             keep = src < tgt
             key = np.sort(src[keep] * v + tgt[keep])
             columns = (key // v, key % v)
@@ -317,16 +358,19 @@ class FareyMap:
         """Face id of the face with the given vertex set; raises if absent.
 
         A face {a, b, c} lies on one side of the dart a -> b, and the face on
-        the left of a dart d has third corner target(sigma(alpha(d))).  M3(n)
-        has no two faces with the same vertex set.
+        the left of a dart d has third corner target(sigma(alpha(d))), read
+        off alpha with the closed forms of sigma and target(x) = alpha(x) // n.
+        M3(n) has no two faces with the same vertex set.
         """
         ids = [self.vertex_id(v) if isinstance(v, FareyFraction) else v for v in vs]
         if len(set(ids)) == 3:
+            n = self.level
             a, b, c = ids
             d = self.dart_between(a, b)
-            for dart in (d, int(self.alpha[d])):
-                if self._dart_target[self.sigma[self.alpha[dart]]] == c:
-                    return int(self._face_of_dart[dart])
+            alpha = self.alpha.item
+            for dart in (d, alpha(d)):
+                if alpha(_rotated(alpha(dart), n)) // n == c:
+                    return self._face_of_dart.item(dart)
         raise UnknownVertex(f"no face with vertices {sorted(set(ids))}")
 
     def has_face(self, vs) -> bool:
@@ -380,43 +424,55 @@ def build_map(n: int) -> FareyMap:
     d0_cell[cells] = signed[:, 3, :, None]
     vertex_grid = vertex_cell.reshape(m, m)[:n, :n].copy()
 
-    # The darts as a V x n block: dart (v, t) is row v, column t.  Its second
-    # column (b, d) = (b0 + t*a, d0 + t*c) mod n is read, unreduced, off the
-    # table of products k*t mod n.
+    # The darts as a V x n block: dart (v, t) is row v, column t, filled a
+    # block of rows at a time.  Its second column (b, d) = (b0 + t*a, d0 + t*c)
+    # mod n is read, unreduced, off the table of products k*t mod n.
     t = np.arange(n, dtype=np.int32)
     times = t[:, None] * t % n
-    cell = (b0 * m + d0)[:, None] + times[av] * m + times[cv]
-    sigma = (vid * n)[:, None] + (t + 1) % n
+    alpha = np.empty(order, dtype=np.int32)
+    leads = np.empty(order, dtype=bool)
+    alpha_rows, lead_rows = alpha.reshape(vcount, n), leads.reshape(vcount, n)
+    for lo, hi in row_blocks(n, vcount):
+        cell = (b0[lo:hi] * m + d0[lo:hi])[:, None] + times[av[lo:hi]] * m + times[cv[lo:hi]]
 
-    # alpha: g -> g*S = (b, -a; d, -c), the dart from w = s*(b, d) to
-    # s*(-a, -c), which is w*n + s*(c*b0_w - a*d0_w) mod n.
-    target = vertex_cell.take(cell)
-    if (target < 0).any():
-        raise BrokenInvariant(f"a dart column is not a vertex at level {n}; construction bug")
-    step = cv[:, None] * b0_cell.take(cell)
-    step -= av[:, None] * d0_cell.take(cell)
-    del cell
-    step -= step // n * n  # mod n: numpy's % is several times slower on negative ints
-    alpha = target * n
-    alpha += step
-    del step
+        # alpha: g -> g*S = (b, -a; d, -c), the dart from w = s*(b, d) to
+        # s*(-a, -c), which is w*n + s*(c*b0_w - a*d0_w) mod n.
+        target = vertex_cell.take(cell)
+        if (target < 0).any():
+            raise BrokenInvariant(
+                f"a dart column is not a vertex at level {n}; construction bug")
+        step = cv[lo:hi, None] * b0_cell.take(cell)
+        step -= av[lo:hi, None] * d0_cell.take(cell)
+        step -= step // n * n  # mod n: numpy's % is several times slower on negative ints
+        np.multiply(target, n, out=alpha_rows[lo:hi])
+        alpha_rows[lo:hi] += step
 
-    # Face i is row i: its darts in phi order from the least one.  The face
-    # of dart (v, t) has the corners v, target(v, t) and target(v, t - 1)
-    # (phi^2 = alpha sigma^-1), all distinct; the darts of vertex v are
-    # v*n .. v*n + n - 1, so the dart leads its face iff v is its least corner.
-    above = target > vid[:, None]
-    leaders = np.flatnonzero(above & np.concatenate((above[:, -1:], above[:, :-1]), axis=1))
-    del above
-    sigma, alpha, target = sigma.ravel(), alpha.ravel(), target.ravel()
+        # Face i is row i of face_darts: its darts in phi order from the least
+        # one.  The face of dart (v, t) has the corners v, target(v, t) and
+        # target(v, t - 1) (phi^2 = alpha sigma^-1), all distinct; the darts of
+        # vertex v are v*n .. v*n + n - 1, so the dart leads its face iff v is
+        # its least corner.
+        above = target > vid[lo:hi, None]
+        np.logical_and(above, np.concatenate((above[:, -1:], above[:, :-1]), axis=1),
+                       out=lead_rows[lo:hi])
+    # free the block buffers before the face arrays are built
+    del alpha_rows, lead_rows, cell, target, step, above
+
+    leaders = np.flatnonzero(leads)
+    del leads
     face_darts = np.empty((leaders.shape[0], 3), dtype=np.int32)
     face_darts[:, 0] = leaders
-    face_darts[:, 1] = sigma.take(alpha.take(leaders))
-    face_darts[:, 2] = sigma.take(alpha.take(face_darts[:, 1]))
+    face_darts[:, 1] = _rotated(alpha.take(leaders), n)
+    del leaders
+    face_darts[:, 2] = _rotated(alpha.take(face_darts[:, 1]), n)
+    # one column at a time: an int32 index is cast to intp first, so this
+    # keeps the cast to F entries instead of 3F
     face_of_dart = np.empty(order, dtype=np.int32)
-    face_of_dart[face_darts] = np.arange(leaders.shape[0], dtype=np.int32)[:, None]
+    ids = np.arange(face_darts.shape[0], dtype=np.int32)
+    for k in range(3):
+        face_of_dart[face_darts[:, k]] = ids
 
-    return FareyMap(n, columns, vertex_grid, sigma, alpha, target, face_of_dart, face_darts)
+    return FareyMap(n, columns, vertex_grid, alpha, face_of_dart, face_darts)
 
 
 # -- export / import -------------------------------------------------------

@@ -5,7 +5,7 @@ can fail."""
 import numpy as np
 import pytest
 
-from fareymaps import metrics
+from fareymaps import maps, metrics
 from fareymaps.arith import canonical, is_adjacent
 from fareymaps.errors import BrokenInvariant
 from fareymaps.invariants import check_map, run_invariant_suite
@@ -142,6 +142,24 @@ def test_check_map_checks_the_map_it_is_given():
     assert results["sigma has order n"]
 
 
+@pytest.mark.parametrize("block", [300, None])
+def test_a_broken_alpha_in_the_last_block_fails(monkeypatch, block):
+    # the dart checks run block by block; an entry of the last block counts
+    if block is not None:
+        monkeypatch.setattr(maps, "_BLOCK_DARTS", block)
+    m = build_map(31)
+    blocks = maps.row_blocks(31, m.vertex_count)
+    assert (len(blocks) > 1) == (block is not None)
+    assert blocks[-1][0] * 31 < m.dart_count - 2
+    alpha = m.alpha.copy()
+    alpha[-1] = alpha[-2]  # alpha is no longer a permutation, nor is phi
+    m.alpha = alpha
+    results = dict(check_map(m))
+    assert results["alpha is a fixed-point-free involution"] is False
+    assert results["face orbits all have size 3"] is False
+    assert results["sigma has order n"]
+
+
 def misclassifying(kernel):
     """distance_classes, except that the determinant class +-2 reads as 3."""
 
@@ -167,13 +185,13 @@ def test_wrong_formula_fails_the_second_circuit_check(monkeypatch):
     assert results["distance classes partition the vertex set"]
 
 
-def test_bfs_check_reads_the_map_it_is_given():
+def test_bfs_check_reads_the_map_it_is_given(monkeypatch):
     # the all-pairs oracle is a BFS over the map's own dart targets: sending
     # a dart of 1/0 to a neighbour of 2/0 instead must fail it
     m = build_map(7)
-    targets = m._dart_target.copy()
+    targets = m.dart_targets().ravel().copy()
     targets[[0, 7]] = targets[[7, 0]]
-    m._dart_target = targets
+    monkeypatch.setattr(m, "dart_targets", lambda: targets.reshape(-1, 7))
     results = dict(check_map(m))
     assert results["distance formula matches BFS on all pairs"] is False
     assert results["alpha is a fixed-point-free involution"]

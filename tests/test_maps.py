@@ -602,7 +602,7 @@ def test_dart_layout_matches_reference_build(n):
     assert [(v.num, v.den) for v in m.vertices] == pairs
     assert np.array_equal(m.sigma, sigma)
     assert np.array_equal(m.alpha, alpha)
-    assert np.array_equal(m._dart_target, alpha // n)
+    assert np.array_equal(m.dart_targets(), (alpha // n).reshape(-1, n))
     assert np.array_equal(m._face_darts, face_darts)
     assert np.array_equal(m._face_of_dart, face_of_dart)
     if n <= 31 or n in (53, 64):
@@ -612,17 +612,68 @@ def test_dart_layout_matches_reference_build(n):
 
 
 def test_build_map_memory():
-    # int32 dart arrays: 20 bytes per dart; the peak at the bound was 50 MB
-    # with int64 dart-length columns
+    # The map holds alpha, the face of each dart and the face darts, int32:
+    # 12 bytes per dart beyond its per-vertex tables.  build_map works in
+    # blocks of dart rows, so its peak stays within a block's temporaries of
+    # what it keeps (15.5 MB at 8cab031, with mu-sized temporaries).
     tracemalloc.start()
     try:
         m = build_map(DEFAULT_LEVEL_BOUND)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11_000_000, peak
+    # beyond the per-vertex tables, only the Python objects and the array
+    # headers (about 1.5 KB) are not dart data
+    held -= m._columns.nbytes + m._vertex_grid.nbytes
+    assert held <= 12 * m.dart_count + 4096, held / m.dart_count
+
+
+def test_check_map_memory():
+    # the battery's dart checks hold sigma, phi and one block of temporaries
+    # at a time (10.8 MB at 8cab031, with phi^2 and the index casts over
+    # every dart)
+    m = build_map(DEFAULT_LEVEL_BOUND)
+    tracemalloc.start()
+    try:
+        assert all(ok for _, ok in check_map(m))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 30_000_000, peak
-    arrays = (m.sigma, m.alpha, m._dart_target, m._face_of_dart, m._face_darts)
-    assert sum(a.nbytes for a in arrays) <= 20 * m.dart_count
+    assert peak <= 7_000_000, peak
+
+
+def test_dart_arrays_are_read_only():
+    m = build_map(11)
+    before = to_json(m)
+    arrays = (m.alpha, m.sigma, m.dart_targets(), m._face_of_dart, m._face_darts,
+              m._columns, m._vertex_grid, *m.vertex_columns(), *m.edge_columns(),
+              m.face_neighbours(), m.face_translation())
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] = array[1]
+    assert to_json(m) == before
+    # rebinding an attribute is still possible: the battery tests use it
+    m.alpha = m.alpha.copy()
+    m.alpha[0] = m.alpha[1]
+    assert not dict(check_map(m))["alpha is a fixed-point-free involution"]
+
+
+@pytest.mark.parametrize("block", [1, 300])
+def test_dart_blocks_match_one_block(monkeypatch, block):
+    # build_map and the battery give the same arrays and results whatever
+    # the block size; every level up to 64 is one block by default
+    levels = range(3, 32)
+    want = {n: build_map(n) for n in levels}
+    assert all(len(maps.row_blocks(n, m.vertex_count)) == 1 for n, m in want.items())
+    monkeypatch.setattr(maps, "_BLOCK_DARTS", block)
+    assert len(maps.row_blocks(31, want[31].vertex_count)) > 1
+    for n in levels:
+        m = build_map(n)
+        for name in ("alpha", "sigma", "_face_of_dart", "_face_darts"):
+            assert np.array_equal(getattr(m, name), getattr(want[n], name)), (n, name)
+        assert np.array_equal(m.dart_targets(), want[n].dart_targets()), n
+        assert check_map(m) == check_map(want[n]), n
 
 
 def test_build_map_raises_on_broken_construction(monkeypatch):
@@ -643,17 +694,19 @@ def test_build_map_arrays_are_int32(n):
     # the kernels mix int32 arrays with Python ints; under NumPy 1.x value
     # casting a mixed expression that upcasts would show here
     m = build_map(n)
-    arrays = (*m.vertex_columns(), m._columns, m.sigma, m.alpha, m._dart_target,
+    arrays = (*m.vertex_columns(), m._columns, m.sigma, m.alpha, m.dart_targets(),
               m._face_of_dart, m._face_darts)
     assert [a.dtype for a in arrays] == [np.dtype(np.int32)] * len(arrays)
+    assert not any(a.flags.writeable for a in arrays)
 
 
 def test_build_map_reads_the_level_as_an_index():
     m, want = build_map(np.int64(7)), build_map(7)
     assert type(m.level) is int and m.level == 7
-    for name in ("_columns", "_vertex_grid", "sigma", "alpha", "_dart_target",
-                 "_face_of_dart", "_face_darts"):
+    for name in ("_columns", "_vertex_grid", "sigma", "alpha", "_face_of_dart", "_face_darts"):
         assert np.array_equal(getattr(m, name), getattr(want, name)), name
+    assert np.array_equal(m.dart_targets(), want.dart_targets())
+    assert m.sigma.dtype == m.dart_targets().dtype == np.int32
     assert to_json(m) == to_json(want)
     for level in (7.0, "7", None):
         with pytest.raises(Unsupported):
