@@ -35,26 +35,33 @@ def check_map(m: FareyMap) -> list[tuple[str, bool]]:
 
     # The dart checks run over blocks of whole vertex rows, so that their
     # temporaries have the size of a block: a first pass checks sigma and
-    # builds phi = sigma o alpha once, a second checks alpha and phi.
+    # builds phi = sigma o alpha once, a second checks alpha and phi.  idx
+    # holds the dart ids of the current block, shifted in place.
     sigma, alpha = m.sigma, m.alpha
     phi = np.empty_like(alpha)
     blocks = [(lo * n, hi * n) for lo, hi in row_blocks(n, m.vertex_count)]
+    idx = np.arange(blocks[0][1], dtype=alpha.dtype)
     rotation = involution = orbits = True
     for lo, hi in blocks:
         # sigma turns each vertex's block of n darts by one step: a product
         # of n-cycles
-        step = np.roll(np.arange(lo, hi, dtype=alpha.dtype).reshape(-1, n), -1, axis=1)
-        rotation &= np.array_equal(sigma[lo:hi].reshape(-1, n), step)
+        ids = idx[:hi - lo].reshape(-1, n)
+        turned = sigma[lo:hi].reshape(-1, n)
+        rotation &= (np.array_equal(turned[:, :-1], ids[:, 1:])
+                     and np.array_equal(turned[:, -1], ids[:, 0]))
         sigma.take(alpha[lo:hi], out=phi[lo:hi])
-    del sigma
+        idx += hi - lo
+    del sigma, turned  # turned is a view of sigma
+    idx -= blocks[-1][1]
     for lo, hi in blocks:
-        idx = np.arange(lo, hi, dtype=alpha.dtype)
-        involution &= (np.array_equal(alpha.take(alpha[lo:hi]), idx)
-                       and not np.any(alpha[lo:hi] == idx))
+        ids = idx[:hi - lo]
+        involution &= (np.array_equal(alpha.take(alpha[lo:hi]), ids)
+                       and not np.any(alpha[lo:hi] == ids))
         phi2 = phi.take(phi[lo:hi])
-        orbits &= (np.array_equal(phi.take(phi2), idx)
-                   and not np.any(phi[lo:hi] == idx)
-                   and not np.any(phi2 == idx))
+        orbits &= (np.array_equal(phi.take(phi2), ids)
+                   and not np.any(phi[lo:hi] == ids)
+                   and not np.any(phi2 == ids))
+        idx += hi - lo
     results.append(("alpha is a fixed-point-free involution", involution))
     results.append(("sigma has order n", rotation))
     results.append(("face orbits all have size 3", orbits))
@@ -74,7 +81,9 @@ def check_map(m: FareyMap) -> list[tuple[str, bool]]:
             results.append(("distance formula matches BFS on all pairs", _formula_matches_bfs(m)))
             results.append(("diameter is 3", metrics.diameter(m) == 3))
         north, ring, walk, poles = metrics.decomposition_ids(m)
-        support = np.unique(walk)
+        seen = np.zeros(m.vertex_count, dtype=bool)
+        seen[walk] = True
+        support = np.flatnonzero(seen)
         results.append(("second circuit has length p(p-4)", walk.shape[0] == n * (n - 4)))
         # Each walk vertex is checked once, not once per visit; 1/0 is (1, 0).
         results.append(

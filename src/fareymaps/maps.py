@@ -24,30 +24,34 @@ both sign representatives (a, c) and (-a, -c) of every vertex, so:
   - the dart from u = a/c to w = b/d exists iff e = a*d - c*b is +-1 mod n,
     and it is u*n + e*(b*d0[u] - d*b0[u]) mod n.
 
-Storage: the map keeps three int32 dart arrays, 12 bytes per dart: alpha,
-the face of each dart and the F x 3 face darts (F = mu/3, so one entry per
-dart again).  sigma and the dart targets are one line of closed form each:
-sigma is built from (v, t) -> (v, t + 1) whenever m.sigma is read, and the
-target of dart d is alpha[d] // n, the source of the reversed dart, kept on
-first read.  build_map computes alpha and the face leaders as V x n blocks,
-one row per vertex, from the per-vertex columns, which come from the two
-numpy kernels above, so no Python step runs per vertex or per dart; it
-works through row blocks of about 2^17 darts (row_blocks), so its
-temporaries have the size of one block, not of mu.  A vertex is
+Storage: the map keeps two int32 dart arrays, 8 bytes per dart: alpha and
+the F x 3 face darts (F = mu/3, so one entry per dart again).  sigma and the
+dart targets are one line of closed form each: sigma is built from
+(v, t) -> (v, t + 1) whenever m.sigma is read, and the target of dart d is
+alpha[d] // n, the source of the reversed dart, kept on first read.  The
+face of each dart is an index built from the face darts on first use by
+face_neighbours() or face_translation(); a face id is found without it,
+as the rank of the face's least dart among the sorted face leaders.
+build_map computes alpha and the face leaders as V x n blocks, one row per
+vertex, from the per-vertex columns, which come from the two numpy kernels
+above, so no Python step runs per vertex or per dart; it works through row
+blocks of about 2^17 darts (row_blocks) in one set of block-sized buffers,
+so its temporaries have the size of one block, not of mu.  A vertex is
 its id: the map keeps the int (num, den) columns of the vertices, which the
 counts, the labels, dart_between and vertex_columns() read, and builds the
 FareyFraction list `vertices` only when it is first read.
 
 A built map is immutable: every array it stores or hands out is read-only,
 and concurrent readers are safe.  The derived tables (dart targets, edge
-columns, labels, face neighbours, face translation) are filled in on first
-use; a map always computes the same values for them, so a reader
+columns, labels, face index, face neighbours, face translation) are filled
+in on first use; a map always computes the same values for them, so a reader
 racing another sees equal tables.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -148,17 +152,17 @@ def _rotated(x, n: int):
 class FareyMap:
     """Immutable combinatorial map M3(n); build with build_map()."""
 
-    def __init__(self, level: int, columns, vertex_grid, alpha, face_of_dart, face_darts):
+    def __init__(self, level: int, columns, vertex_grid, alpha, face_darts):
         self.level = level
-        for array in (columns, vertex_grid, alpha, face_of_dart, face_darts):
+        for array in (columns, vertex_grid, alpha, face_darts):
             array.flags.writeable = False
         self.alpha: np.ndarray = alpha
         # rows a, c, b0, d0 over the vertex ids: vertex v is a/c, and
         # a*d0 - c*b0 = 1 mod n
         self._columns: np.ndarray = columns
         self._vertex_grid: np.ndarray = vertex_grid
-        self._face_of_dart: np.ndarray = face_of_dart
         self._face_darts: np.ndarray = face_darts
+        self._face_of_dart: np.ndarray | None = None
         self._dart_targets: np.ndarray | None = None
         self._edge_columns: tuple[np.ndarray, np.ndarray] | None = None
         self._labels: list[str] | None = None
@@ -261,15 +265,20 @@ class FareyMap:
         return tuple(self.vertices[i] for i in self.neighbor_ids(self.vertex_id(v)))
 
     def edge_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The edge columns (src, tgt): every edge once with src < tgt,
-        ordered by (src, tgt).  Computed once per map; read-only."""
+        """The int32 edge columns (src, tgt): every edge once with src < tgt,
+        ordered by (src, tgt).  Computed once per map; read-only.
+
+        They are read off the V x n target block as the sorted keys
+        src*V + tgt of its entries above their row id; V <= n^2/2, so the
+        keys fit int32 up to level 304."""
         if self._edge_columns is None:
             v = self.vertex_count
-            src = np.arange(self.dart_count) // self.level
-            tgt = self.dart_targets().ravel()
-            keep = src < tgt
-            key = np.sort(src[keep] * v + tgt[keep])
-            columns = (key // v, key % v)
+            targets = self.dart_targets()
+            vid = np.arange(v, dtype=np.int32)
+            key = (targets + (vid * v)[:, None])[targets > vid[:, None]]
+            key.sort()
+            src = key // v
+            columns = (src, key - src * v)
             for column in columns:
                 column.flags.writeable = False
             self._edge_columns = columns
@@ -298,13 +307,27 @@ class FareyMap:
         """Row i lists the vertex ids of face i, least first, in rotation order."""
         return (self._face_darts // self.level).tolist()
 
+    def _face_index(self) -> np.ndarray:
+        """The read-only face id of every dart: face i holds the darts of row
+        i of the face darts.  Computed once per map."""
+        if self._face_of_dart is None:
+            index = np.empty(self.dart_count, dtype=np.int32)
+            ids = np.arange(self.face_count, dtype=np.int32)
+            # one column at a time: an int32 index is cast to intp first, so
+            # this keeps the cast to F entries instead of 3F
+            for k in range(3):
+                index[self._face_darts[:, k]] = ids
+            index.flags.writeable = False
+            self._face_of_dart = index
+        return self._face_of_dart
+
     def face_neighbours(self) -> np.ndarray:
         """F x 3 array: entry k of row i is the face across the edge from
         corner k to corner k + 1 of face_vertex_rows()[i].  Computed once
         per map; read-only."""
         if self._face_neighbours is None:
             # dart k of a face runs from corner k to corner k + 1
-            neighbours = self._face_of_dart[self.alpha[self._face_darts]]
+            neighbours = self._face_index()[self.alpha[self._face_darts]]
             neighbours.flags.writeable = False
             self._face_neighbours = neighbours
         return self._face_neighbours
@@ -327,7 +350,7 @@ class FareyMap:
             k = sign * ((b0 + d0) * d0w - d0 * b0w) % n
             v, t = np.divmod(self._face_darts[:, 0], n)
             image = w[v] * n + (t + k[v]) % n
-            translation = self._face_of_dart[image]
+            translation = self._face_index()[image]
             translation.flags.writeable = False
             self._face_translation = translation
         return self._face_translation
@@ -360,7 +383,11 @@ class FareyMap:
         A face {a, b, c} lies on one side of the dart a -> b, and the face on
         the left of a dart d has third corner target(sigma(alpha(d))), read
         off alpha with the closed forms of sigma and target(x) = alpha(x) // n.
-        M3(n) has no two faces with the same vertex set.
+        M3(n) has no two faces with the same vertex set.  The face's darts
+        are d, phi(d) and phi^2(d), one from each corner; vertex v owns the
+        darts v*n .. v*n + n - 1, so the least of them leaves the least
+        corner and leads the face, and the face id is its rank among the
+        sorted leaders.
         """
         ids = [self.vertex_id(v) if isinstance(v, FareyFraction) else v for v in vs]
         if len(set(ids)) == 3:
@@ -369,8 +396,11 @@ class FareyMap:
             d = self.dart_between(a, b)
             alpha = self.alpha.item
             for dart in (d, alpha(d)):
-                if alpha(_rotated(alpha(dart), n)) // n == c:
-                    return self._face_of_dart.item(dart)
+                second = _rotated(alpha(dart), n)
+                third = alpha(second)
+                if third // n == c:
+                    least = min(dart, second, _rotated(third, n))
+                    return bisect_left(self._face_darts[:, 0], least)
         raise UnknownVertex(f"no face with vertices {sorted(set(ids))}")
 
     def has_face(self, vs) -> bool:
@@ -425,15 +455,25 @@ def build_map(n: int) -> FareyMap:
     vertex_grid = vertex_cell.reshape(m, m)[:n, :n].copy()
 
     # The darts as a V x n block: dart (v, t) is row v, column t, filled a
-    # block of rows at a time.  Its second column (b, d) = (b0 + t*a, d0 + t*c)
-    # mod n is read, unreduced, off the table of products k*t mod n.
+    # block of rows at a time in one set of block-sized buffers.  Its second
+    # column (b, d) = (b0 + t*a, d0 + t*c) mod n is read, unreduced, off the
+    # table of products k*t mod n.
     t = np.arange(n, dtype=np.int32)
     times = t[:, None] * t % n
+    times_m = times * m
     alpha = np.empty(order, dtype=np.int32)
     leads = np.empty(order, dtype=bool)
     alpha_rows, lead_rows = alpha.reshape(vcount, n), leads.reshape(vcount, n)
-    for lo, hi in row_blocks(n, vcount):
-        cell = (b0[lo:hi] * m + d0[lo:hi])[:, None] + times[av[lo:hi]] * m + times[cv[lo:hi]]
+    blocks = row_blocks(n, vcount)
+    size = blocks[0][1] - blocks[0][0]
+    cell_block, step_block, scratch_block = np.empty((3, size, n), dtype=np.int32)
+    above_block = np.empty((size, n), dtype=bool)
+    for lo, hi in blocks:
+        rows = slice(lo, hi)
+        cell, step, scratch = cell_block[:hi - lo], step_block[:hi - lo], scratch_block[:hi - lo]
+        above = above_block[:hi - lo]
+        np.add(times_m[av[rows]], times[cv[rows]], out=cell)
+        cell += (b0[rows] * m + d0[rows])[:, None]
 
         # alpha: g -> g*S = (b, -a; d, -c), the dart from w = s*(b, d) to
         # s*(-a, -c), which is w*n + s*(c*b0_w - a*d0_w) mod n.
@@ -441,22 +481,27 @@ def build_map(n: int) -> FareyMap:
         if (target < 0).any():
             raise BrokenInvariant(
                 f"a dart column is not a vertex at level {n}; construction bug")
-        step = cv[lo:hi, None] * b0_cell.take(cell)
-        step -= av[lo:hi, None] * d0_cell.take(cell)
-        step -= step // n * n  # mod n: numpy's % is several times slower on negative ints
-        np.multiply(target, n, out=alpha_rows[lo:hi])
-        alpha_rows[lo:hi] += step
+        np.multiply(cv[rows, None], b0_cell.take(cell), out=step)
+        np.multiply(av[rows, None], d0_cell.take(cell), out=scratch)
+        step -= scratch
+        # mod n: numpy's % is several times slower on negative ints
+        np.floor_divide(step, n, out=scratch)
+        scratch *= n
+        step -= scratch
+        np.multiply(target, n, out=alpha_rows[rows])
+        alpha_rows[rows] += step
 
         # Face i is row i of face_darts: its darts in phi order from the least
         # one.  The face of dart (v, t) has the corners v, target(v, t) and
         # target(v, t - 1) (phi^2 = alpha sigma^-1), all distinct; the darts of
         # vertex v are v*n .. v*n + n - 1, so the dart leads its face iff v is
         # its least corner.
-        above = target > vid[lo:hi, None]
-        np.logical_and(above, np.concatenate((above[:, -1:], above[:, :-1]), axis=1),
-                       out=lead_rows[lo:hi])
-    # free the block buffers before the face arrays are built
-    del alpha_rows, lead_rows, cell, target, step, above
+        np.greater(target, vid[rows, None], out=above)
+        np.logical_and(above[:, 1:], above[:, :-1], out=lead_rows[rows, 1:])
+        np.logical_and(above[:, 0], above[:, -1], out=lead_rows[rows, 0])
+    # free the tables and block buffers before the face arrays are built
+    del vertex_cell, b0_cell, d0_cell, times, times_m, alpha_rows, lead_rows
+    del cell_block, step_block, scratch_block, above_block, cell, step, scratch, above, target
 
     leaders = np.flatnonzero(leads)
     del leads
@@ -465,14 +510,7 @@ def build_map(n: int) -> FareyMap:
     face_darts[:, 1] = _rotated(alpha.take(leaders), n)
     del leaders
     face_darts[:, 2] = _rotated(alpha.take(face_darts[:, 1]), n)
-    # one column at a time: an int32 index is cast to intp first, so this
-    # keeps the cast to F entries instead of 3F
-    face_of_dart = np.empty(order, dtype=np.int32)
-    ids = np.arange(face_darts.shape[0], dtype=np.int32)
-    for k in range(3):
-        face_of_dart[face_darts[:, k]] = ids
-
-    return FareyMap(n, columns, vertex_grid, alpha, face_of_dart, face_darts)
+    return FareyMap(n, columns, vertex_grid, alpha, face_darts)
 
 
 # -- export / import -------------------------------------------------------

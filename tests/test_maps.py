@@ -2,7 +2,7 @@ import hashlib
 import json
 import time
 import tracemalloc
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from math import gcd
 from pathlib import Path
 
@@ -220,6 +220,65 @@ def test_face_lookup_edge_cases():
         assert m7.face_id_by_vertices([c, a, b]) == fid
 
 
+@pytest.mark.parametrize("n", list(range(3, 32)) + [53, 64, 101])
+def test_face_id_by_vertices_matches_the_face_index(n):
+    # the lookup ranks the face's least dart among the leaders; the face
+    # index, built from the face darts, names the face of every dart
+    m = build_map(n)
+    index, darts = m._face_index(), m._face_darts
+    if n < 32:
+        faces = range(m.face_count)
+    else:
+        faces = np.random.default_rng(n).choice(m.face_count, 500, replace=False).tolist()
+    for fid in faces:
+        want = {index.item(d) for d in darts[fid].tolist()}
+        assert want == {fid}, (n, fid)
+        row = m.face_vertex_ids(fid)
+        for order in permutations(row):
+            found = m.face_id_by_vertices(order)
+            assert type(found) is int and found == fid, (n, fid, order)
+
+
+def test_face_index_is_built_on_first_use():
+    # build_map, the battery, the point queries and the exports never read
+    # the face of a dart; the face tables build the index once
+    m = build_map(53)
+    north, pole, zero, one = (canonical(a, c, 53) for a, c in ((1, 0), (2, 0), (0, 1), (1, 1)))
+    assert all(ok for _, ok in check_map(m))
+    assert m.has_face([north, zero, one]) and not m.has_face([north, pole, zero])
+    assert bfs_distance(m, north, pole) == 3 and diameter(m) == 3
+    m.faces(), to_json(m), to_dot(m), render_map(m)
+    assert m._face_of_dart is None
+    m.face_neighbours()
+    index = m._face_of_dart
+    assert index is not None and index.dtype == np.int32 and not index.flags.writeable
+    m.face_translation()
+    assert m._face_index() is index
+    with pytest.raises(ValueError):
+        index[0] = 1
+
+
+def reference_edge_columns(m):
+    """edge_columns() as int64 keys over every dart, the form it had before
+    it read the target block."""
+    v = m.vertex_count
+    src = np.arange(m.dart_count) // m.level
+    tgt = m.dart_targets().ravel().astype(np.int64)
+    keep = src < tgt
+    key = np.sort(src[keep] * v + tgt[keep])
+    return key // v, key % v
+
+
+@pytest.mark.parametrize("n", (3, 4, 7, 12, 31, 53, 64, 101))
+def test_edge_columns_are_int32_and_match_the_dart_keys(n):
+    m = build_map(n)
+    columns = m.edge_columns()
+    assert [c.dtype for c in columns] == [np.dtype(np.int32)] * 2
+    assert not any(c.flags.writeable for c in columns)
+    for got, want in zip(columns, reference_edge_columns(m)):
+        assert np.array_equal(got, want), n
+
+
 def reference_faces(m):
     """Faces from the public sigma and alpha alone: walk phi = sigma o alpha
     from each orbit's least dart, and rotate the least corner to the front.
@@ -286,7 +345,7 @@ def reference_face_translation(m):
     first = np.array([m.dart_between(shift[v], shift[w]) for v, w in enumerate(targets)])
     v, t = np.divmod(m._face_darts[:, 0], n)
     image = first[v] // n * n + (first[v] + t) % n
-    return m._face_of_dart[image]
+    return m._face_index()[image]
 
 
 @pytest.mark.parametrize("n", range(3, 102))
@@ -604,7 +663,7 @@ def test_dart_layout_matches_reference_build(n):
     assert np.array_equal(m.alpha, alpha)
     assert np.array_equal(m.dart_targets(), (alpha // n).reshape(-1, n))
     assert np.array_equal(m._face_darts, face_darts)
-    assert np.array_equal(m._face_of_dart, face_of_dart)
+    assert np.array_equal(m._face_index(), face_of_dart)
     if n <= 31 or n in (53, 64):
         assert m.face_vertex_rows() == (face_darts // n).tolist()
         neighbours = (alpha // n).reshape(-1, n).tolist()
@@ -612,10 +671,11 @@ def test_dart_layout_matches_reference_build(n):
 
 
 def test_build_map_memory():
-    # The map holds alpha, the face of each dart and the face darts, int32:
-    # 12 bytes per dart beyond its per-vertex tables.  build_map works in
-    # blocks of dart rows, so its peak stays within a block's temporaries of
-    # what it keeps (15.5 MB at 8cab031, with mu-sized temporaries).
+    # The map holds alpha and the face darts, int32: 8 bytes per dart beyond
+    # its per-vertex tables; the face of each dart is built on first use.
+    # build_map works in blocks of dart rows, so its peak stays within a
+    # block's temporaries of what it keeps (15.5 MB at 8cab031, with
+    # mu-sized temporaries; 9.3 MB at 1372841, with the face index).
     tracemalloc.start()
     try:
         m = build_map(DEFAULT_LEVEL_BOUND)
@@ -626,7 +686,7 @@ def test_build_map_memory():
     # beyond the per-vertex tables, only the Python objects and the array
     # headers (about 1.5 KB) are not dart data
     held -= m._columns.nbytes + m._vertex_grid.nbytes
-    assert held <= 12 * m.dart_count + 4096, held / m.dart_count
+    assert held <= 8 * m.dart_count + 4096, held / m.dart_count
 
 
 def test_check_map_memory():
@@ -646,7 +706,7 @@ def test_check_map_memory():
 def test_dart_arrays_are_read_only():
     m = build_map(11)
     before = to_json(m)
-    arrays = (m.alpha, m.sigma, m.dart_targets(), m._face_of_dart, m._face_darts,
+    arrays = (m.alpha, m.sigma, m.dart_targets(), m._face_index(), m._face_darts,
               m._columns, m._vertex_grid, *m.vertex_columns(), *m.edge_columns(),
               m.face_neighbours(), m.face_translation())
     for array in arrays:
@@ -670,9 +730,10 @@ def test_dart_blocks_match_one_block(monkeypatch, block):
     assert len(maps.row_blocks(31, want[31].vertex_count)) > 1
     for n in levels:
         m = build_map(n)
-        for name in ("alpha", "sigma", "_face_of_dart", "_face_darts"):
+        for name in ("alpha", "sigma", "_face_darts"):
             assert np.array_equal(getattr(m, name), getattr(want[n], name)), (n, name)
         assert np.array_equal(m.dart_targets(), want[n].dart_targets()), n
+        assert np.array_equal(m._face_index(), want[n]._face_index()), n
         assert check_map(m) == check_map(want[n]), n
 
 
@@ -695,7 +756,7 @@ def test_build_map_arrays_are_int32(n):
     # casting a mixed expression that upcasts would show here
     m = build_map(n)
     arrays = (*m.vertex_columns(), m._columns, m.sigma, m.alpha, m.dart_targets(),
-              m._face_of_dart, m._face_darts)
+              m._face_index(), m._face_darts)
     assert [a.dtype for a in arrays] == [np.dtype(np.int32)] * len(arrays)
     assert not any(a.flags.writeable for a in arrays)
 
@@ -703,9 +764,10 @@ def test_build_map_arrays_are_int32(n):
 def test_build_map_reads_the_level_as_an_index():
     m, want = build_map(np.int64(7)), build_map(7)
     assert type(m.level) is int and m.level == 7
-    for name in ("_columns", "_vertex_grid", "sigma", "alpha", "_face_of_dart", "_face_darts"):
+    for name in ("_columns", "_vertex_grid", "sigma", "alpha", "_face_darts"):
         assert np.array_equal(getattr(m, name), getattr(want, name)), name
     assert np.array_equal(m.dart_targets(), want.dart_targets())
+    assert np.array_equal(m._face_index(), want._face_index())
     assert m.sigma.dtype == m.dart_targets().dtype == np.int32
     assert to_json(m) == to_json(want)
     for level in (7.0, "7", None):
