@@ -70,7 +70,7 @@ def _circuits(args) -> int:
 
 
 def _klein7(args) -> int:
-    m = build_map(7)
+    m = build_map(quartic.LEVEL)
     gon = quartic.fourteen_gon(m)
     pairing = quartic.side_pairing(gon)
     if args.verify:
@@ -113,7 +113,7 @@ def _klein7(args) -> int:
 
 
 def _sector11(args) -> int:
-    m = build_map(11)
+    m = build_map(sector.LEVEL)
     restrict = sector.reference_sector_vertices() if args.match_paper else None
     found = sector.sector_search(m, restrict=restrict)
     walk = sector.boundary_walk(found)
@@ -136,7 +136,7 @@ def _sector11(args) -> int:
         print(
             json.dumps(
                 {
-                    "level": 11,
+                    "level": sector.LEVEL,
                     "walk": walk.labels(),
                     "pairs": [list(p) for p in pairing.pairs],
                 }
@@ -149,8 +149,8 @@ def _render(args) -> int:
     m = build_map(args.level)
     face_ids = None
     if args.sector:
-        if args.level != 11:
-            raise FareyMapError("--sector is only available at level 11")
+        if args.level != sector.LEVEL:
+            raise FareyMapError(f"--sector is only available at level {sector.LEVEL}")
         face_ids = sector.sector_search(
             m, restrict=sector.reference_sector_vertices()
         ).face_ids

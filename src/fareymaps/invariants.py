@@ -35,33 +35,28 @@ def check_map(m: FareyMap) -> list[tuple[str, bool]]:
 
     # The dart checks run over blocks of whole vertex rows, so that their
     # temporaries have the size of a block: a first pass checks sigma and
-    # builds phi = sigma o alpha once, a second checks alpha and phi.  idx
-    # holds the dart ids of the current block, shifted in place.
+    # builds phi = sigma o alpha once, a second checks alpha and phi.
     sigma, alpha = m.sigma, m.alpha
     phi = np.empty_like(alpha)
     blocks = [(lo * n, hi * n) for lo, hi in row_blocks(n, m.vertex_count)]
-    idx = np.arange(blocks[0][1], dtype=alpha.dtype)
     rotation = involution = orbits = True
     for lo, hi in blocks:
         # sigma turns each vertex's block of n darts by one step: a product
         # of n-cycles
-        ids = idx[:hi - lo].reshape(-1, n)
+        ids = np.arange(lo, hi, dtype=alpha.dtype).reshape(-1, n)
         turned = sigma[lo:hi].reshape(-1, n)
         rotation &= (np.array_equal(turned[:, :-1], ids[:, 1:])
                      and np.array_equal(turned[:, -1], ids[:, 0]))
-        sigma.take(alpha[lo:hi], out=phi[lo:hi])
-        idx += hi - lo
+        phi[lo:hi] = sigma.take(alpha[lo:hi])
     del sigma, turned  # turned is a view of sigma
-    idx -= blocks[-1][1]
     for lo, hi in blocks:
-        ids = idx[:hi - lo]
+        ids = np.arange(lo, hi, dtype=alpha.dtype)
         involution &= (np.array_equal(alpha.take(alpha[lo:hi]), ids)
                        and not np.any(alpha[lo:hi] == ids))
         phi2 = phi.take(phi[lo:hi])
         orbits &= (np.array_equal(phi.take(phi2), ids)
                    and not np.any(phi[lo:hi] == ids)
                    and not np.any(phi2 == ids))
-        idx += hi - lo
     results.append(("alpha is a fixed-point-free involution", involution))
     results.append(("sigma has order n", rotation))
     results.append(("face orbits all have size 3", orbits))

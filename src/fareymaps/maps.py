@@ -51,6 +51,7 @@ racing another sees equal tables.
 from __future__ import annotations
 
 import json
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -227,6 +228,16 @@ class FareyMap:
 
     # -- incidence ------------------------------------------------------
 
+    def _read_id(self, x, count: int, what: str) -> int:
+        """The scalar id x as an int in 0..count - 1, a bool as 0 or 1; a
+        non-integer or an id out of range raises UnknownVertex."""
+        try:
+            if 0 <= (i := operator.index(x)) < count:
+                return i
+        except TypeError:
+            pass
+        raise UnknownVertex(f"no {what} with id {x} in M3({self.level})")
+
     def vertex_id(self, v: FareyFraction) -> int:
         if isinstance(v, FareyFraction) and v.level == self.level:
             return self._vertex_grid.item(v.num, v.den)
@@ -245,20 +256,19 @@ class FareyMap:
     def dart_between(self, u: int, w: int) -> int:
         """The dart from vertex id u to vertex id w; M3(n) has no multi-edges."""
         n = self.level
-        if 0 <= u < self.vertex_count and 0 <= w < self.vertex_count:
-            a, c, b0, d0 = self._columns[:, u].tolist()
-            b, d = self._columns[:2, w].tolist()
-            det = (a * d - c * b) % n
-            if det in (1, n - 1):
-                sign = 1 if det == 1 else -1
-                return u * n + sign * (b * d0 - d * b0) % n
+        u = self._read_id(u, self.vertex_count, "vertex")
+        w = self._read_id(w, self.vertex_count, "vertex")
+        a, c, b0, d0 = self._columns[:, u].tolist()
+        b, d = self._columns[:2, w].tolist()
+        det = (a * d - c * b) % n
+        if det in (1, n - 1):
+            sign = 1 if det == 1 else -1
+            return u * n + sign * (b * d0 - d * b0) % n
         raise UnknownVertex(f"no edge from vertex id {u} to vertex id {w}")
 
     def neighbor_ids(self, vid: int) -> list[int]:
         """The n neighbour ids of vertex id vid, in sigma rotation order."""
-        if not 0 <= vid < self.vertex_count:
-            raise UnknownVertex(f"no vertex with id {vid} in M3({self.level})")
-        return self.dart_targets()[vid].tolist()
+        return self.dart_targets()[self._read_id(vid, self.vertex_count, "vertex")].tolist()
 
     def neighbors(self, v: FareyFraction) -> tuple[FareyFraction, ...]:
         """The n neighbours of v as a cyclic sequence in sigma rotation order."""
@@ -299,8 +309,7 @@ class FareyMap:
     # -- faces ----------------------------------------------------------
 
     def face_vertex_ids(self, face_id: int) -> tuple[int, int, int]:
-        if not 0 <= face_id < self.face_count:
-            raise UnknownVertex(f"no face with id {face_id} in M3({self.level})")
+        face_id = self._read_id(face_id, self.face_count, "face")
         return tuple((self._face_darts[face_id] // self.level).tolist())
 
     def face_vertex_rows(self) -> list[list[int]]:
@@ -338,16 +347,17 @@ class FareyMap:
 
         Left multiplication by T commutes with sigma and alpha: it sends the
         dart (v, t), the matrix (a b0 + t*a; c d0 + t*c), to the dart
-        (w, t + k_v), where (a + c, c) = s*(a_w, c_w) for a sign s and
-        k_v = s*((b0 + d0)*d0_w - d0*b0_w) mod n, below 2n^2 before the mod.
+        (w, t + k_v), where (a + c, c) = (a_w, c_w) mod n and
+        k_v = (b0 + d0)*d0_w - d0*b0_w mod n, below 2n^2 before the mod, for
+        every face leader v: the sign of (a_w, c_w) flips only at c = n/2.
         """
         if self._face_translation is None:
             n = self.level
             a, c, b0, d0 = self._columns
             w = self.vertex_ids(a + c, c)
-            aw, cw, b0w, d0w = self._columns[:, w]
-            sign = np.where(((a + c - aw) % n == 0) & ((c - cw) % n == 0), 1, -1)
-            k = sign * ((b0 + d0) * d0w - d0 * b0w) % n
+            b0w, d0w = self._columns[2:, w]
+            # c = n/2 corners are pairwise non-adjacent and sort last, so none leads a face
+            k = ((b0 + d0) * d0w - d0 * b0w) % n
             v, t = np.divmod(self._face_darts[:, 0], n)
             image = w[v] * n + (t + k[v]) % n
             translation = self._face_index()[image]
@@ -378,7 +388,7 @@ class FareyMap:
         return list(zip(c0, c1, c2))
 
     def face_id_by_vertices(self, vs) -> int:
-        """Face id of the face with the given vertex set; raises if absent.
+        """Face id of the face with the given three vertices; raises UnknownVertex if absent.
 
         A face {a, b, c} lies on one side of the dart a -> b, and the face on
         the left of a dart d has third corner target(sigma(alpha(d))), read
@@ -389,8 +399,9 @@ class FareyMap:
         corner and leads the face, and the face id is its rank among the
         sorted leaders.
         """
-        ids = [self.vertex_id(v) if isinstance(v, FareyFraction) else v for v in vs]
-        if len(set(ids)) == 3:
+        ids = [self.vertex_id(v) if isinstance(v, FareyFraction)
+               else self._read_id(v, self.vertex_count, "vertex") for v in vs]
+        if len(ids) == 3 and len(set(ids)) == 3:
             n = self.level
             a, b, c = ids
             d = self.dart_between(a, b)

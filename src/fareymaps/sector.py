@@ -64,13 +64,6 @@ class Sector:
         self.face_ids = tuple(sorted(face_ids))
         if self.face_ids and not 0 <= self.face_ids[0] <= self.face_ids[-1] < fmap.face_count:
             raise UnknownVertex(f"face ids {self.face_ids} not all in 0..{fmap.face_count - 1}")
-        self.anchor_id = _anchor_id(fmap)
-
-    def vertex_support(self) -> frozenset[FareyFraction]:
-        out = set()
-        for fid in self.face_ids:
-            out.update(self.fmap.vertices[i] for i in self.fmap.face_vertex_ids(fid))
-        return frozenset(out)
 
     def __len__(self) -> int:
         return len(self.face_ids)

@@ -211,6 +211,12 @@ def test_face_lookup_edge_cases():
     m7 = build_map(7)
     north, zero = canonical(1, 0, 7), canonical(0, 1, 7)
     assert not m7.has_face([north, zero])
+    # a face's corners with one repeated, or too few: not exactly three vertices
+    a, b, c = m7.face_vertex_ids(0)
+    for vs in ([a, b, c, c], [a, b, c, a, b], [a], []):
+        assert not m7.has_face(vs)
+        with pytest.raises(UnknownVertex):
+            m7.face_id_by_vertices(vs)
     assert not m7.has_face([north, zero, canonical(1, 1, 5)])  # other level
     with pytest.raises(UnknownVertex):
         m7.face_id_by_vertices([north, north, zero])
@@ -354,6 +360,17 @@ def test_face_translation_equals_the_dart_between_reference(n):
     translation = m.face_translation()
     assert translation.dtype == np.int32
     assert np.array_equal(translation, reference_face_translation(m))
+
+
+@pytest.mark.parametrize("n", range(4, 101, 2))
+def test_no_face_leader_has_denominator_half_the_level(n):
+    # face_translation() takes (a + c, c) = (a_w, c_w) on the face leaders,
+    # which fails only at the vertices with c = n/2
+    m = build_map(n)
+    dens = m.vertex_columns()[1]
+    leaders = np.array([row[0] for row in m.face_vertex_rows()])
+    assert (dens == n // 2).any()
+    assert not (dens[leaders] == n // 2).any()
 
 
 def test_dart_between():
@@ -796,6 +813,32 @@ def test_neighbor_ids_rejects_unknown_ids():
     for vid in (-1, m7.vertex_count, 99):
         with pytest.raises(UnknownVertex):
             m7.neighbor_ids(vid)
+
+
+SCALAR_ID_READERS = {
+    "dart_between_source": lambda m, x: m.dart_between(x, 1),
+    "dart_between_target": lambda m, x: m.dart_between(0, x),
+    "neighbor_ids": lambda m, x: m.neighbor_ids(x),
+    "face_vertex_ids": lambda m, x: m.face_vertex_ids(x),
+    "face_id_by_vertices": lambda m, x: m.face_id_by_vertices([x, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, np.float64(1.0), "1", None, [1]], ids=repr)
+@pytest.mark.parametrize("reader", SCALAR_ID_READERS)
+def test_malformed_scalar_ids_raise_unknown_vertex(reader, bad):
+    with pytest.raises(UnknownVertex):
+        SCALAR_ID_READERS[reader](build_map(7), bad)
+
+
+def test_bool_and_numpy_ids_read_as_integers():
+    m = build_map(7)
+    assert m.neighbor_ids(True) == m.neighbor_ids(1)
+    assert m.neighbor_ids(np.int32(3)) == m.neighbor_ids(3)
+    assert m.face_vertex_ids(False) == m.face_vertex_ids(0)
+    u, w = m.face_vertex_ids(0)[:2]
+    assert m.dart_between(np.int64(u), np.int16(w)) == m.dart_between(u, w)
+    assert type(m.dart_between(np.int64(u), w)) is int
 
 
 def test_vertex_columns_are_the_vertex_pairs():

@@ -53,6 +53,17 @@ def m11():
     return build_map(11)
 
 
+def anchor_id(fmap):
+    """Face id of the central triangle {1/0, 0/1, 1/1}."""
+    return fmap.face_id_by_vertices([v11("1/0"), v11("0/1"), v11("1/1")])
+
+
+def vertex_support(sector):
+    """The vertices of the sector's faces."""
+    fmap = sector.fmap
+    return frozenset(fmap.vertices[i] for fid in sector.face_ids for i in fmap.face_vertex_ids(fid))
+
+
 @pytest.fixture(scope="module")
 def reference_sector(m11):
     return sector_search(m11, restrict=reference_sector_vertices())
@@ -68,10 +79,10 @@ def test_wrong_level():
         sector_search(build_map(7))
 
 
-def test_restricted_search_finds_reference_sector(reference_sector):
+def test_restricted_search_finds_reference_sector(reference_sector, m11):
     assert len(reference_sector) == 20
-    assert reference_sector.anchor_id in reference_sector.face_ids
-    assert reference_sector.vertex_support() == reference_sector_vertices()
+    assert anchor_id(m11) in reference_sector.face_ids
+    assert vertex_support(reference_sector) == reference_sector_vertices()
 
 
 def test_restricted_sector_is_unique(m11):
@@ -91,10 +102,11 @@ def test_translates_partition_faces(reference_sector, m11):
 
 def test_eight_faces_touch_first_circuit(reference_sector, m11):
     touch = {v11("0/1"), v11("1/1")}
+    anchor = anchor_id(m11)
     hits = [
         fid
         for fid in reference_sector.face_ids
-        if fid != reference_sector.anchor_id
+        if fid != anchor
         and any(m11.vertices[i] in touch for i in m11.face_vertex_ids(fid))
     ]
     assert len(hits) == 8
@@ -106,10 +118,11 @@ def test_unrestricted_search_gives_valid_sector(m11):
     tiles = tile_by_translates(sector)
     assert len(set().union(*tiles)) == 220
     touch = {v11("0/1"), v11("1/1")}
+    anchor = anchor_id(m11)
     hits = [
         fid
         for fid in sector.face_ids
-        if fid != sector.anchor_id
+        if fid != anchor
         and any(m11.vertices[i] in touch for i in m11.face_vertex_ids(fid))
     ]
     assert len(hits) == 8
@@ -193,8 +206,9 @@ def translate_face(fmap, fid):
 
 
 def test_disconnected_sector_reported(reference_sector, m11):
+    anchor = anchor_id(m11)
     shifted = [
-        fid if fid == reference_sector.anchor_id else translate_face(m11, fid)
+        fid if fid == anchor else translate_face(m11, fid)
         for fid in reference_sector.face_ids
     ]
     bad = Sector(m11, shifted)
@@ -244,8 +258,7 @@ def face_structure(fmap):
         {g for k in range(3) for g in faces_at[row[k]] & faces_at[row[k - 1]]} - {fid}
         for fid, row in enumerate(rows)
     ]
-    anchor = fmap.face_id_by_vertices([v11("1/0"), v11("0/1"), v11("1/1")])
-    return orbit_of, adjacent, anchor
+    return orbit_of, adjacent, anchor_id(fmap)
 
 
 def allowed_faces(fmap, restrict):
