@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import metrics
-from .maps import FareyMap, build_map, genus, mu, row_blocks
+from .maps import FareyMap, build_map, genus, mu, rotated, row_blocks
 
 
 def run_invariant_suite(n: int) -> list[tuple[str, bool]]:
@@ -35,7 +35,8 @@ def check_map(m: FareyMap) -> list[tuple[str, bool]]:
 
     # The dart checks run over blocks of whole vertex rows, so that their
     # temporaries have the size of a block: a first pass checks sigma and
-    # builds phi = sigma o alpha once, a second checks alpha and phi.
+    # builds phi = sigma o alpha once, from sigma's closed form, and a second
+    # checks alpha and phi.
     sigma, alpha = m.sigma, m.alpha
     phi = np.empty_like(alpha)
     blocks = [(lo * n, hi * n) for lo, hi in row_blocks(n, m.vertex_count)]
@@ -47,7 +48,7 @@ def check_map(m: FareyMap) -> list[tuple[str, bool]]:
         turned = sigma[lo:hi].reshape(-1, n)
         rotation &= (np.array_equal(turned[:, :-1], ids[:, 1:])
                      and np.array_equal(turned[:, -1], ids[:, 0]))
-        phi[lo:hi] = sigma.take(alpha[lo:hi])
+        phi[lo:hi] = rotated(alpha[lo:hi], n)
     del sigma, turned  # turned is a view of sigma
     for lo, hi in blocks:
         ids = np.arange(lo, hi, dtype=alpha.dtype)

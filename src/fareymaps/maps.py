@@ -142,7 +142,7 @@ def row_blocks(n: int, vcount: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + rows, vcount)) for lo in range(0, vcount, rows)]
 
 
-def _rotated(x, n: int):
+def rotated(x, n: int):
     """sigma of the dart x, or of an int array of darts: (v, t) -> (v, t + 1
     mod n), that is x - x % n + (x + 1) % n.  It is written with // because
     numpy's % on int32 is several times slower."""
@@ -407,10 +407,10 @@ class FareyMap:
             d = self.dart_between(a, b)
             alpha = self.alpha.item
             for dart in (d, alpha(d)):
-                second = _rotated(alpha(dart), n)
+                second = rotated(alpha(dart), n)
                 third = alpha(second)
                 if third // n == c:
-                    least = min(dart, second, _rotated(third, n))
+                    least = min(dart, second, rotated(third, n))
                     return bisect_left(self._face_darts[:, 0], least)
         raise UnknownVertex(f"no face with vertices {sorted(set(ids))}")
 
@@ -518,9 +518,9 @@ def build_map(n: int) -> FareyMap:
     del leads
     face_darts = np.empty((leaders.shape[0], 3), dtype=np.int32)
     face_darts[:, 0] = leaders
-    face_darts[:, 1] = _rotated(alpha.take(leaders), n)
+    face_darts[:, 1] = rotated(alpha.take(leaders), n)
     del leaders
-    face_darts[:, 2] = _rotated(alpha.take(face_darts[:, 1]), n)
+    face_darts[:, 2] = rotated(alpha.take(face_darts[:, 1]), n)
     return FareyMap(n, columns, vertex_grid, alpha, face_darts)
 
 

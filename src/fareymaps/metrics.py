@@ -6,13 +6,15 @@ closed walk through all vertices with denominator not in {0, +-1}, and the
 remaining poles a/0 at distance 3.  The closed-form distance test is the
 cross-determinant class; a BFS over the 1-skeleton serves as the independent
 oracle and is the only metric offered at composite levels.  Both run as
-array kernels on int columns and vertex ids: `distance_classes` and
-`bfs_distances`; `decomposition_ids` gives the four parts as vertex ids.
+array kernels on int columns and vertex ids: `distance_classes`,
+`bfs_distances` from many sources at once, and `bfs_distance`, a layered
+search from one vertex that stops at the other's neighbours.
+`second_circuit_slots` gives the distance-2 walk as two int arrays and
+`decomposition_ids` the four parts as vertex ids.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -99,21 +101,35 @@ def distance_formula(f: FareyFraction, g: FareyFraction, p: int) -> int:
 
 
 def bfs_distance(fmap: FareyMap, f: FareyFraction, g: FareyFraction) -> int:
-    """Shortest-path length between two vertices of the 1-skeleton."""
+    """Shortest-path length between two vertices of the 1-skeleton.
+
+    A breadth-first search from f by layers over the V x n block of dart
+    targets: g's n neighbours are marked in a mask, and layer d + 1 is the
+    unseen targets of layer d, one gather per layer, each vertex once.  The
+    first layer d that meets the mask gives d + 1.  Raises BrokenInvariant if
+    the layers run out before that.
+    """
     start = fmap.vertex_id(f)
     goal = fmap.vertex_id(g)
     if start == goal:
         return 0
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in fmap.neighbor_ids(u):
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                if w == goal:
-                    return dist[w]
-                queue.append(w)
+    vcount = fmap.vertex_count
+    targets = fmap.dart_targets()
+    near = np.zeros(vcount, dtype=bool)
+    near[targets[goal]] = True
+    seen = np.zeros(vcount, dtype=bool)
+    seen[start] = True
+    front = np.array([start])
+    d = 0
+    while front.shape[0]:
+        if near.take(front).any():
+            return d + 1
+        layer = np.zeros(vcount, dtype=bool)
+        layer[targets.take(front, axis=0)] = True
+        np.greater(layer, seen, out=layer)
+        seen |= layer
+        front = np.flatnonzero(layer)
+        d += 1
     raise BrokenInvariant("1-skeleton is connected; unreachable vertex")
 
 
@@ -174,18 +190,18 @@ def second_circuit_seed(p: int) -> tuple[FareyFraction, ...]:
     return tuple(FareyFraction(a, c, p) for a, c in _seed_pairs(p))
 
 
-def second_circuit_slots(p: int) -> tuple[list[int], list[int]]:
+def second_circuit_slots(p: int) -> tuple[np.ndarray, np.ndarray]:
     """The numerators and denominators of the p(p-4) slots of
-    second_circuit(p), in walk order, as two lists of integers.
+    second_circuit(p), in walk order, as two int arrays.
 
     Slot k(p-4) + i is seed vertex i, a/c, translated by k: (a + k c)/c with
-    the numerator reduced mod p.  Every seed denominator c lies in
-    2..(p-1)/2, strictly between 0 and p/2, so each slot pair is canonical.
-    No FareyFraction is built.
+    the numerator reduced mod p, one broadcast over k and the seed.  Every
+    seed denominator c lies in 2..(p-1)/2, strictly between 0 and p/2, so
+    each slot pair is canonical.  No FareyFraction is built.
     """
-    seed = _seed_pairs(p)
-    nums = [(a + k * c) % p for k in range(p) for a, c in seed]
-    return nums, [c for _, c in seed] * p
+    a, c = np.array(_seed_pairs(p)).T
+    nums = (a + np.arange(p)[:, None] * c) % p
+    return nums.ravel(), np.tile(c, p)
 
 
 def second_circuit(p: int) -> Circuit:
@@ -195,7 +211,7 @@ def second_circuit(p: int) -> Circuit:
     numerator 0 <= a < p, so row c is built once as p validated fractions
     and the walk indexes into the rows.
     """
-    nums, dens = second_circuit_slots(p)
+    nums, dens = (column.tolist() for column in second_circuit_slots(p))
     rows = {c: [FareyFraction(a, c, p) for a in range(p)] for c in range(2, (p + 1) // 2)}
     walk = [rows[c][a] for a, c in zip(nums, dens)]
     return Circuit(tuple(walk), p)
@@ -214,7 +230,7 @@ def decomposition_ids(fmap: FareyMap) -> tuple[np.ndarray, np.ndarray, np.ndarra
     and the next, the last and the first too, must have cross-determinant
     +-1, as in a Circuit; else BrokenInvariant is raised."""
     p = fmap.level
-    nums, dens = (np.array(column) for column in second_circuit_slots(p))
+    nums, dens = second_circuit_slots(p)
     det = (nums * np.roll(dens, -1) - np.roll(nums, -1) * dens) % p
     broken = np.flatnonzero((det != 1) & (det != p - 1))
     if broken.shape[0]:

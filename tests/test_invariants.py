@@ -160,6 +160,30 @@ def test_a_broken_alpha_in_the_last_block_fails(monkeypatch, block):
     assert results["sigma has order n"]
 
 
+@pytest.mark.parametrize("n, block", [(31, 300), (31, None), (101, None)])
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_cross_swapped_edges_fail_only_the_orbit_check(monkeypatch, n, block, where):
+    # a <-> alpha(b) and b <-> alpha(a): alpha stays a fixed-point-free
+    # involution, but the faces at those edges break, so the orbit check is
+    # not implied by the involution check
+    if block is not None:
+        monkeypatch.setattr(maps, "_BLOCK_DARTS", block)
+    m = build_map(n)
+    # 300 darts a block at 31, and 4 blocks at 101
+    assert len(maps.row_blocks(n, m.vertex_count)) > 1 or n == 31 and block is None
+    a = 0 if where == "first" else m.dart_count - 2
+    b = a + 1
+    alpha = m.alpha.copy()
+    alpha[[a, b]] = alpha[[b, a]]
+    alpha[alpha[[a, b]]] = [a, b]
+    assert len({a, b, *alpha[[a, b]].tolist()}) == 4
+    m.alpha = alpha
+    results = dict(check_map(m))
+    assert results["alpha is a fixed-point-free involution"] is True
+    assert results["face orbits all have size 3"] is False
+    assert results["sigma has order n"] is True
+
+
 def misclassifying(kernel):
     """distance_classes, except that the determinant class +-2 reads as 3."""
 

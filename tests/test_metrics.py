@@ -7,7 +7,7 @@ import pytest
 
 from fareymaps.arith import canonical, is_adjacent
 from fareymaps.cli import main
-from fareymaps.errors import EqualVertices, LevelMismatch, NotPrime, UnknownVertex
+from fareymaps.errors import BrokenInvariant, EqualVertices, LevelMismatch, NotPrime, UnknownVertex
 from fareymaps.maps import build_map
 from fareymaps.metrics import (
     Circuit,
@@ -23,6 +23,7 @@ from fareymaps.metrics import (
     poles,
     second_circuit,
     second_circuit_seed,
+    second_circuit_slots,
 )
 
 # The 21-term distance-2 circuit of M3(7), as printed.
@@ -56,6 +57,49 @@ def test_bfs_examples():
     assert bfs_distance(m5, canonical(1, 0, 5), canonical(2, 0, 5)) == 3
     with pytest.raises(UnknownVertex):
         bfs_distance(m5, canonical(1, 0, 5), canonical(3, 0, 7))
+    for n in (3, 6, 101):
+        m = build_map(n)
+        for v in (m.vertices[0], m.vertices[-1]):
+            assert bfs_distance(m, v, v) == 0
+        foreign = canonical(1, 0, n + 1)
+        with pytest.raises(UnknownVertex):
+            bfs_distance(m, m.vertices[0], foreign)
+        with pytest.raises(UnknownVertex):
+            bfs_distance(m, foreign, m.vertices[0])
+    # a skeleton whose every dart is a loop leaves the goal unreachable
+    loops = np.repeat(np.arange(m5.vertex_count), 5).reshape(-1, 5)
+    m5.dart_targets = lambda: loops
+    with pytest.raises(BrokenInvariant, match="unreachable"):
+        bfs_distance(m5, canonical(1, 0, 5), canonical(2, 0, 5))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 10, 12, 5, 7, 11])
+def test_bfs_distance_equals_networkx_on_all_pairs(n):
+    m = build_map(n)
+    vs = m.vertices
+    for u, lengths in nx.all_pairs_shortest_path_length(edge_graph(m)):
+        got = [bfs_distance(m, vs[u], vs[w]) for w in range(m.vertex_count)]
+        assert got == [lengths[w] for w in range(m.vertex_count)], (n, u)
+        assert all(type(d) is int for d in got)
+
+
+@pytest.mark.parametrize("n", [53, 64, 101])
+def test_bfs_distance_equals_the_kernel_on_seeded_pairs(n):
+    m = build_map(n)
+    vs = m.vertices
+    rng = random.Random(n)
+    sources = rng.sample(range(m.vertex_count), 8)
+    rows = bfs_distances(m, sources)
+    for s, row in zip(sources, rows.tolist()):
+        for w in rng.sample(range(m.vertex_count), 40):
+            assert bfs_distance(m, vs[s], vs[w]) == row[w], (n, s, w)
+    # some pair of poles a/0 is 3 apart, at the prime levels and at 64
+    pole_ids = [i for i, v in enumerate(vs) if v.den == 0]
+    rows = bfs_distances(m, pole_ids)
+    far = [(i, j) for r, i in enumerate(pole_ids) for j in pole_ids if rows[r, j] == 3]
+    assert far
+    for i, j in far:
+        assert bfs_distance(m, vs[i], vs[j]) == 3, (n, i, j)
 
 
 def test_formula_equals_bfs_exhaustive():
@@ -136,6 +180,21 @@ def test_is_prime_level():
     assert [n for n in range(102) if is_prime_level(n)] == PRIMES_5_TO_101
     with pytest.raises(NotPrime, match="need a prime >= 5, got 3"):
         poles(3)
+
+
+def reference_slots(p):
+    """The slots as the list comprehension they were first written as."""
+    seed = [(v.num, v.den) for v in second_circuit_seed(p)]
+    nums = [(a + k * c) % p for k in range(p) for a, c in seed]
+    return nums, [c for _, c in seed] * p
+
+
+@pytest.mark.parametrize("p", PRIMES_5_TO_101)
+def test_second_circuit_slots_equal_the_reference(p):
+    nums, dens = second_circuit_slots(p)
+    assert isinstance(nums, np.ndarray) and isinstance(dens, np.ndarray)
+    assert nums.dtype.kind == dens.dtype.kind == "i"
+    assert (nums.tolist(), dens.tolist()) == reference_slots(p)
 
 
 @pytest.mark.parametrize("p", PRIMES_5_TO_101)
