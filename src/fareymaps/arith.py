@@ -139,6 +139,38 @@ def canonical(a: int, c: int, n: int) -> FareyFraction:
     return FareyFraction(a, c, n)
 
 
+def farey_fractions(nums, dens, n: int) -> list[FareyFraction]:
+    """The FareyFractions nums[i]/dens[i] at level n, for int sequences of
+    canonical pairs, in order.
+
+    The checks of FareyFraction run once, on the arrays: every pair must be
+    reduced mod n, have gcd(a, c, n) = 1 and be canonical.  The first pair
+    that fails is built as FareyFraction(a, c, n), which raises its error;
+    every fraction is then set up as the dataclass sets it up, without
+    repeating the checks.
+    """
+    n = as_integer(n, "farey_fractions needs an integer level")
+    if n < 2:
+        raise Unsupported(f"level must be >= 2, got {n}")
+    a, c = np.asarray(nums, dtype=np.int64), np.asarray(dens, dtype=np.int64)
+    ok = (0 <= a) & (a < n) & (0 <= c) & (c < n) & (np.gcd(np.gcd(a, c), n) == 1)
+    # _is_canonical_pair on the arrays
+    ok &= np.where(c == 0, (1 <= a) & (2 * a <= n), (2 * c < n) | (2 * c == n) & (2 * a <= n))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        FareyFraction(int(a[i]), int(c[i]), n)
+        raise BrokenInvariant(f"{a[i]}/{c[i]} passes FareyFraction but not its array check")
+    new, setattr_ = object.__new__, object.__setattr__
+    out = []
+    for num, den in zip(a.tolist(), c.tolist()):
+        f = new(FareyFraction)
+        setattr_(f, "num", num)
+        setattr_(f, "den", den)
+        setattr_(f, "level", n)
+        out.append(f)
+    return out
+
+
 def vertex_columns(n: int) -> np.ndarray:
     """The canonical vertex pairs at level n as a 2 x V int32 array: row 0
     the numerators, row 1 the denominators, columns in (den, num) order.

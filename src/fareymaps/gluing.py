@@ -12,21 +12,23 @@ from dataclasses import dataclass
 from .errors import NoMatch, UnpairedEdge
 
 
-def reversed_pairs(keys) -> tuple[tuple[int, int], ...]:
+def reversed_pairs(keys, name=str) -> tuple[tuple[int, int], ...]:
     """Pair each directed key (a tuple) with the unique key equal to its
-    reversal; returns the sorted pairs (i, j) of positions, i < j."""
+    reversal; returns the sorted pairs (i, j) of positions, i < j.  An error
+    message shows each entry e of a key as name(e): a vertex id, say, by
+    its label."""
     where: dict[tuple, int] = {}
     for i, key in enumerate(keys):
         if key in where:
-            raise UnpairedEdge(f"directed key {tuple(map(str, key))} occurs twice")
+            raise UnpairedEdge(f"directed key {tuple(map(name, key))} occurs twice")
         where[key] = i
     pairs = set()
     for key, i in where.items():
         j = where.get(key[::-1])
         if j is None:
-            raise UnpairedEdge(f"no reversed occurrence of {tuple(map(str, key))}")
+            raise UnpairedEdge(f"no reversed occurrence of {tuple(map(name, key))}")
         if i == j:
-            raise UnpairedEdge(f"{tuple(map(str, key))} pairs with itself")
+            raise UnpairedEdge(f"{tuple(map(name, key))} pairs with itself")
         pairs.add((min(i, j), max(i, j)))
     return tuple(sorted(pairs))
 

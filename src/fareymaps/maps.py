@@ -38,14 +38,14 @@ above, so no Python step runs per vertex or per dart; it works through row
 blocks of about 2^17 darts (row_blocks) in one set of block-sized buffers,
 so its temporaries have the size of one block, not of mu.  A vertex is
 its id: the map keeps the int (num, den) columns of the vertices, which the
-counts, the labels, dart_between and vertex_columns() read, and builds the
-FareyFraction list `vertices` only when it is first read.
+labels (vertex_labels()), dart_between and vertex_columns() read, and builds
+the FareyFraction list `vertices` only when it is first read.
 
 A built map is immutable: every array it stores or hands out is read-only,
 and concurrent readers are safe.  The derived tables (dart targets, edge
-columns, labels, face index, face neighbours, face translation) are filled
-in on first use; a map always computes the same values for them, so a reader
-racing another sees equal tables.
+columns, labels, face index, face neighbours, vertex and face translation)
+are filled in on first use; a map always computes the same values for them,
+so a reader racing another sees equal tables.
 """
 
 from __future__ import annotations
@@ -163,30 +163,20 @@ class FareyMap:
         self._columns: np.ndarray = columns
         self._vertex_grid: np.ndarray = vertex_grid
         self._face_darts: np.ndarray = face_darts
+        # the sorted face leaders; its items are Python ints, so a bisect
+        # over it builds no numpy scalar per probe
+        self._face_leaders = memoryview(face_darts[:, 0])
+        self.vertex_count: int = columns.shape[1]
+        self.dart_count: int = self.vertex_count * level
+        self.edge_count: int = self.dart_count // 2
+        self.face_count: int = face_darts.shape[0]
         self._face_of_dart: np.ndarray | None = None
         self._dart_targets: np.ndarray | None = None
         self._edge_columns: tuple[np.ndarray, np.ndarray] | None = None
-        self._labels: list[str] | None = None
+        self._labels: tuple[str, ...] | None = None
+        self._vertex_translation: np.ndarray | None = None
         self._face_neighbours: np.ndarray | None = None
         self._face_translation: np.ndarray | None = None
-
-    # -- counts ---------------------------------------------------------
-
-    @property
-    def dart_count(self) -> int:
-        return self.vertex_count * self.level
-
-    @property
-    def vertex_count(self) -> int:
-        return int(self._columns.shape[1])
-
-    @property
-    def edge_count(self) -> int:
-        return self.dart_count // 2
-
-    @property
-    def face_count(self) -> int:
-        return int(self._face_darts.shape[0])
 
     # -- vertices -------------------------------------------------------
 
@@ -299,11 +289,12 @@ class FareyMap:
         src, tgt = self.edge_columns()
         return list(zip(src.tolist(), tgt.tolist()))
 
-    def _label_table(self) -> list[str]:
-        """str(v) of every vertex, by vertex id."""
+    def vertex_labels(self) -> tuple[str, ...]:
+        """The label str(v) of every vertex, "a/c", by vertex id; computed
+        once per map, and no FareyFraction is built."""
         if self._labels is None:
             nums, dens = self.vertex_columns()
-            self._labels = [f"{a}/{c}" for a, c in zip(nums.tolist(), dens.tolist())]
+            self._labels = tuple(f"{a}/{c}" for a, c in zip(nums.tolist(), dens.tolist()))
         return self._labels
 
     # -- faces ----------------------------------------------------------
@@ -341,6 +332,17 @@ class FareyMap:
             self._face_neighbours = neighbours
         return self._face_neighbours
 
+    def vertex_translation(self) -> np.ndarray:
+        """Entry v is the vertex id of the image of vertex v under
+        t -> t + 1, which sends a/c to (a + c)/c.  Computed once per map;
+        read-only."""
+        if self._vertex_translation is None:
+            a, c = self.vertex_columns()
+            shift = self.vertex_ids(a + c, c)
+            shift.flags.writeable = False
+            self._vertex_translation = shift
+        return self._vertex_translation
+
     def face_translation(self) -> np.ndarray:
         """Entry i is the face id of the image of face i under t -> t + 1.
         Computed once per map; read-only.
@@ -353,8 +355,8 @@ class FareyMap:
         """
         if self._face_translation is None:
             n = self.level
-            a, c, b0, d0 = self._columns
-            w = self.vertex_ids(a + c, c)
+            b0, d0 = self._columns[2:]
+            w = self.vertex_translation()
             b0w, d0w = self._columns[2:, w]
             # c = n/2 corners are pairwise non-adjacent and sort last, so none leads a face
             k = ((b0 + d0) * d0w - d0 * b0w) % n
@@ -373,7 +375,7 @@ class FareyMap:
         in base V, gives the order of sorted() over the label lists.
         """
         v = self.vertex_count
-        labels = self._label_table()
+        labels = self.vertex_labels()
         rank = np.empty(v, dtype=np.int64)
         rank[sorted(range(v), key=labels.__getitem__)] = np.arange(v)
         rows = self._face_darts // self.level
@@ -411,7 +413,7 @@ class FareyMap:
                 third = alpha(second)
                 if third // n == c:
                     least = min(dart, second, rotated(third, n))
-                    return bisect_left(self._face_darts[:, 0], least)
+                    return bisect_left(self._face_leaders, least)
         raise UnknownVertex(f"no face with vertices {sorted(set(ids))}")
 
     def has_face(self, vs) -> bool:
@@ -539,7 +541,7 @@ def gather_rows(columns: np.ndarray, ids: np.ndarray) -> list[str]:
 
 def map_to_dict(fmap: FareyMap) -> dict:
     """The export as a dict: labels, edges by (src, tgt) id, faces sorted by labels."""
-    verts = list(fmap._label_table())
+    verts = list(fmap.vertex_labels())
     edges = [[verts[i], verts[j]] for i, j in fmap.edge_id_pairs()]
     faces = [[verts[a], verts[b], verts[c]] for a, b, c in fmap._face_rows_by_label().tolist()]
     return {"level": fmap.level, "vertices": verts, "edges": edges, "faces": faces}
@@ -551,7 +553,7 @@ def to_json(fmap: FareyMap) -> str:
 
     A label is always digits/digits, so '"' + label + '"' is its JSON string.
     """
-    quoted = np.array(['"' + s + '"' for s in fmap._label_table()], dtype=object)
+    quoted = np.array(['"' + s + '"' for s in fmap.vertex_labels()], dtype=object)
     head, middle, tail = "[" + quoted + ", ", quoted + ", ", quoted + "], "
     parts = [f'{{"level": {fmap.level}, "vertices": [{", ".join(quoted)}], "edges": [']
     parts += gather_rows(np.stack((head, tail)), np.column_stack(fmap.edge_columns()))
@@ -619,7 +621,7 @@ def same_combinatorics(fmap: FareyMap, data: MapData) -> bool:
     """Label-preserving comparison: equal V/E/F and identical adjacency."""
     if data.level != fmap.level or len(data.vertices) != fmap.vertex_count:
         return False
-    verts = fmap._label_table()
+    verts = fmap.vertex_labels()
     if sorted(verts) != sorted(data.vertices):
         return False
     edges = {frozenset((verts[i], verts[j])) for i, j in fmap.edge_id_pairs()}
@@ -628,7 +630,7 @@ def same_combinatorics(fmap: FareyMap, data: MapData) -> bool:
 
 
 def to_dot(fmap: FareyMap) -> str:
-    quoted = np.array(['"' + s + '"' for s in fmap._label_table()], dtype=object)
+    quoted = np.array(['"' + s + '"' for s in fmap.vertex_labels()], dtype=object)
     parts = [f"graph farey_{fmap.level} {{\n"]
     parts += ("  " + quoted + ";\n").tolist()
     parts += gather_rows(np.stack(("  " + quoted + " -- ", quoted + ";\n")),

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import FareyFraction, canonical, distinct_prime_factors
+from .arith import FareyFraction, canonical, distinct_prime_factors, farey_fractions
 from .errors import BrokenInvariant, EqualVertices, LevelMismatch, NotPrime, UnknownVertex
 from .maps import FareyMap
 
@@ -37,6 +37,35 @@ def _require_prime(p: int) -> None:
         raise NotPrime(f"need a prime >= 5, got {p}")
 
 
+def _successors(x: np.ndarray) -> np.ndarray:
+    """Entry i is x[i + 1], and the last entry x[0]: np.roll(x, -1) without
+    its fixed cost."""
+    return np.concatenate((x[1:], x[:1]))
+
+
+def check_slots(nums, dens, levels, n: int) -> None:
+    """Check that the closed walk of the vertices nums[i]/dens[i] runs on
+    edges of M3(n): slot i joins vertex i to vertex i + 1, the last slot
+    closing the walk.
+
+    The vertex levels are an array like nums, or one int for all.  The
+    first faulty slot, in slot order, raises: LevelMismatch when one of its
+    ends is not at level n (the first end first), else BrokenInvariant when
+    its cross-determinant is not +-1 mod n.  One array expression checks
+    every slot.
+    """
+    nums, dens = np.asarray(nums, dtype=np.int64), np.asarray(dens, dtype=np.int64)
+    off = np.full(nums.shape, np.asarray(levels) != n)
+    det = (nums * _successors(dens) - _successors(nums) * dens) % n
+    faulty = np.flatnonzero((det != 1) & (det != n - 1) | off | _successors(off))
+    if faulty.shape[0]:
+        i = int(faulty[0])
+        for v in (i, (i + 1) % nums.shape[0]):
+            if off[v]:
+                raise LevelMismatch(f"{nums[v]}/{dens[v]} not at level {n}")
+        raise BrokenInvariant(f"circuit broken at slot {i}: {nums[i]}/{dens[i]}")
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Closed vertex walk; consecutive entries (cyclically) are adjacent."""
@@ -45,18 +74,8 @@ class Circuit:
     level: int
 
     def __post_init__(self):
-        # Slot i joins vertex i to vertex i + 1, the last slot closing the walk;
-        # each is checked for level and, by its cross-determinant, adjacency.
         vs = self.vertices
-        n = self.level
-        for i, (v, w) in enumerate(zip(vs, vs[1:] + vs[:1])):
-            if v.level != n:
-                raise LevelMismatch(f"{v} not at level {n}")
-            if w.level != n:
-                raise LevelMismatch(f"{w} not at level {n}")
-            det = (v.num * w.den - w.num * v.den) % n
-            if det != 1 and det != n - 1:
-                raise BrokenInvariant(f"circuit broken at slot {i}: {v}")
+        check_slots([v.num for v in vs], [v.den for v in vs], [v.level for v in vs], self.level)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -207,14 +226,22 @@ def second_circuit_slots(p: int) -> tuple[np.ndarray, np.ndarray]:
 def second_circuit(p: int) -> Circuit:
     """Concatenation of the p translates of the seed; the distance-2 circuit.
 
-    The slots are second_circuit_slots(p).  Each denominator c takes every
-    numerator 0 <= a < p, so row c is built once as p validated fractions
-    and the walk indexes into the rows.
+    The slots are second_circuit_slots(p).  Each denominator c in
+    2..(p-1)/2 takes every numerator 0 <= a < p, so the fractions a/c are
+    built once, as entry (c - 2)*p + a of one list, and the walk indexes
+    into it.
     """
-    nums, dens = (column.tolist() for column in second_circuit_slots(p))
-    rows = {c: [FareyFraction(a, c, p) for a in range(p)] for c in range(2, (p + 1) // 2)}
-    walk = [rows[c][a] for a, c in zip(nums, dens)]
-    return Circuit(tuple(walk), p)
+    nums, dens = second_circuit_slots(p)
+    check_slots(nums, dens, p, p)
+    grid = farey_fractions(np.tile(np.arange(p), (p - 3) // 2),
+                           np.repeat(np.arange(2, (p + 1) // 2), p), p)
+    walk = tuple(grid[i] for i in ((dens - 2) * p + nums).tolist())
+    # the slots are checked: set the Circuit up as the dataclass does,
+    # without checking them again in __post_init__
+    circuit = object.__new__(Circuit)
+    object.__setattr__(circuit, "vertices", walk)
+    object.__setattr__(circuit, "level", p)
+    return circuit
 
 
 def poles(p: int) -> tuple[FareyFraction, ...]:
@@ -226,16 +253,11 @@ def poles(p: int) -> tuple[FareyFraction, ...]:
 def decomposition_ids(fmap: FareyMap) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """decompose(p) as four int arrays of vertex ids of M3(p): 1/0, the ring
     k/1 (k = 0..p-1), the p(p-4) walk slots of second_circuit_slots(p) in
-    order and with repeats, and the poles a/0 (a = 2..(p-1)/2).  Each slot
-    and the next, the last and the first too, must have cross-determinant
-    +-1, as in a Circuit; else BrokenInvariant is raised."""
+    order and with repeats, and the poles a/0 (a = 2..(p-1)/2).  The slots
+    pass check_slots, as in a Circuit; else BrokenInvariant is raised."""
     p = fmap.level
     nums, dens = second_circuit_slots(p)
-    det = (nums * np.roll(dens, -1) - np.roll(nums, -1) * dens) % p
-    broken = np.flatnonzero((det != 1) & (det != p - 1))
-    if broken.shape[0]:
-        i = int(broken[0])
-        raise BrokenInvariant(f"circuit broken at slot {i}: {nums[i]}/{dens[i]}")
+    check_slots(nums, dens, p, p)
     k = np.arange(p)
     return (fmap.vertex_ids([1], [0]), fmap.vertex_ids(k, 1), fmap.vertex_ids(nums, dens),
             fmap.vertex_ids(k[2:(p + 1) // 2], 0))

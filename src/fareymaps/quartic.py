@@ -24,14 +24,13 @@ from .arith import (
     ExtRational,
     FareyFraction,
     IntMatrix,
-    canonical,
     in_principal_congruence,
     mobius_exact,
 )
 from .errors import BrokenInvariant, WrongLevel
 from .gluing import SidePairing, polygon_genus, reversed_pairs
 from .maps import FareyMap
-from .metrics import second_circuit
+from .metrics import decomposition_ids
 
 LEVEL = 7
 
@@ -87,47 +86,53 @@ class FourteenGon:
         return tuple(out)
 
 
-def _quad_at(fmap: FareyMap, third: FareyFraction, u: FareyFraction):
+def _quad_at(fmap: FareyMap, third: int, u: int, pole3: int):
     """The quadrilateral with denominator-3 corner `third` and the walk slot
-    u after it as one denominator-2 corner; the other one, w, is the common
-    neighbour of both with denominator 2.  Returns
-    (inner face id, outer face id, ccw-later den-2 corner, ccw-earlier den-2 corner)."""
-    pole3 = canonical(3, 0, LEVEL)
-    around, beside = fmap.neighbors(third), set(fmap.neighbors(u))
-    others = [v for v in around if v.den == 2 and v in beside]
-    if u.den != 2 or u not in around or len(others) != 1:
-        raise BrokenInvariant(f"no quadrilateral at {third}")
+    u after it as one denominator-2 corner, and its fourth corner the pole
+    3/0, all vertex ids; the other den-2 corner, w, is the common neighbour
+    of `third` and u with denominator 2.  Returns (inner face id, outer face
+    id, ccw-later den-2 corner, ccw-earlier den-2 corner), the corners as
+    vertex ids."""
+    targets = fmap.dart_targets()
+    dens = fmap.vertex_columns()[1].tolist()
+    labels = fmap.vertex_labels()
+    around, beside = targets[third].tolist(), set(targets[u].tolist())
+    others = [v for v in around if dens[v] == 2 and v in beside]
+    if dens[u] != 2 or u not in around or len(others) != 1:
+        raise BrokenInvariant(f"no quadrilateral at {labels[third]}")
     w = others[0]
-    rot = fmap.neighbors(pole3)
+    rot = targets[pole3].tolist()
     for r, nxt in zip(rot, rot[1:] + rot[:1]):
         if {r, nxt} == {u, w}:
             return (fmap.face_id_by_vertices([third, u, w]),
                     fmap.face_id_by_vertices([u, pole3, w]), nxt, r)
-    raise BrokenInvariant(f"{u}, {w} not consecutive around {pole3}")
+    raise BrokenInvariant(f"{labels[u]}, {labels[w]} not consecutive around {labels[pole3]}")
 
 
 def outer_ring(fmap: FareyMap) -> tuple[RingRegion, ...]:
     """The 14 chambers of the ring beyond the distance-2 walk, in cyclic order.
 
     Each quadrilateral is listed at the chamber whose leading seam cuts it.
+    The walk is read as vertex ids; the corners are the map's vertices.
     """
     _require_level(fmap)
-    walk = second_circuit(LEVEL).vertices
-    pole2 = canonical(2, 0, LEVEL)
-    pole3 = canonical(3, 0, LEVEL)
-    pinches = [i for i, v in enumerate(walk) if v.den == 3]
+    walk = decomposition_ids(fmap)[2].tolist()
+    dens = fmap.vertex_columns()[1].tolist()
+    vs = fmap.vertices
+    pole2, pole3 = fmap.vertex_ids([2, 3], [0, 0]).tolist()
+    pinches = [i for i, v in enumerate(walk) if dens[v] == 3]
     regions = []
     for a, b in zip(pinches, pinches[1:] + [pinches[0] + len(walk)]):
         gap = b - a
         start, end = walk[a], walk[b % len(walk)]
         if gap == 1:
             face_id = fmap.face_id_by_vertices([start, pole2, end])
-            regions.append(RingRegion("triangle", (start, pole2, end), (face_id,)))
+            corners = (start, pole2, end)
+            regions.append(RingRegion("triangle", tuple(vs[i] for i in corners), (face_id,)))
         elif gap == 2:
-            inner, outer, later, earlier = _quad_at(fmap, start, walk[(a + 1) % len(walk)])
-            regions.append(
-                RingRegion("quad", (start, later, pole3, earlier), (inner, outer))
-            )
+            inner, outer, later, earlier = _quad_at(fmap, start, walk[(a + 1) % len(walk)], pole3)
+            corners = (start, later, pole3, earlier)
+            regions.append(RingRegion("quad", tuple(vs[i] for i in corners), (inner, outer)))
         else:
             raise BrokenInvariant(f"pinches {gap} slots apart, expected one or two")
     if len(regions) != 14 or any(r.kind == regions[i - 1].kind
@@ -146,8 +151,9 @@ def fourteen_gon(fmap: FareyMap) -> FourteenGon:
     is that quadrilateral, i.e. when a triangle chamber precedes the pinch.
     """
     ring = outer_ring(fmap)
-    pole2 = canonical(2, 0, LEVEL)
-    pole3 = canonical(3, 0, LEVEL)
+    vs = fmap.vertices
+    pole2, pole3, five3, three2 = (
+        vs[i] for i in fmap.vertex_ids([2, 3, 5, 3], [0, 0, 3, 2]).tolist())
     later = {r.corners[0]: r.corners[1] for r in ring if r.kind == "quad"}
     if len(later) != 7:
         raise BrokenInvariant("the seven quadrilaterals do not start at seven distinct x/3")
@@ -156,7 +162,7 @@ def fourteen_gon(fmap: FareyMap) -> FourteenGon:
         for r in ring
     ]
 
-    first = (tuple(canonical(a, c, LEVEL) for a, c in [(2, 0), (5, 3), (3, 2), (3, 0)]), True)
+    first = ((pole2, five3, three2, pole3), True)
     if first not in raw:
         raise BrokenInvariant("no anticlockwise side labelled (2/0, 5/3, 3/2, 3/0)")
     anchor = raw.index(first)

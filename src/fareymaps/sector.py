@@ -9,16 +9,20 @@ walk; for the reference sector supported on 22 particular vertex labels that wal
 has 198 slots, every directed edge appears once in each direction, and the
 resulting orientable identification yields a genus-26 surface.
 
-The map supplies both face tables this module uses: `face_translation()`
-for the orbits and the tiles, `face_neighbours()` for the edge-connected
-growth and the boundary walk.  Nothing here touches darts.
+The map supplies every table this module uses: `face_translation()` for
+the orbits and the tiles, `face_neighbours()` for the edge-connected growth
+and the boundary walk, `vertex_translation()` for the translated copies of
+the boundary, and `vertex_labels()` for the labels.  Nothing here touches
+darts.  The pipeline runs on vertex ids: a `BoundaryWalk` holds the walk as
+ids, and its vertices and labels are views read off the map, so the walk,
+the pairing and the genus build no FareyFraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import FareyFraction, canonical
+from .arith import FareyFraction
 from .errors import (
     BrokenInvariant,
     DisconnectedBoundary,
@@ -52,8 +56,7 @@ def _require_level(fmap: FareyMap) -> None:
 
 def _anchor_id(fmap: FareyMap) -> int:
     """Face id of the central triangle {1/0, 0/1, 1/1}."""
-    n = fmap.level
-    return fmap.face_id_by_vertices((canonical(1, 0, n), canonical(0, 1, n), canonical(1, 1, n)))
+    return fmap.face_id_by_vertices(fmap.vertex_ids([1, 0, 1], [0, 1, 1]).tolist())
 
 
 class Sector:
@@ -176,21 +179,34 @@ def tile_by_translates(sector: Sector) -> list[frozenset[int]]:
 
 @dataclass(frozen=True)
 class BoundaryWalk:
-    """Closed walk around the unfolded union of the eleven sector copies."""
+    """Closed walk around the unfolded union of the eleven sector copies,
+    as vertex ids of its map; the vertices and labels are read off the map."""
 
-    vertices: tuple[FareyFraction, ...]
+    ids: tuple[int, ...]
     row_length: int  # fresh slots contributed by each sector copy
     fmap: FareyMap
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.ids)
+
+    @property
+    def vertices(self) -> tuple[FareyFraction, ...]:
+        vs = self.fmap.vertices
+        return tuple(vs[i] for i in self.ids)
 
     def labels(self) -> list[str]:
-        return [str(v) for v in self.vertices]
+        labels = self.fmap.vertex_labels()
+        return [labels[i] for i in self.ids]
+
+    def edge_ids(self) -> list[tuple[int, int]]:
+        """Edge i of the walk, from slot i to slot i + 1 (the last edge
+        closing the walk), as a pair of vertex ids."""
+        ids = self.ids
+        return list(zip(ids, ids[1:] + ids[:1]))
 
     def edges(self) -> list[tuple[FareyFraction, FareyFraction]]:
-        vs = self.vertices
-        return [(v, vs[(i + 1) % len(vs)]) for i, v in enumerate(vs)]
+        vs = self.fmap.vertices
+        return [(vs[u], vs[w]) for u, w in self.edge_ids()]
 
     def rows(self) -> list[list[str]]:
         """Row k lists the slots of sector copy k plus the shared end slot."""
@@ -203,8 +219,8 @@ class BoundaryWalk:
         return out
 
     def rotated(self, shift: int) -> "BoundaryWalk":
-        vs = self.vertices
-        shifted = vs[shift % len(vs):] + vs[:shift % len(vs)]
+        ids = self.ids
+        shifted = ids[shift % len(ids):] + ids[:shift % len(ids)]
         return BoundaryWalk(shifted, self.row_length, self.fmap)
 
 
@@ -246,12 +262,12 @@ def boundary_walk(sector: Sector) -> BoundaryWalk:
 
     The sector's own boundary is rooted at 1/0; consecutive copies glue
     along the maximal radial path fixed by s_j + 1 = s_-j, and each copy
-    contributes the remaining arc of its boundary, translated.
+    contributes the remaining arc of its boundary, translated.  Both the
+    fold and the copies read the map's vertex translation.
     """
     fmap = sector.fmap
-    cycle = _boundary_cycle(fmap, sector.face_ids)
-    slots = [fmap.vertices[w] for w in cycle]
-    north = canonical(1, 0, LEVEL)
+    slots = _boundary_cycle(fmap, sector.face_ids)
+    north = 0  # 1/0 leads the vertex order
     hits = [i for i, v in enumerate(slots) if v == north]
     if len(hits) != 1:
         raise DisconnectedBoundary(f"1/0 appears {len(hits)} times on the sector boundary")
@@ -259,13 +275,18 @@ def boundary_walk(sector: Sector) -> BoundaryWalk:
     slots = slots[k:] + slots[:k]
     length = len(slots)
 
+    shift = fmap.vertex_translation().tolist()
     radius = 0
-    while radius + 1 < length // 2 and slots[radius + 1].translated(1) == slots[-(radius + 1)]:
+    while radius + 1 < length // 2 and shift[slots[radius + 1]] == slots[-(radius + 1)]:
         radius += 1
     # fresh slots per copy; the next copy starts at the translate of slots[radius]
     free = slots[radius:length - radius]
-    walk = tuple(v.translated(k) for k in range(LEVEL) for v in free)
-    return BoundaryWalk(walk, len(free), fmap)
+    walk = []
+    copy = free
+    for _ in range(LEVEL):
+        walk += copy
+        copy = [shift[v] for v in copy]
+    return BoundaryWalk(tuple(walk), len(free), fmap)
 
 
 def normalize_walk(walk: BoundaryWalk, first_label: str, second_label: str) -> BoundaryWalk:
@@ -274,11 +295,11 @@ def normalize_walk(walk: BoundaryWalk, first_label: str, second_label: str) -> B
     Every directed edge occurs at most once on the walk, so this fixes the
     starting slot unambiguously for table comparison.
     """
-    vs = walk.labels()
+    labels = walk.fmap.vertex_labels()
     candidates = [
         i
-        for i, v in enumerate(vs)
-        if v == first_label and vs[(i + 1) % len(vs)] == second_label
+        for i, (u, w) in enumerate(walk.edge_ids())
+        if labels[u] == first_label and labels[w] == second_label
     ]
     if len(candidates) != 1:
         raise UnpairedEdge(
@@ -290,7 +311,7 @@ def normalize_walk(walk: BoundaryWalk, first_label: str, second_label: str) -> B
 def pair_boundary(walk: BoundaryWalk) -> SidePairing:
     """Match every directed boundary edge with its unique reversal: slot
     pair (i, j) means edge i runs v->u where edge j runs u->v."""
-    return SidePairing(reversed_pairs(walk.edges()))
+    return SidePairing(reversed_pairs(walk.edge_ids(), walk.fmap.vertex_labels().__getitem__))
 
 
 def quotient_genus(walk: BoundaryWalk, pairing: SidePairing) -> int:
@@ -301,7 +322,7 @@ def quotient_genus(walk: BoundaryWalk, pairing: SidePairing) -> int:
     characteristic.
     """
     fmap = walk.fmap
-    interior_vertices = fmap.vertex_count - len(set(walk.vertices))
+    interior_vertices = fmap.vertex_count - len(set(walk.ids))
     interior_edges = fmap.edge_count - len(pairing.pairs)
     inner_chi = interior_vertices - interior_edges + fmap.face_count
-    return polygon_genus(walk.vertices, pairing.pairs, inner_chi)
+    return polygon_genus(walk.ids, pairing.pairs, inner_chi)

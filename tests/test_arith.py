@@ -1,4 +1,5 @@
 import random
+import re
 from datetime import timedelta
 from math import gcd
 
@@ -14,6 +15,7 @@ from fareymaps.arith import (
     ModMatrix,
     canonical,
     distinct_prime_factors,
+    farey_fractions,
     in_principal_congruence,
     is_adjacent,
     mobius_exact,
@@ -337,3 +339,32 @@ def test_errors_are_in_the_package_hierarchy(make, error):
         make()
     assert type(info.value) is error
     assert isinstance(info.value, ValueError)
+
+
+def test_farey_fractions_check_as_farey_fraction_does():
+    # one pair at a time, over every pair near the residues: the same
+    # fraction, or the same error, as FareyFraction(a, c, n)
+    for n in range(2, 30):
+        for a in range(-1, n + 1):
+            for c in range(-1, n + 1):
+                try:
+                    want = FareyFraction(a, c, n)
+                except FareyMapError as exc:
+                    with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                        farey_fractions([a], [c], n)
+                    continue
+                (got,) = farey_fractions(np.array([a]), np.array([c]), n)
+                assert type(got) is FareyFraction
+                assert (got, hash(got), repr(got)) == (want, hash(want), repr(want))
+    with pytest.raises(Unsupported):
+        farey_fractions([], [], 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 31, 60])
+def test_farey_fractions_build_the_vertex_list(n):
+    nums, dens = zip(*vertex_pairs(n))
+    assert farey_fractions(nums, dens, n) == [FareyFraction(a, c, n) for a, c in vertex_pairs(n)]
+    # the first bad pair raises, wherever it sits
+    with pytest.raises(NotAVertex, match=f"{n}/1 not reduced mod {n}"):
+        farey_fractions(nums + (n, 0), dens + (1, 0), n)
+    assert farey_fractions([], [], n) == []

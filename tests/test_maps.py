@@ -551,7 +551,7 @@ def test_export_peak_memory_is_a_small_multiple_of_its_output(export):
     # joins them once; a second copy of the text would push the peak past 4x
     m = build_map(53)
     m.edge_columns()
-    m._label_table()
+    m.vertex_labels()
     tracemalloc.start()
     try:
         text = export(m)
@@ -725,7 +725,7 @@ def test_dart_arrays_are_read_only():
     before = to_json(m)
     arrays = (m.alpha, m.sigma, m.dart_targets(), m._face_index(), m._face_darts,
               m._columns, m._vertex_grid, *m.vertex_columns(), *m.edge_columns(),
-              m.face_neighbours(), m.face_translation())
+              m.face_neighbours(), m.vertex_translation(), m.face_translation())
     for array in arrays:
         with pytest.raises(ValueError):
             array[0] = array[1]
@@ -850,6 +850,18 @@ def test_vertex_columns_are_the_vertex_pairs():
             with pytest.raises(ValueError):
                 column[0] = 1
         assert m.vertex_count == nums.shape[0]
+
+
+@pytest.mark.parametrize("n", list(range(3, 32)) + [53, 64, 101])
+def test_vertex_labels_and_translation_match_the_fractions(n):
+    # the id tables the paper pipelines read, against the FareyFraction path
+    m = build_map(n)
+    labels = m.vertex_labels()
+    assert type(labels) is tuple and labels is m.vertex_labels()
+    assert labels == tuple(str(v) for v in m.vertices)
+    shift = m.vertex_translation()
+    assert shift.dtype == np.int32 and shift is m.vertex_translation()
+    assert shift.tolist() == [m.vertex_id(v.translated(1)) for v in m.vertices]
 
 
 def test_vertices_are_built_once_on_first_read():

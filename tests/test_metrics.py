@@ -9,10 +9,12 @@ from fareymaps.arith import canonical, is_adjacent
 from fareymaps.cli import main
 from fareymaps.errors import BrokenInvariant, EqualVertices, LevelMismatch, NotPrime, UnknownVertex
 from fareymaps.maps import build_map
+from fareymaps import metrics
 from fareymaps.metrics import (
     Circuit,
     bfs_distance,
     bfs_distances,
+    check_slots,
     decompose,
     decomposition_ids,
     diameter,
@@ -238,6 +240,44 @@ def test_circuit_rejects_mixed_levels():
     # slots are checked in order: a broken slot 0 is reported before slot 1's level
     with pytest.raises(ValueError, match="slot 0"):
         Circuit((f7, canonical(3, 1, 7), f5), 7)
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_one_slot_check_for_circuit_and_decomposition_ids(monkeypatch, p):
+    # the kernel behind Circuit, second_circuit and decomposition_ids: with
+    # 1/0 written into slot i, the slots into and out of it break, and all
+    # three report the first of them with one message
+    nums, dens = second_circuit_slots(p)
+    m = build_map(p)
+    slots = {}
+    monkeypatch.setattr(metrics, "second_circuit_slots", lambda q: slots[q])
+    for i in range(nums.shape[0]):
+        broken = nums.copy(), dens.copy()
+        broken[0][i], broken[1][i] = 1, 0
+        slots[p] = broken
+        vertices = tuple(canonical(a, c, p) for a, c in zip(*(x.tolist() for x in broken)))
+        messages = set()
+        for build in (lambda: Circuit(vertices, p), lambda: second_circuit(p),
+                      lambda: decomposition_ids(m)):
+            with pytest.raises(BrokenInvariant) as info:
+                build()
+            messages.add(str(info.value))
+        slot = max(i - 1, 0)
+        assert messages == {f"circuit broken at slot {slot}: {vertices[slot]}"}
+
+
+def test_check_slots_reads_levels_per_vertex_or_one_for_all():
+    nums, dens = second_circuit_slots(7)
+    assert check_slots(nums, dens, 7, 7) is None
+    assert check_slots(nums, dens, np.full(nums.shape, 7), 7) is None
+    levels = np.full(nums.shape, 7)
+    levels[5] = 5
+    # slot 4 ends at the vertex off level; its first end is on level
+    with pytest.raises(LevelMismatch, match=f"^{nums[5]}/{dens[5]} not at level 7$"):
+        check_slots(nums, dens, levels, 7)
+    with pytest.raises(LevelMismatch, match=f"^{nums[0]}/{dens[0]} not at level 5$"):
+        check_slots(nums, dens, 7, 5)
+    assert check_slots([], [], [], 7) is None
 
 
 def test_second_circuit_adjacent_including_seams():

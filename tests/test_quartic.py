@@ -1,10 +1,12 @@
 import pytest
 
-from fareymaps.arith import ExtRational, canonical, is_adjacent
+from fareymaps.arith import ExtRational, FareyFraction, canonical, is_adjacent
 from fareymaps import quartic
 from fareymaps.errors import BrokenInvariant, WrongLevel
 from fareymaps.maps import build_map
+from fareymaps.metrics import second_circuit_seed
 from fareymaps.quartic import (
+    RingRegion,
     fourteen_gon,
     klein_matrix_report,
     outer_ring,
@@ -80,14 +82,62 @@ def test_quads_are_two_faces_sharing_diagonal(m7):
 
 
 def test_quad_at_reports_a_missing_corner(m7):
-    # 1/3 is followed on the walk by 5/2, and 1/2 is the other den-2 corner
-    inner, outer, later, earlier = quartic._quad_at(m7, v7("1/3"), v7("5/2"))
-    assert (later, earlier) == (v7("5/2"), v7("1/2"))
+    # _quad_at reads vertex ids: 1/3 is followed on the walk by 5/2, and
+    # 1/2 is the other den-2 corner
+    vid = m7.vertex_id
+    pole3 = vid(v7("3/0"))
+    inner, outer, later, earlier = quartic._quad_at(m7, vid(v7("1/3")), vid(v7("5/2")), pole3)
+    assert (later, earlier) == (vid(v7("5/2")), vid(v7("1/2")))
+    assert {inner, outer} == {m7.face_id_by_vertices(map(v7, ("1/3", "5/2", "1/2"))),
+                              m7.face_id_by_vertices(map(v7, ("5/2", "3/0", "1/2")))}
     # a slot of denominator 1, a den-2 neighbour with no den-2 common
     # neighbour, and a den-2 slot that is no neighbour of the pinch
     for slot in ("1/1", "0/2", "2/2"):
-        with pytest.raises(BrokenInvariant, match="no quadrilateral"):
-            quartic._quad_at(m7, v7("1/3"), v7(slot))
+        with pytest.raises(BrokenInvariant, match="no quadrilateral at 1/3"):
+            quartic._quad_at(m7, vid(v7("1/3")), vid(v7(slot)), pole3)
+
+
+# -- the object path: the outer ring as it ran on FareyFractions and
+# neighbors() tuples before it moved to vertex ids, kept as the oracle
+
+def reference_quad_at(fmap, third, u):
+    pole3 = canonical(3, 0, 7)
+    around, beside = fmap.neighbors(third), set(fmap.neighbors(u))
+    others = [v for v in around if v.den == 2 and v in beside]
+    assert u.den == 2 and u in around and len(others) == 1
+    w = others[0]
+    rot = fmap.neighbors(pole3)
+    for r, nxt in zip(rot, rot[1:] + rot[:1]):
+        if {r, nxt} == {u, w}:
+            return (fmap.face_id_by_vertices([third, u, w]),
+                    fmap.face_id_by_vertices([u, pole3, w]), nxt, r)
+    raise AssertionError(f"{u}, {w} not consecutive around {pole3}")
+
+
+def reference_outer_ring(fmap):
+    walk = [v.translated(k) for k in range(7) for v in second_circuit_seed(7)]
+    pole2, pole3 = canonical(2, 0, 7), canonical(3, 0, 7)
+    pinches = [i for i, v in enumerate(walk) if v.den == 3]
+    regions = []
+    for a, b in zip(pinches, pinches[1:] + [pinches[0] + len(walk)]):
+        start, end = walk[a], walk[b % len(walk)]
+        if b - a == 1:
+            face_id = fmap.face_id_by_vertices([start, pole2, end])
+            regions.append(RingRegion("triangle", (start, pole2, end), (face_id,)))
+        else:
+            u = walk[(a + 1) % len(walk)]
+            inner, outer, later, earlier = reference_quad_at(fmap, start, u)
+            regions.append(RingRegion("quad", (start, later, pole3, earlier), (inner, outer)))
+    return tuple(regions)
+
+
+def test_outer_ring_equals_the_fraction_reference(m7):
+    ring = outer_ring(m7)
+    reference = reference_outer_ring(m7)
+    assert ring == reference
+    assert [r.corners for r in ring] == [r.corners for r in reference]
+    assert [r.face_ids for r in ring] == [r.face_ids for r in reference]
+    assert all(type(v) is FareyFraction for r in ring for v in r.corners)
 
 
 def test_fourteen_gon_side_one(m7):

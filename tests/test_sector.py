@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fareymaps.arith import canonical, is_adjacent, vertex_pairs
-from fareymaps.errors import DisconnectedBoundary, NoSector, WrongLevel
+from fareymaps import sector as sector_module
+from fareymaps.arith import FareyFraction, canonical, is_adjacent, vertex_pairs
+from fareymaps.errors import DisconnectedBoundary, NoSector, UnpairedEdge, WrongLevel
+from fareymaps.gluing import polygon_genus, reversed_pairs
 from fareymaps.maps import FareyMap, build_map
 from fareymaps.sector import (
     BoundaryWalk,
@@ -415,3 +417,102 @@ def test_face_structure_cache_does_not_keep_the_map_alive():
     del m
     gc.collect()
     assert ref() is None
+
+
+# -- the object path: the walk, the pairing and the genus as they ran on
+# FareyFractions before the pipeline moved to vertex ids, kept as the oracle
+
+def reference_boundary_walk(sector):
+    """(vertices, row_length) of the boundary walk, built from FareyFractions
+    and translated with FareyFraction.translated."""
+    fmap = sector.fmap
+    cycle = sector_module._boundary_cycle(fmap, sector.face_ids)
+    slots = [fmap.vertices[w] for w in cycle]
+    north = canonical(1, 0, 11)
+    hits = [i for i, v in enumerate(slots) if v == north]
+    assert len(hits) == 1
+    k = hits[0]
+    slots = slots[k:] + slots[:k]
+    length = len(slots)
+    radius = 0
+    while radius + 1 < length // 2 and slots[radius + 1].translated(1) == slots[-(radius + 1)]:
+        radius += 1
+    free = slots[radius:length - radius]
+    return tuple(v.translated(k) for k in range(11) for v in free), len(free)
+
+
+def reference_pair_boundary(vertices):
+    return reversed_pairs([(v, vertices[(i + 1) % len(vertices)]) for i, v in enumerate(vertices)])
+
+
+def reference_quotient_genus(fmap, vertices, pairs):
+    interior_vertices = fmap.vertex_count - len(set(vertices))
+    interior_edges = fmap.edge_count - len(pairs)
+    inner_chi = interior_vertices - interior_edges + fmap.face_count
+    return polygon_genus(vertices, pairs, inner_chi)
+
+
+@pytest.mark.parametrize("restricted", [True, False], ids=["reference", "free"])
+def test_id_pipeline_equals_the_fraction_reference(m11, restricted):
+    sector = sector_search(m11, restrict=reference_sector_vertices() if restricted else None)
+    walk = boundary_walk(sector)
+    vertices, row_length = reference_boundary_walk(sector)
+    assert (len(walk), walk.row_length) == (len(vertices), row_length) == (198, 18)
+    assert walk.vertices == vertices
+    assert walk.labels() == [str(v) for v in vertices]
+    assert walk.edges() == list(zip(vertices, vertices[1:] + vertices[:1]))
+    assert walk.edge_ids() == [(m11.vertex_id(u), m11.vertex_id(w)) for u, w in walk.edges()]
+    pairing = pair_boundary(walk)
+    assert pairing.pairs == reference_pair_boundary(vertices)
+    genus = quotient_genus(walk, pairing)
+    assert genus == reference_quotient_genus(m11, vertices, pairing.pairs) == 26
+    # normalize_walk rotates to the given directed edge, as on the labels
+    labels = walk.labels()
+    for k in (0, 7, 197):
+        turned = normalize_walk(walk, labels[k], labels[(k + 1) % 198])
+        assert turned.labels() == labels[k:] + labels[:k]
+        assert turned.vertices == vertices[k:] + vertices[:k]
+
+
+def test_the_198_walk_builds_no_fraction(monkeypatch):
+    # the sector search, the walk, the pairing and the genus run on vertex
+    # ids: they build no FareyFraction, and the walk's vertices and edges are
+    # views of the map's vertices, built on their first read
+    m = build_map(11)
+    restrict = reference_sector_vertices()
+    built = []
+    post_init = FareyFraction.__post_init__
+
+    def counting(self):
+        built.append(str(self))
+        post_init(self)
+
+    monkeypatch.setattr(FareyFraction, "__post_init__", counting)
+
+    def chain():
+        walk = normalize_walk(boundary_walk(sector_search(m, restrict)), "1/5", "1/4")
+        pairing = pair_boundary(walk)
+        assert quotient_genus(walk, pairing) == 26
+        assert walk.rows() == GOLDEN_TABLE and len(walk.labels()) == 198
+        return walk
+
+    chain()
+    assert built == [] and "vertices" not in vars(m)
+    assert len(m.vertices) == len(built) == 60
+    built.clear()
+    walk = chain()
+    assert len(walk.vertices) == len(walk.edges()) == 198
+    assert built == []
+
+
+def test_walk_errors_name_labels(reference_walk):
+    with pytest.raises(UnpairedEdge, match="directed edge 1/5->1/0 occurs 0 times"):
+        normalize_walk(reference_walk, "1/5", "1/0")
+    # walks that run an edge twice in one direction, or never back
+    walk = normalize_walk(reference_walk, "1/5", "1/4")
+    doubled = BoundaryWalk(walk.ids[:2] * 2, 2, walk.fmap)
+    with pytest.raises(UnpairedEdge, match=r"directed key \('1/5', '1/4'\) occurs twice"):
+        pair_boundary(doubled)
+    open_ = BoundaryWalk(walk.ids[:3], 3, walk.fmap)
+    with pytest.raises(UnpairedEdge, match=r"no reversed occurrence of \('1/5', '1/4'\)"):
+        pair_boundary(open_)
