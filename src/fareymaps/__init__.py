@@ -40,7 +40,6 @@ from .metrics import (
     first_circuit,
     poles,
     second_circuit,
-    second_circuit_seed,
 )
 from .quartic import (
     FourteenGon,

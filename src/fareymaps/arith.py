@@ -105,21 +105,6 @@ class FareyFraction:
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
 
-    def translated(self, k: int = 1) -> "FareyFraction":
-        """Image under t -> t + k, i.e. a/c -> (a + k c)/c.
-
-        Equal to canonical(a + k c, c, n), validated once (by
-        `__post_init__`): the translation keeps c and gcd(a, c, n), a pole
-        keeps its numerator, and 0 < c < n/2 takes any numerator, so only
-        c = n/2, its own negative, needs the sign choice.
-        """
-        n = self.level
-        c = self.den
-        a = (self.num + k * c) % n
-        if 2 * c == n and 2 * a > n:
-            a = n - a
-        return FareyFraction(a, c, n)
-
 
 def canonical(a: int, c: int, n: int) -> FareyFraction:
     """The canonical Farey fraction equal to a/c mod n.
@@ -187,12 +172,6 @@ def vertex_columns(n: int) -> np.ndarray:
     if n % 2 == 0:
         keep[half, half + 1:] = False
     return np.array(np.nonzero(keep)[::-1], dtype=np.int32)
-
-
-def vertex_pairs(n: int) -> list[tuple[int, int]]:
-    """The canonical (num, den) vertex pairs at level n, in (den, num) order:
-    the columns of vertex_columns(n) as a list of int tuples."""
-    return list(zip(*vertex_columns(n).tolist()))
 
 
 def is_adjacent(f: FareyFraction, g: FareyFraction) -> bool:

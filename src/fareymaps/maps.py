@@ -236,9 +236,14 @@ class FareyMap:
     def vertex_ids(self, nums, dens) -> np.ndarray:
         """The vertex ids of the fractions nums[i]/dens[i] mod n, either sign
         representative, in one array shaped like nums; no FareyFraction is
-        built.  Raises UnknownVertex if one of them is not a vertex."""
+        built.  Raises UnknownVertex if one of them is not a vertex, or if
+        nums or dens is not an array of integers (bools read as 0 or 1)."""
         n = self.level
-        ids = self._vertex_grid[np.asarray(nums) % n, np.asarray(dens) % n]
+        nums, dens = np.asarray(nums), np.asarray(dens)
+        if nums.dtype.kind not in "biu" or dens.dtype.kind not in "biu":
+            raise UnknownVertex(
+                f"vertex_ids needs integer arrays, got {nums.dtype} and {dens.dtype}")
+        ids = self._vertex_grid[nums % n, dens % n]
         if (ids < 0).any():
             raise UnknownVertex(f"a fraction is not a vertex of M3({n})")
         return ids
@@ -255,14 +260,6 @@ class FareyMap:
             sign = 1 if det == 1 else -1
             return u * n + sign * (b * d0 - d * b0) % n
         raise UnknownVertex(f"no edge from vertex id {u} to vertex id {w}")
-
-    def neighbor_ids(self, vid: int) -> list[int]:
-        """The n neighbour ids of vertex id vid, in sigma rotation order."""
-        return self.dart_targets()[self._read_id(vid, self.vertex_count, "vertex")].tolist()
-
-    def neighbors(self, v: FareyFraction) -> tuple[FareyFraction, ...]:
-        """The n neighbours of v as a cyclic sequence in sigma rotation order."""
-        return tuple(self.vertices[i] for i in self.neighbor_ids(self.vertex_id(v)))
 
     def edge_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """The int32 edge columns (src, tgt): every edge once with src < tgt,
@@ -283,11 +280,6 @@ class FareyMap:
                 column.flags.writeable = False
             self._edge_columns = columns
         return self._edge_columns
-
-    def edge_id_pairs(self) -> list[tuple[int, int]]:
-        """Every edge once as (u, w) with u < w, ordered by (u, w); a new list."""
-        src, tgt = self.edge_columns()
-        return list(zip(src.tolist(), tgt.tolist()))
 
     def vertex_labels(self) -> tuple[str, ...]:
         """The label str(v) of every vertex, "a/c", by vertex id; computed
@@ -542,7 +534,8 @@ def gather_rows(columns: np.ndarray, ids: np.ndarray) -> list[str]:
 def map_to_dict(fmap: FareyMap) -> dict:
     """The export as a dict: labels, edges by (src, tgt) id, faces sorted by labels."""
     verts = list(fmap.vertex_labels())
-    edges = [[verts[i], verts[j]] for i, j in fmap.edge_id_pairs()]
+    src, tgt = fmap.edge_columns()
+    edges = [[verts[i], verts[j]] for i, j in zip(src.tolist(), tgt.tolist())]
     faces = [[verts[a], verts[b], verts[c]] for a, b, c in fmap._face_rows_by_label().tolist()]
     return {"level": fmap.level, "vertices": verts, "edges": edges, "faces": faces}
 
@@ -624,7 +617,8 @@ def same_combinatorics(fmap: FareyMap, data: MapData) -> bool:
     verts = fmap.vertex_labels()
     if sorted(verts) != sorted(data.vertices):
         return False
-    edges = {frozenset((verts[i], verts[j])) for i, j in fmap.edge_id_pairs()}
+    src, tgt = fmap.edge_columns()
+    edges = {frozenset((verts[i], verts[j])) for i, j in zip(src.tolist(), tgt.tolist())}
     faces = {frozenset((verts[a], verts[b], verts[c])) for a, b, c in fmap.face_vertex_rows()}
     return edges == data.edges and faces == data.faces
 

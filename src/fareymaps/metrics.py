@@ -21,8 +21,15 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import FareyFraction, canonical, distinct_prime_factors, farey_fractions
-from .errors import BrokenInvariant, EqualVertices, LevelMismatch, NotPrime, UnknownVertex
-from .maps import FareyMap
+from .errors import (
+    BrokenInvariant,
+    EqualVertices,
+    LevelMismatch,
+    NotPrime,
+    ResourceLimit,
+    UnknownVertex,
+)
+from .maps import DEFAULT_LEVEL_BOUND, FareyMap
 
 
 @lru_cache
@@ -35,6 +42,15 @@ def is_prime_level(n: int) -> bool:
 def _require_prime(p: int) -> None:
     if not is_prime_level(p):
         raise NotPrime(f"need a prime >= 5, got {p}")
+
+
+def _require_circuit_level(p: int) -> None:
+    """Raise ResourceLimit above build_map's bound, since the distance-2
+    walk alone holds p(p-4) slots, and NotPrime unless p is a prime >= 5.
+    The bound is checked first, so a huge level is never factored."""
+    if p > DEFAULT_LEVEL_BOUND:
+        raise ResourceLimit(f"level {p} above bound {DEFAULT_LEVEL_BOUND}")
+    _require_prime(p)
 
 
 def _successors(x: np.ndarray) -> np.ndarray:
@@ -193,32 +209,25 @@ def diameter(fmap: FareyMap) -> int:
 
 def first_circuit(p: int) -> Circuit:
     """The circuit 0/1, 1/1, ..., (p-1)/1 at distance 1 from 1/0."""
-    _require_prime(p)
+    _require_circuit_level(p)
     return Circuit(tuple(canonical(k, 1, p) for k in range(p)), p)
-
-
-def _seed_pairs(p: int) -> list[tuple[int, int]]:
-    """The canonical (num, den) pairs of second_circuit_seed(p)."""
-    _require_prime(p)
-    half = (p - 1) // 2
-    return [(1, k) for k in range(half, 1, -1)] + [(m - 1, m) for m in range(3, half + 1)]
-
-
-def second_circuit_seed(p: int) -> tuple[FareyFraction, ...]:
-    """The length p-4 seed: 1/((p-1)/2), ..., 1/2, 2/3, ..., ((p-3)/2)/((p-1)/2)."""
-    return tuple(FareyFraction(a, c, p) for a, c in _seed_pairs(p))
 
 
 def second_circuit_slots(p: int) -> tuple[np.ndarray, np.ndarray]:
     """The numerators and denominators of the p(p-4) slots of
     second_circuit(p), in walk order, as two int arrays.
 
-    Slot k(p-4) + i is seed vertex i, a/c, translated by k: (a + k c)/c with
-    the numerator reduced mod p, one broadcast over k and the seed.  Every
-    seed denominator c lies in 2..(p-1)/2, strictly between 0 and p/2, so
-    each slot pair is canonical.  No FareyFraction is built.
+    The seed is the walk of length p-4 from 1/((p-1)/2) down to 1/2 and on
+    through 2/3, 3/4, ... to ((p-3)/2)/((p-1)/2).  Slot k(p-4) + i is seed
+    vertex i, a/c, translated by k: (a + k c)/c with the numerator reduced
+    mod p, one broadcast over k and the seed.  Every seed denominator c lies
+    in 2..(p-1)/2, strictly between 0 and p/2, so each slot pair is
+    canonical.  No FareyFraction is built.
     """
-    a, c = np.array(_seed_pairs(p)).T
+    _require_circuit_level(p)
+    half = (p - 1) // 2
+    seed = [(1, k) for k in range(half, 1, -1)] + [(m - 1, m) for m in range(3, half + 1)]
+    a, c = np.array(seed).T
     nums = (a + np.arange(p)[:, None] * c) % p
     return nums.ravel(), np.tile(c, p)
 
@@ -246,7 +255,7 @@ def second_circuit(p: int) -> Circuit:
 
 def poles(p: int) -> tuple[FareyFraction, ...]:
     """All (p-1)/2 poles 1/0, 2/0, ..., ((p-1)/2)/0."""
-    _require_prime(p)
+    _require_circuit_level(p)
     return tuple(canonical(a, 0, p) for a in range(1, (p - 1) // 2 + 1))
 
 
@@ -265,7 +274,7 @@ def decomposition_ids(fmap: FareyMap) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def decompose(p: int) -> Decomposition:
     """Quasi-icosahedral decomposition of the vertex set by distance from 1/0."""
-    _require_prime(p)
+    _require_circuit_level(p)
     return Decomposition(
         north=canonical(1, 0, p),
         sphere1=first_circuit(p),

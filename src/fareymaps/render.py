@@ -100,12 +100,13 @@ def render_map(fmap: FareyMap, sector_face_ids=None) -> str:
             pts = " ".join(",".join(points[i]) for i in tri)
             parts.append(f'<polygon points="{pts}" fill="#dce9f9" stroke="none"/>\n')
         parts += [line_head[i] + line_tail[j] for i, j in edges]
+    labels = fmap.vertex_labels()
     for vid in shown_vertices:
         x, y = points[vid]
         parts.append(f'<circle cx="{x}" cy="{y}" r="3" fill="#203050"/>\n')
         parts.append(
             f'<text x="{x}" y="{y}" dx="5" dy="-4" font-size="11" '
-            f'font-family="monospace" fill="#000000">{fmap.vertices[vid]}</text>\n'
+            f'font-family="monospace" fill="#000000">{labels[vid]}</text>\n'
         )
     parts.append("</svg>\n")
     return "".join(parts)

@@ -14,8 +14,8 @@ the orbits and the tiles, `face_neighbours()` for the edge-connected growth
 and the boundary walk, `vertex_translation()` for the translated copies of
 the boundary, and `vertex_labels()` for the labels.  Nothing here touches
 darts.  The pipeline runs on vertex ids: a `BoundaryWalk` holds the walk as
-ids, and its vertices and labels are views read off the map, so the walk,
-the pairing and the genus build no FareyFraction.
+ids, and its labels are a view read off the map, so the walk, the pairing
+and the genus build no FareyFraction.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ def tile_by_translates(sector: Sector) -> list[frozenset[int]]:
 @dataclass(frozen=True)
 class BoundaryWalk:
     """Closed walk around the unfolded union of the eleven sector copies,
-    as vertex ids of its map; the vertices and labels are read off the map."""
+    as vertex ids of its map; the labels are read off the map."""
 
     ids: tuple[int, ...]
     row_length: int  # fresh slots contributed by each sector copy
@@ -188,11 +188,6 @@ class BoundaryWalk:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    @property
-    def vertices(self) -> tuple[FareyFraction, ...]:
-        vs = self.fmap.vertices
-        return tuple(vs[i] for i in self.ids)
 
     def labels(self) -> list[str]:
         labels = self.fmap.vertex_labels()
@@ -203,10 +198,6 @@ class BoundaryWalk:
         closing the walk), as a pair of vertex ids."""
         ids = self.ids
         return list(zip(ids, ids[1:] + ids[:1]))
-
-    def edges(self) -> list[tuple[FareyFraction, FareyFraction]]:
-        vs = self.fmap.vertices
-        return [(vs[u], vs[w]) for u, w in self.edge_ids()]
 
     def rows(self) -> list[list[str]]:
         """Row k lists the slots of sector copy k plus the shared end slot."""

@@ -20,7 +20,7 @@ from fareymaps.arith import (
     is_adjacent,
     mobius_exact,
     mobius_mod,
-    vertex_pairs,
+    vertex_columns,
 )
 from fareymaps.errors import (
     BrokenInvariant,
@@ -31,6 +31,7 @@ from fareymaps.errors import (
     NotUnimodular,
     Unsupported,
 )
+from fareymaps.maps import build_map
 from fareymaps.metrics import Circuit
 
 
@@ -113,15 +114,18 @@ def outcome(f, *args):
 
 
 def test_translated_equals_canonical_of_shifted_numerator():
-    # translated skips canonical's sign search; every vertex at
-    # n = 3..40 and every shift in [-n, 2n) must give canonical's answer.
-    # canonical reads a + k c mod n, so it is computed once per residue k mod n.
+    # the map's translation table skips canonical's sign search; applied k
+    # times it must send every vertex a/c at n = 3..40 to canonical's
+    # (a + k c)/c, and its n-th power is the identity
     for n in range(3, 41):
-        for a, c in vertex_pairs(n):
-            v = FareyFraction(a, c, n)
-            want = [outcome(canonical, a + k * c, c, n) for k in range(n)]
-            for k in range(-n, 2 * n):
-                assert outcome(v.translated, k) == want[k % n], (v, k)
+        m = build_map(n)
+        shift = m.vertex_translation()
+        image = np.arange(m.vertex_count)
+        for k in range(n):
+            want = [m.vertex_id(canonical(v.num + k * v.den, v.den, n)) for v in m.vertices]
+            assert image.tolist() == want, (n, k)
+            image = shift[image]
+        assert image.tolist() == list(range(m.vertex_count)), n
 
 
 def test_not_a_vertex():
@@ -136,11 +140,10 @@ def test_not_a_vertex():
 def test_level_two_has_three_vertices():
     # PSL(2, Z_2) has order 6, so M3(2) would have 6 / 2 = 3 vertices; 1/1 is
     # its own negative mod 2 and keeps its label.
-    assert vertex_pairs(2) == [(1, 0), (0, 1), (1, 1)]
+    assert vertex_columns(2).tolist() == [[1, 0, 1], [0, 1, 1]]
     one = canonical(1, 1, 2)
     assert (one.num, one.den) == (1, 1) and str(one) == "1/1"
     assert FareyFraction.parse(str(one), 2) == one == canonical(-1, -1, 2)
-    assert one.translated() == canonical(0, 1, 2)
 
 
 def test_parse_and_str_roundtrip():
@@ -187,7 +190,8 @@ def test_distinct_prime_factors():
 
 def test_vertex_pairs_are_the_sorted_vertices():
     for n in range(2, 16):
-        assert [canonical(a, c, n) for a, c in vertex_pairs(n)] == all_vertices(n)
+        nums, dens = vertex_columns(n).tolist()
+        assert [canonical(a, c, n) for a, c in zip(nums, dens)] == all_vertices(n)
 
 
 def test_is_adjacent_examples():
@@ -362,8 +366,8 @@ def test_farey_fractions_check_as_farey_fraction_does():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 31, 60])
 def test_farey_fractions_build_the_vertex_list(n):
-    nums, dens = zip(*vertex_pairs(n))
-    assert farey_fractions(nums, dens, n) == [FareyFraction(a, c, n) for a, c in vertex_pairs(n)]
+    nums, dens = map(tuple, vertex_columns(n).tolist())
+    assert farey_fractions(nums, dens, n) == [FareyFraction(a, c, n) for a, c in zip(nums, dens)]
     # the first bad pair raises, wherever it sits
     with pytest.raises(NotAVertex, match=f"{n}/1 not reduced mod {n}"):
         farey_fractions(nums + (n, 0), dens + (1, 0), n)

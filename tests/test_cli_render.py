@@ -177,6 +177,14 @@ def test_render_composite_and_small(tmp_path):
         assert len(texts) == 12
 
 
+def test_render_builds_no_vertex_list():
+    # the labels are read off the map, so a fresh map keeps its
+    # FareyFraction vertex list unbuilt
+    m = build_map(53)
+    render_map(m)
+    assert "vertices" not in m.__dict__
+
+
 def test_render_sector_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "render", "7", "-o", str(tmp_path / "x.svg"), "--sector")
     assert code == 2 and "error" in err

@@ -1,15 +1,19 @@
 """Static guards over the package source: no `assert` (which `python -O`
 strips), no module reaching into another module's private names, and no
 module outside the map construction and its invariant battery reading the
-dart permutations, and no module but metrics reading the distance-2 walk's
-slots."""
+dart permutations, no module but metrics reading the distance-2 walk's
+slots, and no id pipeline reading a map's FareyFraction vertex list.  The
+README's quick start must run, and the map and walk readers it names must
+exist."""
 
 import ast
+import re
 from pathlib import Path
 
 import fareymaps
 
 MODULES = sorted(Path(fareymaps.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def parse(path):
@@ -92,3 +96,38 @@ def test_second_circuit_slots_read_only_by_metrics():
         or (isinstance(node, ast.alias) and node.name == "second_circuit_slots")
     ]
     assert found == []
+
+
+def test_id_pipelines_read_no_vertex_list():
+    # the battery, the drawing and the level-11 walk run on vertex ids and
+    # read labels off the map, so none of them builds m.vertices
+    found = [
+        f"{path.name}:{node.lineno} reads .vertices"
+        for path in MODULES
+        if path.name in ("invariants.py", "render.py", "sector.py")
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Attribute) and node.attr == "vertices"
+    ]
+    assert found == []
+
+
+def test_readme_quick_start_runs_and_names_live_readers(capsys):
+    text = README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    # each print's trailing comment is its output, or a prefix of it up to "..."
+    printed = capsys.readouterr().out.splitlines()
+    comments = [line.split("#", 1)[1].strip()
+                for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(comments)
+    for got, want in zip(printed, comments):
+        head, dots, _ = want.partition("...")
+        assert got.startswith(head) if dots else got == want, (got, want)
+    # every backticked m.<name> and walk.<name> outside the code blocks
+    readers = {"m": namespace["m11"], "walk": namespace["walk"]}
+    prose = re.sub(r"```.*?```", "", text, flags=re.S)
+    named = {(owner, name) for span in re.findall(r"`([^`]+)`", prose)
+             for owner, name in re.findall(r"\b(m|walk)\.([A-Za-z_]\w*)", span)}
+    assert named, "no m.<name> or walk.<name> found"
+    assert sorted(f"{o}.{n}" for o, n in named if not hasattr(readers[o], n)) == []

@@ -17,7 +17,6 @@ from fareymaps.arith import (
     is_adjacent,
     mobius_mod,
     vertex_columns,
-    vertex_pairs,
 )
 from fareymaps.errors import (
     BrokenInvariant,
@@ -124,11 +123,22 @@ def test_permutation_structure():
         assert m.face_count * 3 == m.dart_count
 
 
+def edge_pairs(m):
+    """The edges of m as (src, tgt) id pairs, read off its edge columns."""
+    src, tgt = m.edge_columns()
+    return list(zip(src.tolist(), tgt.tolist()))
+
+
+def neighbours_of(m, v):
+    """The neighbours of the vertex v in rotation order, read off the dart targets."""
+    return [m.vertices[i] for i in m.dart_targets()[m.vertex_id(v)].tolist()]
+
+
 def test_edges_match_adjacency_oracle():
     for n in range(3, 14):
         m = build_map(n)
         vs = m.vertices
-        from_darts = {frozenset((i, j)) for i, j in m.edge_id_pairs()}
+        from_darts = {frozenset(e) for e in edge_pairs(m)}
         from_oracle = {
             frozenset((i, j))
             for i in range(len(vs))
@@ -166,17 +176,17 @@ def test_vertex_stabilizer_of_north_is_translation_group():
 
 def test_neighbors_examples():
     m7 = build_map(7)
-    got = m7.neighbors(canonical(1, 0, 7))
+    got = neighbours_of(m7, canonical(1, 0, 7))
     assert list(map(str, got)) == [f"{k}/1" for k in range(7)]
 
     m5 = build_map(5)
-    around = m5.neighbors(canonical(0, 1, 5))
+    around = neighbours_of(m5, canonical(0, 1, 5))
     assert len(around) == 5
     assert canonical(1, 0, 5) in around
 
     m11 = build_map(11)
     v = canonical(2, 0, 11)
-    got = set(m11.neighbors(v))
+    got = set(neighbours_of(m11, v))
     expect = {u for u in m11.vertices if u != v and is_adjacent(u, v)}
     assert len(got) == 11
     assert got == expect
@@ -337,7 +347,8 @@ def test_face_tables_match_shared_corner_and_translate_oracles(n):
         # the face across corner k -> k + 1 is the other face holding both corners
         across = [(faces_at[row[k]] & faces_at[row[(k + 1) % 3]]) - {fid} for k in range(3)]
         assert across == [{g} for g in neighbours[fid].tolist()], (n, fid)
-        image = m.face_id_by_vertices([vs[i].translated(1) for i in row])
+        shifted = [canonical(vs[i].num + vs[i].den, vs[i].den, n) for i in row]
+        image = m.face_id_by_vertices(shifted)
         assert int(translation[fid]) == image, (n, fid)
 
 
@@ -398,7 +409,7 @@ def test_rotation_order_is_the_bezout_column_sequence():
             b, d = next((b, d) for b in range(n) for d in range(n) if (a * d - b * c) % n == 1)
             g = ModMatrix.of(a, b, c, d, n)
             want = [mobius_mod(g, canonical(t, 1, n)) for t in range(n)]
-            got = list(m.neighbors(v))
+            got = neighbours_of(m, v)
             k = got.index(want[0])
             assert got[k:] + got[:k] == want, (n, v)
 
@@ -444,8 +455,8 @@ def test_regularity_every_group_element_is_map_automorphism():
         m = build_map(n)
         for g in all_group_elements(n):
             for v in m.vertices:
-                image = [mobius_mod(g, u) for u in m.neighbors(v)]
-                target = list(m.neighbors(mobius_mod(g, v)))
+                image = [mobius_mod(g, u) for u in neighbours_of(m, v)]
+                target = neighbours_of(m, mobius_mod(g, v))
                 # cyclic sequences agree up to rotation (orientation preserved)
                 k = target.index(image[0])
                 assert target[k:] + target[:k] == image, (n, g, v)
@@ -508,18 +519,11 @@ def test_exports_match_reference_sorts():
         src = np.arange(m.alpha.shape[0]) // m.level
         tgt = m.alpha // m.level
         keep = src < tgt
-        assert m.edge_id_pairs() == sorted(zip(src[keep].tolist(), tgt[keep].tolist())), n
+        assert edge_pairs(m) == sorted(zip(src[keep].tolist(), tgt[keep].tolist())), n
         labels = [str(v) for v in m.vertices]
         faces = sorted([labels[i] for i in row] for row in m.face_vertex_rows())
         assert map_to_dict(m)["faces"] == faces, n
         assert to_json(m) == json.dumps(map_to_dict(m)), n
-
-
-def test_edge_id_pairs_returns_a_new_list_each_call():
-    m = build_map(7)
-    first, second = m.edge_id_pairs(), m.edge_id_pairs()
-    assert first == second
-    assert first is not second
 
 
 def test_exports_are_deterministic():
@@ -646,7 +650,6 @@ def test_vertex_kernel_matches_scalar_enumeration():
         columns = vertex_columns(n)
         assert columns.dtype == np.int32 and columns.shape[0] == 2
         assert list(zip(*columns.tolist())) == reference_vertex_pairs(n), n
-        assert vertex_pairs(n) == reference_vertex_pairs(n), n
 
 
 def test_bezout_kernel_matches_scalar_euclid():
@@ -683,8 +686,6 @@ def test_dart_layout_matches_reference_build(n):
     assert np.array_equal(m._face_index(), face_of_dart)
     if n <= 31 or n in (53, 64):
         assert m.face_vertex_rows() == (face_darts // n).tolist()
-        neighbours = (alpha // n).reshape(-1, n).tolist()
-        assert [m.neighbor_ids(v) for v in range(m.vertex_count)] == neighbours
 
 
 def test_build_map_memory():
@@ -808,17 +809,17 @@ def test_vertex_ids_match_vertex_id():
         build_map(12).vertex_ids([2, 1], [0, 2])  # 2/0 has gcd 2 with 12
 
 
-def test_neighbor_ids_rejects_unknown_ids():
-    m7 = build_map(7)
-    for vid in (-1, m7.vertex_count, 99):
-        with pytest.raises(UnknownVertex):
-            m7.neighbor_ids(vid)
+@pytest.mark.parametrize("nums, dens", [([0.5], [1]), (1.0, 0), (["1"], ["0"]), ([None], [1]),
+                                        ([1], [np.float64(0)])], ids=repr)
+def test_vertex_ids_reject_non_integer_input(nums, dens):
+    # as _read_id does for one scalar id
+    with pytest.raises(UnknownVertex):
+        build_map(7).vertex_ids(nums, dens)
 
 
 SCALAR_ID_READERS = {
     "dart_between_source": lambda m, x: m.dart_between(x, 1),
     "dart_between_target": lambda m, x: m.dart_between(0, x),
-    "neighbor_ids": lambda m, x: m.neighbor_ids(x),
     "face_vertex_ids": lambda m, x: m.face_vertex_ids(x),
     "face_id_by_vertices": lambda m, x: m.face_id_by_vertices([x, 1, 2]),
 }
@@ -833,9 +834,11 @@ def test_malformed_scalar_ids_raise_unknown_vertex(reader, bad):
 
 def test_bool_and_numpy_ids_read_as_integers():
     m = build_map(7)
-    assert m.neighbor_ids(True) == m.neighbor_ids(1)
-    assert m.neighbor_ids(np.int32(3)) == m.neighbor_ids(3)
+    w = int(m.dart_targets()[1, 0])
+    assert m.dart_between(True, w) == m.dart_between(1, w)
+    assert m.face_vertex_ids(np.int32(3)) == m.face_vertex_ids(3)
     assert m.face_vertex_ids(False) == m.face_vertex_ids(0)
+    assert m.vertex_ids([True, False], True).tolist() == m.vertex_ids([1, 0], 1).tolist()
     u, w = m.face_vertex_ids(0)[:2]
     assert m.dart_between(np.int64(u), np.int16(w)) == m.dart_between(u, w)
     assert type(m.dart_between(np.int64(u), w)) is int
@@ -845,7 +848,7 @@ def test_vertex_columns_are_the_vertex_pairs():
     for n in (3, 4, 7, 12, 31, 101):
         m = build_map(n)
         nums, dens = m.vertex_columns()
-        assert list(zip(nums.tolist(), dens.tolist())) == vertex_pairs(n)
+        assert [nums.tolist(), dens.tolist()] == vertex_columns(n).tolist()
         for column in (nums, dens):
             with pytest.raises(ValueError):
                 column[0] = 1
@@ -861,14 +864,14 @@ def test_vertex_labels_and_translation_match_the_fractions(n):
     assert labels == tuple(str(v) for v in m.vertices)
     shift = m.vertex_translation()
     assert shift.dtype == np.int32 and shift is m.vertex_translation()
-    assert shift.tolist() == [m.vertex_id(v.translated(1)) for v in m.vertices]
+    assert shift.tolist() == [m.vertex_id(canonical(v.num + v.den, v.den, n)) for v in m.vertices]
 
 
 def test_vertices_are_built_once_on_first_read():
     m = build_map(12)
     vs = m.vertices
     assert vs is m.vertices
-    assert vs == [FareyFraction(a, c, 12) for a, c in vertex_pairs(12)]
+    assert vs == [FareyFraction(a, c, 12) for a, c in zip(*vertex_columns(12).tolist())]
 
 
 def test_verify_calls_build_no_vertex_fraction(monkeypatch):

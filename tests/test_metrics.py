@@ -7,7 +7,14 @@ import pytest
 
 from fareymaps.arith import canonical, is_adjacent
 from fareymaps.cli import main
-from fareymaps.errors import BrokenInvariant, EqualVertices, LevelMismatch, NotPrime, UnknownVertex
+from fareymaps.errors import (
+    BrokenInvariant,
+    EqualVertices,
+    LevelMismatch,
+    NotPrime,
+    ResourceLimit,
+    UnknownVertex,
+)
 from fareymaps.maps import build_map
 from fareymaps import metrics
 from fareymaps.metrics import (
@@ -24,7 +31,6 @@ from fareymaps.metrics import (
     is_prime_level,
     poles,
     second_circuit,
-    second_circuit_seed,
     second_circuit_slots,
 )
 
@@ -136,11 +142,12 @@ def test_first_circuit():
 
 
 def test_seed_sequences():
-    assert [str(v) for v in second_circuit_seed(7)] == ["1/3", "1/2", "2/3"]
-    assert [str(v) for v in second_circuit_seed(11)] == [
+    # the seed is the first p - 4 slots of the distance-2 walk
+    assert second_circuit(7).labels()[:3] == ["1/3", "1/2", "2/3"]
+    assert second_circuit(11).labels()[:7] == [
         "1/5", "1/4", "1/3", "1/2", "2/3", "3/4", "4/5",
     ]
-    assert [str(v) for v in second_circuit_seed(5)] == ["1/2"]
+    assert second_circuit(5).labels()[:1] == ["1/2"]
 
 
 def test_second_circuit_seven_verbatim():
@@ -184,9 +191,16 @@ def test_is_prime_level():
         poles(3)
 
 
+def reference_seed(p):
+    """The (num, den) pairs of the seed 1/((p-1)/2), ..., 1/2, 2/3, ...,
+    ((p-3)/2)/((p-1)/2)."""
+    half = (p - 1) // 2
+    return [(1, k) for k in range(half, 1, -1)] + [(m - 1, m) for m in range(3, half + 1)]
+
+
 def reference_slots(p):
     """The slots as the list comprehension they were first written as."""
-    seed = [(v.num, v.den) for v in second_circuit_seed(p)]
+    seed = reference_seed(p)
     nums = [(a + k * c) % p for k in range(p) for a, c in seed]
     return nums, [c for _, c in seed] * p
 
@@ -201,8 +215,7 @@ def test_second_circuit_slots_equal_the_reference(p):
 
 @pytest.mark.parametrize("p", PRIMES_5_TO_101)
 def test_second_circuit_is_the_seed_translates(p):
-    seed = second_circuit_seed(p)
-    oracle = tuple(v.translated(k) for k in range(p) for v in seed)
+    oracle = tuple(canonical(a + k * c, c, p) for k in range(p) for a, c in reference_seed(p))
     assert second_circuit(p).vertices == oracle
 
 
@@ -301,7 +314,7 @@ def test_seam_determinant_identity():
 def test_translation_covariance():
     for p in (5, 7, 11):
         vs = second_circuit(p).vertices
-        shifted = tuple(v.translated(1) for v in vs)
+        shifted = tuple(canonical(v.num + v.den, v.den, p) for v in vs)
         rot = p - 4
         assert shifted == vs[rot:] + vs[:rot]
 
@@ -320,6 +333,21 @@ def test_poles_examples():
     assert [str(v) for v in poles(7)] == ["1/0", "2/0", "3/0"]
     assert [str(v) for v in poles(11)] == ["1/0", "2/0", "3/0", "4/0", "5/0"]
     assert [str(v) for v in poles(5)] == ["1/0", "2/0"]
+
+
+def test_circuit_builders_share_the_map_level_bound(capsys):
+    # the distance-2 walk alone holds p(p - 4) slots, so the circuits stop at
+    # build_map's bound; the closed-form distance costs O(1) and has none
+    for build in (first_circuit, second_circuit, second_circuit_slots, poles, decompose):
+        with pytest.raises(ResourceLimit, match="level 103 above bound 101"):
+            build(103)
+    with pytest.raises(ResourceLimit):
+        decompose(100003)
+    assert len(second_circuit(101)) == 101 * 97
+    assert distance_formula(canonical(1, 0, 103), canonical(2, 0, 103), 103) == 3
+    assert main(["circuits", "103"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: level 103 above bound 101\n")
 
 
 def test_decompose_partitions_vertex_set():
@@ -350,7 +378,7 @@ def test_bfs_distances_rejects_unknown_ids():
 def edge_graph(m):
     graph = nx.Graph()
     graph.add_nodes_from(range(m.vertex_count))
-    graph.add_edges_from(m.edge_id_pairs())
+    graph.add_edges_from(zip(*(column.tolist() for column in m.edge_columns())))
     return graph
 
 

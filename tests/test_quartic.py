@@ -4,7 +4,6 @@ from fareymaps.arith import ExtRational, FareyFraction, canonical, is_adjacent
 from fareymaps import quartic
 from fareymaps.errors import BrokenInvariant, WrongLevel
 from fareymaps.maps import build_map
-from fareymaps.metrics import second_circuit_seed
 from fareymaps.quartic import (
     RingRegion,
     fourteen_gon,
@@ -98,15 +97,20 @@ def test_quad_at_reports_a_missing_corner(m7):
 
 
 # -- the object path: the outer ring as it ran on FareyFractions and
-# neighbors() tuples before it moved to vertex ids, kept as the oracle
+# neighbour tuples before it moved to vertex ids, kept as the oracle
+
+def reference_neighbours(fmap, v):
+    """The neighbours of v in rotation order, as FareyFractions."""
+    return [fmap.vertices[i] for i in fmap.dart_targets()[fmap.vertex_id(v)].tolist()]
+
 
 def reference_quad_at(fmap, third, u):
     pole3 = canonical(3, 0, 7)
-    around, beside = fmap.neighbors(third), set(fmap.neighbors(u))
+    around, beside = reference_neighbours(fmap, third), set(reference_neighbours(fmap, u))
     others = [v for v in around if v.den == 2 and v in beside]
     assert u.den == 2 and u in around and len(others) == 1
     w = others[0]
-    rot = fmap.neighbors(pole3)
+    rot = reference_neighbours(fmap, pole3)
     for r, nxt in zip(rot, rot[1:] + rot[:1]):
         if {r, nxt} == {u, w}:
             return (fmap.face_id_by_vertices([third, u, w]),
@@ -115,7 +119,8 @@ def reference_quad_at(fmap, third, u):
 
 
 def reference_outer_ring(fmap):
-    walk = [v.translated(k) for k in range(7) for v in second_circuit_seed(7)]
+    # the seed 1/3, 1/2, 2/3 and its translates a/c -> (a + k c)/c
+    walk = [canonical(a + k * c, c, 7) for k in range(7) for a, c in ((1, 3), (1, 2), (2, 3))]
     pole2, pole3 = canonical(2, 0, 7), canonical(3, 0, 7)
     pinches = [i for i, v in enumerate(walk) if v.den == 3]
     regions = []
