@@ -28,24 +28,25 @@ Storage: the map keeps two int32 dart arrays, 8 bytes per dart: alpha and
 the F x 3 face darts (F = mu/3, so one entry per dart again).  sigma and the
 dart targets are one line of closed form each: sigma is built from
 (v, t) -> (v, t + 1) whenever m.sigma is read, and the target of dart d is
-alpha[d] // n, the source of the reversed dart, kept on first read.  The
-face of each dart is an index built from the face darts on first use by
-face_neighbours() or face_translation(); a face id is found without it,
-as the rank of the face's least dart among the sorted face leaders.
+alpha[d] // n, the source of the reversed dart.  The face of each dart is
+an index built from the face darts, read only by face_neighbours() and
+face_translation(); a face id is found without it, as the rank of the
+face's least dart among the sorted face leaders.
 build_map computes alpha and the face leaders as V x n blocks, one row per
 vertex, from the per-vertex columns, which come from the two numpy kernels
 above, so no Python step runs per vertex or per dart; it works through row
 blocks of about 2^17 darts (row_blocks) in one set of block-sized buffers,
 so its temporaries have the size of one block, not of mu.  A vertex is
 its id: the map keeps the int (num, den) columns of the vertices, which the
-labels (vertex_labels()), dart_between and vertex_columns() read, and builds
-the FareyFraction list `vertices` only when it is first read.
+labels (vertex_labels()), dart_between and vertex_columns() read; the
+FareyFraction list `vertices` is a derived table like the labels.
 
 A built map is immutable: every array it stores or hands out is read-only,
-and concurrent readers are safe.  The derived tables (dart targets, edge
-columns, labels, face index, face neighbours, vertex and face translation)
-are filled in on first use; a map always computes the same values for them,
-so a reader racing another sees equal tables.
+and concurrent readers are safe.  Every derived table (dart targets, edge
+columns, labels, vertices, face index, face neighbours, vertex and face
+translation) goes through one memo, _derived: built on first use, set
+read-only and kept.  A map always computes the same values for a table, so
+a reader racing another sees an equal table.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import wraps
 from math import gcd
 
 import numpy as np
@@ -150,6 +151,25 @@ def rotated(x, n: int):
     return y - (y // n - x // n) * n
 
 
+def _derived(build):
+    """The memo of FareyMap's derived tables: the first call builds the
+    table, sets every ndarray of it (or of the tuple it returns) read-only
+    and keeps it in the map's `_tables` under the reader's name; every later
+    call returns the table that was stored first."""
+    name = build.__name__
+
+    @wraps(build)
+    def read(self):
+        if name not in self._tables:
+            table = build(self)
+            for array in table if isinstance(table, tuple) else (table,):
+                if isinstance(array, np.ndarray):
+                    array.flags.writeable = False
+            self._tables.setdefault(name, table)
+        return self._tables[name]
+    return read
+
+
 class FareyMap:
     """Immutable combinatorial map M3(n); build with build_map()."""
 
@@ -170,19 +190,14 @@ class FareyMap:
         self.dart_count: int = self.vertex_count * level
         self.edge_count: int = self.dart_count // 2
         self.face_count: int = face_darts.shape[0]
-        self._face_of_dart: np.ndarray | None = None
-        self._dart_targets: np.ndarray | None = None
-        self._edge_columns: tuple[np.ndarray, np.ndarray] | None = None
-        self._labels: tuple[str, ...] | None = None
-        self._vertex_translation: np.ndarray | None = None
-        self._face_neighbours: np.ndarray | None = None
-        self._face_translation: np.ndarray | None = None
+        self._tables: dict[str, object] = {}  # filled in by _derived
 
     # -- vertices -------------------------------------------------------
 
-    @cached_property
+    @property
+    @_derived
     def vertices(self) -> list[FareyFraction]:
-        """The vertices as FareyFractions, by vertex id; built on first read."""
+        """The vertices as FareyFractions, by vertex id."""
         n = self.level
         nums, dens = self.vertex_columns()
         return [FareyFraction(a, c, n) for a, c in zip(nums.tolist(), dens.tolist())]
@@ -205,16 +220,12 @@ class FareyMap:
         sigma.flags.writeable = False
         return sigma
 
+    @_derived
     def dart_targets(self) -> np.ndarray:
-        """The read-only V x n block of dart targets: row v lists the
-        neighbour ids of vertex v in sigma rotation order.  The target of a
-        dart is the source alpha[d] // n of the reversed dart; computed once
-        per map."""
-        if self._dart_targets is None:
-            targets = (self.alpha // self.level).reshape(-1, self.level)
-            targets.flags.writeable = False
-            self._dart_targets = targets
-        return self._dart_targets
+        """The V x n block of dart targets: row v lists the neighbour ids of
+        vertex v in sigma rotation order.  The target of a dart is the
+        source alpha[d] // n of the reversed dart."""
+        return (self.alpha // self.level).reshape(-1, self.level)
 
     # -- incidence ------------------------------------------------------
 
@@ -261,33 +272,28 @@ class FareyMap:
             return u * n + sign * (b * d0 - d * b0) % n
         raise UnknownVertex(f"no edge from vertex id {u} to vertex id {w}")
 
+    @_derived
     def edge_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """The int32 edge columns (src, tgt): every edge once with src < tgt,
-        ordered by (src, tgt).  Computed once per map; read-only.
+        ordered by (src, tgt).
 
         They are read off the V x n target block as the sorted keys
         src*V + tgt of its entries above their row id; V <= n^2/2, so the
         keys fit int32 up to level 304."""
-        if self._edge_columns is None:
-            v = self.vertex_count
-            targets = self.dart_targets()
-            vid = np.arange(v, dtype=np.int32)
-            key = (targets + (vid * v)[:, None])[targets > vid[:, None]]
-            key.sort()
-            src = key // v
-            columns = (src, key - src * v)
-            for column in columns:
-                column.flags.writeable = False
-            self._edge_columns = columns
-        return self._edge_columns
+        v = self.vertex_count
+        targets = self.dart_targets()
+        vid = np.arange(v, dtype=np.int32)
+        key = (targets + (vid * v)[:, None])[targets > vid[:, None]]
+        key.sort()
+        src = key // v
+        return src, key - src * v
 
+    @_derived
     def vertex_labels(self) -> tuple[str, ...]:
-        """The label str(v) of every vertex, "a/c", by vertex id; computed
-        once per map, and no FareyFraction is built."""
-        if self._labels is None:
-            nums, dens = self.vertex_columns()
-            self._labels = tuple(f"{a}/{c}" for a, c in zip(nums.tolist(), dens.tolist()))
-        return self._labels
+        """The label str(v) of every vertex, "a/c", by vertex id; no
+        FareyFraction is built."""
+        nums, dens = self.vertex_columns()
+        return tuple(f"{a}/{c}" for a, c in zip(nums.tolist(), dens.tolist()))
 
     # -- faces ----------------------------------------------------------
 
@@ -299,45 +305,35 @@ class FareyMap:
         """Row i lists the vertex ids of face i, least first, in rotation order."""
         return (self._face_darts // self.level).tolist()
 
+    @_derived
     def _face_index(self) -> np.ndarray:
-        """The read-only face id of every dart: face i holds the darts of row
-        i of the face darts.  Computed once per map."""
-        if self._face_of_dart is None:
-            index = np.empty(self.dart_count, dtype=np.int32)
-            ids = np.arange(self.face_count, dtype=np.int32)
-            # one column at a time: an int32 index is cast to intp first, so
-            # this keeps the cast to F entries instead of 3F
-            for k in range(3):
-                index[self._face_darts[:, k]] = ids
-            index.flags.writeable = False
-            self._face_of_dart = index
-        return self._face_of_dart
+        """The face id of every dart: face i holds the darts of row i of the
+        face darts."""
+        index = np.empty(self.dart_count, dtype=np.int32)
+        ids = np.arange(self.face_count, dtype=np.int32)
+        # one column at a time: an int32 index is cast to intp first, so
+        # this keeps the cast to F entries instead of 3F
+        for k in range(3):
+            index[self._face_darts[:, k]] = ids
+        return index
 
+    @_derived
     def face_neighbours(self) -> np.ndarray:
         """F x 3 array: entry k of row i is the face across the edge from
-        corner k to corner k + 1 of face_vertex_rows()[i].  Computed once
-        per map; read-only."""
-        if self._face_neighbours is None:
-            # dart k of a face runs from corner k to corner k + 1
-            neighbours = self._face_index()[self.alpha[self._face_darts]]
-            neighbours.flags.writeable = False
-            self._face_neighbours = neighbours
-        return self._face_neighbours
+        corner k to corner k + 1 of face_vertex_rows()[i]."""
+        # dart k of a face runs from corner k to corner k + 1
+        return self._face_index()[self.alpha[self._face_darts]]
 
+    @_derived
     def vertex_translation(self) -> np.ndarray:
         """Entry v is the vertex id of the image of vertex v under
-        t -> t + 1, which sends a/c to (a + c)/c.  Computed once per map;
-        read-only."""
-        if self._vertex_translation is None:
-            a, c = self.vertex_columns()
-            shift = self.vertex_ids(a + c, c)
-            shift.flags.writeable = False
-            self._vertex_translation = shift
-        return self._vertex_translation
+        t -> t + 1, which sends a/c to (a + c)/c."""
+        a, c = self.vertex_columns()
+        return self.vertex_ids(a + c, c)
 
+    @_derived
     def face_translation(self) -> np.ndarray:
         """Entry i is the face id of the image of face i under t -> t + 1.
-        Computed once per map; read-only.
 
         Left multiplication by T commutes with sigma and alpha: it sends the
         dart (v, t), the matrix (a b0 + t*a; c d0 + t*c), to the dart
@@ -345,19 +341,15 @@ class FareyMap:
         k_v = (b0 + d0)*d0_w - d0*b0_w mod n, below 2n^2 before the mod, for
         every face leader v: the sign of (a_w, c_w) flips only at c = n/2.
         """
-        if self._face_translation is None:
-            n = self.level
-            b0, d0 = self._columns[2:]
-            w = self.vertex_translation()
-            b0w, d0w = self._columns[2:, w]
-            # c = n/2 corners are pairwise non-adjacent and sort last, so none leads a face
-            k = ((b0 + d0) * d0w - d0 * b0w) % n
-            v, t = np.divmod(self._face_darts[:, 0], n)
-            image = w[v] * n + (t + k[v]) % n
-            translation = self._face_index()[image]
-            translation.flags.writeable = False
-            self._face_translation = translation
-        return self._face_translation
+        n = self.level
+        b0, d0 = self._columns[2:]
+        w = self.vertex_translation()
+        b0w, d0w = self._columns[2:, w]
+        # c = n/2 corners are pairwise non-adjacent and sort last, so none leads a face
+        k = ((b0 + d0) * d0w - d0 * b0w) % n
+        v, t = np.divmod(self._face_darts[:, 0], n)
+        image = w[v] * n + (t + k[v]) % n
+        return self._face_index()[image]
 
     def _face_rows_by_label(self) -> np.ndarray:
         """The face vertex rows in the order of their label lists.

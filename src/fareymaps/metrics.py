@@ -177,12 +177,14 @@ def bfs_distances(fmap: FareyMap, sources) -> np.ndarray:
     neighbours are one gather on the V x n block of dart targets, and the
     unvisited ones get d + 1 in one assignment.  It stops when every entry
     is set or the frontier is empty.  Raises UnknownVertex for a source
-    outside 0..V-1.
+    outside 0..V-1 or one that is not an integer (bools read as 0 or 1).
     """
-    sources = np.asarray(sources, dtype=np.intp).ravel()
+    sources = np.asarray(sources).ravel()
     vcount = fmap.vertex_count
-    if ((sources < 0) | (sources >= vcount)).any():
+    if (sources.dtype.kind not in "biu" and sources.size
+            or ((sources < 0) | (sources >= vcount)).any()):
         raise UnknownVertex(f"a source is not a vertex id of M3({fmap.level})")
+    sources = sources.astype(np.intp)
     targets = fmap.dart_targets()
     dist = np.full((sources.shape[0], vcount), -1, dtype=np.int32)
     cells = dist.reshape(-1)  # entry (s, w) is cell s*V + w

@@ -20,6 +20,7 @@ and the genus build no FareyFraction.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .arith import FareyFraction
@@ -64,9 +65,13 @@ class Sector:
 
     def __init__(self, fmap: FareyMap, face_ids):
         self.fmap = fmap
-        self.face_ids = tuple(sorted(face_ids))
-        if self.face_ids and not 0 <= self.face_ids[0] <= self.face_ids[-1] < fmap.face_count:
-            raise UnknownVertex(f"face ids {self.face_ids} not all in 0..{fmap.face_count - 1}")
+        try:
+            ids = [operator.index(fid) for fid in face_ids]  # a bool reads as 0 or 1
+        except TypeError:
+            raise UnknownVertex(f"face ids {face_ids} are not all integers") from None
+        self.face_ids = tuple(sorted(set(ids)))
+        if len(self.face_ids) < len(ids) or not all(0 <= fid < fmap.face_count for fid in ids):
+            raise UnknownVertex(f"face ids {ids} are not distinct ids in 0..{fmap.face_count - 1}")
 
     def __len__(self) -> int:
         return len(self.face_ids)

@@ -159,9 +159,10 @@ def test_render_sector_digest(restrict, digest):
     assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == digest
 
 
-@pytest.mark.parametrize("face_ids", [[-1], [220], [9999]])
+@pytest.mark.parametrize("face_ids", [[-1], [220], [9999], [1.5], ["3"]])
 def test_sector_face_ids_out_of_range_are_unknown(face_ids):
-    # M3(11) has faces 0..219; a negative id is not read from the end
+    # M3(11) has faces 0..219; a negative id is not read from the end, and
+    # a float or a string is no face id
     m11 = build_map(11)
     with pytest.raises(UnknownVertex):
         Sector(m11, face_ids)
@@ -182,7 +183,7 @@ def test_render_builds_no_vertex_list():
     # FareyFraction vertex list unbuilt
     m = build_map(53)
     render_map(m)
-    assert "vertices" not in m.__dict__
+    assert "vertex_labels" in m._tables and "vertices" not in m._tables
 
 
 def test_render_sector_usage_error(capsys, tmp_path):

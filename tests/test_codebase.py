@@ -2,9 +2,10 @@
 strips), no module reaching into another module's private names, and no
 module outside the map construction and its invariant battery reading the
 dart permutations, no module but metrics reading the distance-2 walk's
-slots, and no id pipeline reading a map's FareyFraction vertex list.  The
-README's quick start must run, and the map and walk readers it names must
-exist."""
+slots, no id pipeline reading a map's FareyFraction vertex list, and no
+array set read-only outside the map's constructor, sigma and the memo of
+its derived tables.  The README's quick start must run, and the map and
+walk readers it names must exist."""
 
 import ast
 import re
@@ -109,6 +110,36 @@ def test_id_pipelines_read_no_vertex_list():
         if isinstance(node, ast.Attribute) and node.attr == "vertices"
     ]
     assert found == []
+
+
+def writeable_assignments(tree):
+    """The dotted names of the classes and functions around each assignment
+    to `<array>.flags.writeable`, "" at module level."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}".lstrip(".")
+        if isinstance(node, ast.Assign):
+            found.extend(scope for target in node.targets for sub in ast.walk(target)
+                         if isinstance(sub, ast.Attribute) and sub.attr == "writeable"
+                         and isinstance(sub.value, ast.Attribute) and sub.value.attr == "flags")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_arrays_are_frozen_only_by_the_map_and_its_memo():
+    # every derived table of a map goes through the memo maps._derived, so
+    # only the stored arrays, sigma and the memo set an array read-only
+    allowed = {"maps.py": {"FareyMap.__init__", "FareyMap.sigma", "_derived.read"}}
+    scopes = {path.name: writeable_assignments(parse(path)) for path in MODULES}
+    found = [f"{name}: {scope or 'module level'}" for name, names in scopes.items()
+             for scope in names if scope not in allowed.get(name, ())]
+    assert found == []
+    assert set(scopes["maps.py"]) == allowed["maps.py"]
 
 
 def test_readme_quick_start_runs_and_names_live_readers(capsys):

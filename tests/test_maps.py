@@ -255,23 +255,36 @@ def test_face_id_by_vertices_matches_the_face_index(n):
             assert type(found) is int and found == fid, (n, fid, order)
 
 
-def test_face_index_is_built_on_first_use():
+# every reader of a derived table, all through the one memo of maps.py
+MEMO_READERS = ("vertices", "dart_targets", "edge_columns", "vertex_labels", "_face_index",
+                "face_neighbours", "vertex_translation", "face_translation")
+
+
+def read_table(m, name):
+    table = getattr(m, name)
+    return table if name == "vertices" else table()
+
+
+@pytest.mark.parametrize("name", MEMO_READERS)
+def test_derived_table_is_built_once_and_read_only(name):
     # build_map, the battery, the point queries and the exports never read
-    # the face of a dart; the face tables build the index once
+    # the face of a dart; a memoised reader builds its table once, read-only
     m = build_map(53)
     north, pole, zero, one = (canonical(a, c, 53) for a, c in ((1, 0), (2, 0), (0, 1), (1, 1)))
     assert all(ok for _, ok in check_map(m))
     assert m.has_face([north, zero, one]) and not m.has_face([north, pole, zero])
     assert bfs_distance(m, north, pole) == 3 and diameter(m) == 3
     m.faces(), to_json(m), to_dot(m), render_map(m)
-    assert m._face_of_dart is None
-    m.face_neighbours()
-    index = m._face_of_dart
-    assert index is not None and index.dtype == np.int32 and not index.flags.writeable
-    m.face_translation()
-    assert m._face_index() is index
-    with pytest.raises(ValueError):
-        index[0] = 1
+    assert "_face_index" not in m._tables
+    table = read_table(m, name)
+    assert m._tables[name] is table and read_table(m, name) is table
+    for array in table if isinstance(table, tuple) else (table,):
+        if isinstance(array, np.ndarray):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = array[-1]
+    fresh = read_table(build_map(53), name)
+    assert type(table) is type(fresh) and np.array_equal(table, fresh)
 
 
 def reference_edge_columns(m):

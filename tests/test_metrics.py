@@ -368,11 +368,20 @@ def test_decompose_partitions_vertex_set():
 
 def test_bfs_distances_rejects_unknown_ids():
     m7 = build_map(7)
-    for start in (-1, m7.vertex_count, 99):
+    # a float or a string id is not cast to the vertex it rounds to
+    for start in (-1, m7.vertex_count, 99, 1.5, 1.0, "1"):
         with pytest.raises(UnknownVertex):
             bfs_distances(m7, [start])
     with pytest.raises(UnknownVertex):
         bfs_distances(m7, [0, -1])
+
+
+def test_bfs_distances_reads_bools_and_integer_arrays():
+    m7 = build_map(7)
+    row = bfs_distances(m7, [1])
+    for sources in ([True], np.array([1], dtype=np.uint8), (np.int64(1),)):
+        assert np.array_equal(bfs_distances(m7, sources), row)
+    assert bfs_distances(m7, []).shape == (0, m7.vertex_count)
 
 
 def edge_graph(m):

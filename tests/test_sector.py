@@ -5,13 +5,20 @@ import time
 import weakref
 from datetime import timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fareymaps import sector as sector_module
 from fareymaps.arith import FareyFraction, canonical, is_adjacent, vertex_columns
-from fareymaps.errors import DisconnectedBoundary, NoSector, UnpairedEdge, WrongLevel
+from fareymaps.errors import (
+    DisconnectedBoundary,
+    NoSector,
+    UnknownVertex,
+    UnpairedEdge,
+    WrongLevel,
+)
 from fareymaps.gluing import polygon_genus, reversed_pairs
 from fareymaps.maps import FareyMap, build_map
 from fareymaps.sector import (
@@ -227,6 +234,15 @@ def test_disconnected_sector_reported(reference_sector, m11):
     bad = Sector(m11, shifted)
     with pytest.raises(DisconnectedBoundary):
         boundary_walk(bad)
+
+
+def test_sector_reads_distinct_face_ids_as_ints(m11):
+    for face_ids in ([3, 3], [1, True]):
+        with pytest.raises(UnknownVertex):
+            Sector(m11, face_ids)
+    sector = Sector(m11, (np.int64(5), True, 3))
+    assert sector.face_ids == (1, 3, 5) and all(type(f) is int for f in sector.face_ids)
+    assert len(Sector(m11, [])) == 0
 
 
 def test_pinched_face_pair_reported(m11):
