@@ -37,9 +37,6 @@ from .metrics import (
     diameter,
     distance_classes,
     distance_formula,
-    first_circuit,
-    poles,
-    second_circuit,
 )
 from .quartic import (
     FourteenGon,

@@ -48,24 +48,15 @@ def _distance(args) -> int:
 
 def _circuits(args) -> int:
     p = args.level
-    s1 = metrics.first_circuit(p)
-    s2 = metrics.second_circuit(p)
-    ps = metrics.poles(p)
+    parts = metrics.decompose(p)
+    s1, s2 = parts.sphere1.labels(), parts.sphere2.labels()
+    poles = [str(v) for v in (parts.north, *parts.poles)]
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "p": p,
-                    "S1": s1.labels(),
-                    "S2": s2.labels(),
-                    "poles": [str(v) for v in ps],
-                }
-            )
-        )
+        print(json.dumps({"p": p, "S1": s1, "S2": s2, "poles": poles}))
     else:
-        print("S1:", ", ".join(s1.labels()))
-        print("S2:", ", ".join(s2.labels()))
-        print("poles:", ", ".join(str(v) for v in ps))
+        print("S1:", ", ".join(s1))
+        print("S2:", ", ".join(s2))
+        print("poles:", ", ".join(poles))
     return 0
 
 

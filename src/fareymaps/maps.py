@@ -39,13 +39,14 @@ blocks of about 2^17 darts (row_blocks) in one set of block-sized buffers,
 so its temporaries have the size of one block, not of mu.  A vertex is
 its id: the map keeps the int (num, den) columns of the vertices, which the
 labels (vertex_labels()), dart_between and vertex_columns() read; the
-FareyFraction list `vertices` is a derived table like the labels.
+FareyFraction tuple `vertices` is a derived table like the labels, built by
+arith.farey_fractions.
 
 A built map is immutable: every array it stores or hands out is read-only,
-and concurrent readers are safe.  Every derived table (dart targets, edge
-columns, labels, vertices, face index, face neighbours, vertex and face
-translation) goes through one memo, _derived: built on first use, set
-read-only and kept.  A map always computes the same values for a table, so
+every sequence a tuple, and concurrent readers are safe.  Every derived
+table (dart targets, edge columns, labels, vertices, face index, face
+neighbours, vertex and face translation) goes through one memo, _derived:
+built on first use, set read-only and kept.  A map always computes the same values for a table, so
 a reader racing another sees an equal table.
 """
 
@@ -61,7 +62,9 @@ from math import gcd
 
 import numpy as np
 
-from .arith import FareyFraction, as_integer, distinct_prime_factors, vertex_columns
+from .arith import (
+    FareyFraction, as_integer, distinct_prime_factors, farey_fractions, vertex_columns,
+)
 from .errors import (
     BrokenInvariant,
     FareyMapError,
@@ -196,11 +199,10 @@ class FareyMap:
 
     @property
     @_derived
-    def vertices(self) -> list[FareyFraction]:
-        """The vertices as FareyFractions, by vertex id."""
-        n = self.level
-        nums, dens = self.vertex_columns()
-        return [FareyFraction(a, c, n) for a, c in zip(nums.tolist(), dens.tolist())]
+    def vertices(self) -> tuple[FareyFraction, ...]:
+        """The vertices as FareyFractions, by vertex id, built by one
+        arith.farey_fractions call on vertex_columns()."""
+        return tuple(farey_fractions(*self.vertex_columns(), self.level))
 
     def vertex_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """The read-only int32 columns (nums, dens): vertex id v is

@@ -9,8 +9,9 @@ oracle and is the only metric offered at composite levels.  Both run as
 array kernels on int columns and vertex ids: `distance_classes`,
 `bfs_distances` from many sources at once, and `bfs_distance`, a layered
 search from one vertex that stops at the other's neighbours.
-`second_circuit_slots` gives the distance-2 walk as two int arrays and
-`decomposition_ids` the four parts as vertex ids.
+The four parts have one source, checked int columns built from the walk's
+slots (`second_circuit_slots`): `decomposition_ids` reads them as vertex
+ids, and `decompose` as FareyFractions, each vertex built once.
 """
 
 from __future__ import annotations
@@ -20,37 +21,40 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import FareyFraction, canonical, distinct_prime_factors, farey_fractions
+from .arith import FareyFraction, farey_fractions, vertex_columns
 from .errors import (
-    BrokenInvariant,
-    EqualVertices,
-    LevelMismatch,
-    NotPrime,
-    ResourceLimit,
-    UnknownVertex,
+    BrokenInvariant, EqualVertices, LevelMismatch, NotPrime, ResourceLimit, UnknownVertex,
 )
 from .maps import DEFAULT_LEVEL_BOUND, FareyMap
+
+# Miller-Rabin on the prime bases 2..41 is exact below this bound.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 @lru_cache
 def is_prime_level(n: int) -> bool:
     """True when n is a prime >= 5: the levels with the closed-form distance,
-    the two circuits around 1/0 and the quasi-icosahedral decomposition."""
-    return n >= 5 and distinct_prime_factors(n) == [n]
+    the two circuits around 1/0 and the quasi-icosahedral decomposition.
+
+    The test is a deterministic Miller-Rabin on the prime bases 2..41 below
+    n: with n - 1 = d 2^s, d odd, n passes base a when a^d = 1 or
+    a^(d 2^i) = -1 mod n for some i < s.  It is exact for n < 3.3 * 10^24,
+    and a larger n raises ResourceLimit.
+    """
+    if n >= _PRIME_TEST_BOUND:
+        raise ResourceLimit(f"level {n} above bound {_PRIME_TEST_BOUND} of the primality test")
+    if n < 5 or n % 2 == 0:
+        return False
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # the lowest set bit of n - 1
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or n - 1 in [pow(a, d << i, n) for i in range(s)]
+               for a in _PRIME_BASES if a < n)
 
 
 def _require_prime(p: int) -> None:
     if not is_prime_level(p):
         raise NotPrime(f"need a prime >= 5, got {p}")
-
-
-def _require_circuit_level(p: int) -> None:
-    """Raise ResourceLimit above build_map's bound, since the distance-2
-    walk alone holds p(p-4) slots, and NotPrime unless p is a prime >= 5.
-    The bound is checked first, so a huge level is never factored."""
-    if p > DEFAULT_LEVEL_BOUND:
-        raise ResourceLimit(f"level {p} above bound {DEFAULT_LEVEL_BOUND}")
-    _require_prime(p)
 
 
 def _successors(x: np.ndarray) -> np.ndarray:
@@ -209,24 +213,22 @@ def diameter(fmap: FareyMap) -> int:
     return int(bfs_distances(fmap, [0]).max())
 
 
-def first_circuit(p: int) -> Circuit:
-    """The circuit 0/1, 1/1, ..., (p-1)/1 at distance 1 from 1/0."""
-    _require_circuit_level(p)
-    return Circuit(tuple(canonical(k, 1, p) for k in range(p)), p)
-
-
 def second_circuit_slots(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The numerators and denominators of the p(p-4) slots of
-    second_circuit(p), in walk order, as two int arrays.
+    """The numerators and denominators of the p(p-4) slots of the distance-2
+    walk of decompose(p), in walk order, as two int arrays.
 
     The seed is the walk of length p-4 from 1/((p-1)/2) down to 1/2 and on
     through 2/3, 3/4, ... to ((p-3)/2)/((p-1)/2).  Slot k(p-4) + i is seed
     vertex i, a/c, translated by k: (a + k c)/c with the numerator reduced
     mod p, one broadcast over k and the seed.  Every seed denominator c lies
     in 2..(p-1)/2, strictly between 0 and p/2, so each slot pair is
-    canonical.  No FareyFraction is built.
+    canonical.  No FareyFraction is built and no slot is checked.  A level
+    above build_map's bound raises ResourceLimit, else NotPrime unless p is a
+    prime >= 5.
     """
-    _require_circuit_level(p)
+    if p > DEFAULT_LEVEL_BOUND:
+        raise ResourceLimit(f"level {p} above bound {DEFAULT_LEVEL_BOUND}")
+    _require_prime(p)
     half = (p - 1) // 2
     seed = [(1, k) for k in range(half, 1, -1)] + [(m - 1, m) for m in range(3, half + 1)]
     a, c = np.array(seed).T
@@ -234,52 +236,56 @@ def second_circuit_slots(p: int) -> tuple[np.ndarray, np.ndarray]:
     return nums.ravel(), np.tile(c, p)
 
 
-def second_circuit(p: int) -> Circuit:
-    """Concatenation of the p translates of the seed; the distance-2 circuit.
+def _layout_columns(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The prime layout of M3(p), the four parts of decomposition_ids, as one
+    pair of int columns (nums, dens) of canonical pairs; _parts cuts them
+    apart.  The ring and the walk each pass check_slots, as in a Circuit."""
+    walk_nums, walk_dens = second_circuit_slots(p)
+    ring = np.arange(p)
+    ones = np.ones_like(ring)
+    check_slots(ring, ones, p, p)
+    check_slots(walk_nums, walk_dens, p, p)
+    poles = ring[2:(p + 1) // 2]
+    return (np.concatenate(([1], ring, walk_nums, poles)),
+            np.concatenate(([0], ones, walk_dens, np.zeros_like(poles))))
 
-    The slots are second_circuit_slots(p).  Each denominator c in
-    2..(p-1)/2 takes every numerator 0 <= a < p, so the fractions a/c are
-    built once, as entry (c - 2)*p + a of one list, and the walk indexes
-    into it.
-    """
-    nums, dens = second_circuit_slots(p)
-    check_slots(nums, dens, p, p)
-    grid = farey_fractions(np.tile(np.arange(p), (p - 3) // 2),
-                           np.repeat(np.arange(2, (p + 1) // 2), p), p)
-    walk = tuple(grid[i] for i in ((dens - 2) * p + nums).tolist())
-    # the slots are checked: set the Circuit up as the dataclass does,
-    # without checking them again in __post_init__
+
+def _parts(seq, p: int):
+    """seq, laid out as the columns of _layout_columns(p), cut into its four
+    parts: 1/0, the ring, the walk and the poles."""
+    walk_end = 1 + p + p * (p - 4)
+    return seq[:1], seq[1:p + 1], seq[p + 1:walk_end], seq[walk_end:]
+
+
+def _checked_circuit(vertices, p: int) -> Circuit:
+    """A Circuit on vertices whose slots check_slots has passed, set up as
+    the dataclass sets it up, without checking them again in __post_init__."""
     circuit = object.__new__(Circuit)
-    object.__setattr__(circuit, "vertices", walk)
+    object.__setattr__(circuit, "vertices", tuple(vertices))
     object.__setattr__(circuit, "level", p)
     return circuit
-
-
-def poles(p: int) -> tuple[FareyFraction, ...]:
-    """All (p-1)/2 poles 1/0, 2/0, ..., ((p-1)/2)/0."""
-    _require_circuit_level(p)
-    return tuple(canonical(a, 0, p) for a in range(1, (p - 1) // 2 + 1))
 
 
 def decomposition_ids(fmap: FareyMap) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """decompose(p) as four int arrays of vertex ids of M3(p): 1/0, the ring
     k/1 (k = 0..p-1), the p(p-4) walk slots of second_circuit_slots(p) in
-    order and with repeats, and the poles a/0 (a = 2..(p-1)/2).  The slots
-    pass check_slots, as in a Circuit; else BrokenInvariant is raised."""
-    p = fmap.level
-    nums, dens = second_circuit_slots(p)
-    check_slots(nums, dens, p, p)
-    k = np.arange(p)
-    return (fmap.vertex_ids([1], [0]), fmap.vertex_ids(k, 1), fmap.vertex_ids(nums, dens),
-            fmap.vertex_ids(k[2:(p + 1) // 2], 0))
+    order and with repeats, and the poles a/0 (a = 2..(p-1)/2).  The ring and
+    the walk pass check_slots, as in a Circuit, else BrokenInvariant."""
+    return _parts(fmap.vertex_ids(*_layout_columns(fmap.level)), fmap.level)
 
 
 def decompose(p: int) -> Decomposition:
-    """Quasi-icosahedral decomposition of the vertex set by distance from 1/0."""
-    _require_circuit_level(p)
-    return Decomposition(
-        north=canonical(1, 0, p),
-        sphere1=first_circuit(p),
-        sphere2=second_circuit(p),
-        poles=poles(p)[1:],
-    )
+    """Quasi-icosahedral decomposition of the vertex set by distance from 1/0.
+
+    The parts are those of decomposition_ids as FareyFractions: one
+    farey_fractions call builds every vertex of M3(p) once, in vertex-id
+    order, and the parts index into that list.
+    """
+    nums, dens = _layout_columns(p)
+    columns = vertex_columns(p)
+    vertices = farey_fractions(*columns, p)
+    vertex_id = np.zeros((p, p), dtype=np.intp)
+    vertex_id[tuple(columns)] = np.arange(len(vertices))
+    north, ring, walk, poles = _parts([vertices[i] for i in vertex_id[nums, dens].tolist()], p)
+    return Decomposition(north[0], _checked_circuit(ring, p), _checked_circuit(walk, p),
+                         tuple(poles))

@@ -11,6 +11,7 @@ import numpy as np
 from .errors import Unsupported
 from .maps import FareyMap, gather_rows
 from .metrics import bfs_distances, decomposition_ids, is_prime_level
+from .sector import Sector
 
 _SCALE = 110.0
 _EXTENT = 3.6
@@ -60,7 +61,8 @@ def _point(pos) -> tuple[str, str]:
 
 
 def render_map(fmap: FareyMap, sector_face_ids=None) -> str:
-    """SVG document for the map, or for a shaded face subset when given."""
+    """SVG document for the map, or for a shaded face subset when given, read
+    as the face ids of a Sector (an unknown or repeated id raises UnknownVertex)."""
     positions = layout_positions(fmap)
     size = _fmt(2 * _SCALE * _EXTENT)
     parts = [
@@ -87,7 +89,7 @@ def render_map(fmap: FareyMap, sector_face_ids=None) -> str:
         shown_vertices = range(fmap.vertex_count)
         parts += gather_rows(np.stack((line_head, line_tail)), np.column_stack(fmap.edge_columns()))
     else:
-        shaded = [fmap.face_vertex_ids(fid) for fid in sorted(sector_face_ids)]
+        shaded = [fmap.face_vertex_ids(fid) for fid in Sector(fmap, sector_face_ids).face_ids]
         shown_vertices = sorted({i for tri in shaded for i in tri})
         edges = sorted(
             {

@@ -21,10 +21,9 @@ from fareymaps.arith import ModMatrix, canonical, is_adjacent, mobius_mod
 from fareymaps.maps import build_map, from_json, genus, mu, same_combinatorics, to_json
 from fareymaps.metrics import (
     bfs_distance,
+    decompose,
     diameter,
     distance_formula,
-    poles,
-    second_circuit,
 )
 from fareymaps.quartic import (
     fourteen_gon,
@@ -140,12 +139,14 @@ PRINTED_S2_7 = (
 
 def test_criterion_3_second_circuit_suite():
     failures = []
-    check(failures, second_circuit(7).labels() == PRINTED_S2_7, "printed S2 at 7")
+    check(failures, decompose(7).sphere2.labels() == PRINTED_S2_7, "printed S2 at 7")
     for p in (5, 7, 11, 13):
-        walk = second_circuit(p)
+        parts = decompose(p)
+        walk = parts.sphere2
         vs = walk.vertices
         check(failures, len(walk) == p * (p - 4), f"length at {p}")
-        check(failures, len(poles(p)) == (p - 1) // 2, f"pole count at {p}")
+        # the poles a/0, a = 1..(p-1)/2: 1/0 and the distance-3 poles
+        check(failures, len((parts.north, *parts.poles)) == (p - 1) // 2, f"pole count at {p}")
         check(
             failures,
             all(is_adjacent(v, vs[(i + 1) % len(vs)]) for i, v in enumerate(vs)),

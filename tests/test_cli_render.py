@@ -170,6 +170,16 @@ def test_sector_face_ids_out_of_range_are_unknown(face_ids):
         render_map(m11, sector_face_ids=face_ids)
 
 
+@pytest.mark.parametrize("face_ids", [[3, 3], [3, True, 1], [0, False]])
+def test_sector_face_ids_must_be_distinct(face_ids):
+    # a bool reads as the id 0 or 1, so [3, True, 1] repeats face 1
+    m11 = build_map(11)
+    with pytest.raises(UnknownVertex):
+        Sector(m11, face_ids)
+    with pytest.raises(UnknownVertex, match="not distinct"):
+        render_map(m11, sector_face_ids=face_ids)
+
+
 def test_render_composite_and_small(tmp_path):
     for n in (5, 6):
         svg = render_map(build_map(n))

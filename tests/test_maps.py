@@ -884,21 +884,26 @@ def test_vertices_are_built_once_on_first_read():
     m = build_map(12)
     vs = m.vertices
     assert vs is m.vertices
-    assert vs == [FareyFraction(a, c, 12) for a, c in zip(*vertex_columns(12).tolist())]
+    assert vs == tuple(FareyFraction(a, c, 12) for a, c in zip(*vertex_columns(12).tolist()))
 
 
-def test_verify_calls_build_no_vertex_fraction(monkeypatch):
+def test_vertices_are_a_tuple_the_map_keeps():
+    # a caller cannot write into the map's vertex list
+    m = build_map(7)
+    faces = m.faces()
+    with pytest.raises(TypeError):
+        m.vertices[0] = m.vertices[1]
+    assert type(m.vertices) is tuple
+    assert m.faces() == faces and str(faces[0][0]) == "1/0"
+
+
+def test_verify_calls_build_no_vertex_fraction(built_fractions):
     # build_map, the battery and the point queries of `verify` work on
     # vertex ids and int columns; the query fractions are built beforehand
+    built = built_fractions
     north, pole, zero, one = (canonical(a, c, 53) for a, c in ((1, 0), (2, 0), (0, 1), (1, 1)))
-    built = []
-    post_init = FareyFraction.__post_init__
-
-    def counting(self):
-        built.append(str(self))
-        post_init(self)
-
-    monkeypatch.setattr(FareyFraction, "__post_init__", counting)
+    assert built == ["1/0", "2/0", "0/1", "1/1"]
+    built.clear()
     m = build_map(53)
     assert all(ok for _, ok in check_map(m))
     assert m.has_face([north, zero, one]) and not m.has_face([north, pole, zero])

@@ -5,7 +5,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from fareymaps.arith import canonical, is_adjacent
+from fareymaps.arith import canonical, distinct_prime_factors, is_adjacent
 from fareymaps.cli import main
 from fareymaps.errors import (
     BrokenInvariant,
@@ -27,10 +27,7 @@ from fareymaps.metrics import (
     diameter,
     distance_classes,
     distance_formula,
-    first_circuit,
     is_prime_level,
-    poles,
-    second_circuit,
     second_circuit_slots,
 )
 
@@ -39,6 +36,12 @@ SECOND_CIRCUIT_7 = (
     "1/3, 1/2, 2/3, 4/3, 3/2, 5/3, 0/3, 5/2, 1/3, 3/3, 0/2, "
     "4/3, 6/3, 2/2, 0/3, 2/3, 4/2, 3/3, 5/3, 6/2, 6/3"
 ).split(", ")
+
+
+def all_poles(p):
+    """The poles a/0, a = 1..(p-1)/2, as `fareymap circuits` lists them."""
+    parts = decompose(p)
+    return (parts.north, *parts.poles)
 
 
 def test_distance_formula_examples():
@@ -52,7 +55,7 @@ def test_distance_formula_errors():
     with pytest.raises(NotPrime):
         distance_formula(canonical(1, 0, 6), canonical(0, 1, 6), 6)
     with pytest.raises(NotPrime):
-        first_circuit(9)
+        decompose(9)
     with pytest.raises(EqualVertices):
         distance_formula(canonical(1, 0, 7), canonical(1, 0, 7), 7)
 
@@ -136,37 +139,37 @@ def test_diameter():
 
 
 def test_first_circuit():
-    assert first_circuit(7).labels() == [f"{k}/1" for k in range(7)]
-    assert len(first_circuit(5)) == 5
-    assert first_circuit(11).labels() == [f"{k}/1" for k in range(11)]
+    assert decompose(7).sphere1.labels() == [f"{k}/1" for k in range(7)]
+    assert len(decompose(5).sphere1) == 5
+    assert decompose(11).sphere1.labels() == [f"{k}/1" for k in range(11)]
 
 
 def test_seed_sequences():
     # the seed is the first p - 4 slots of the distance-2 walk
-    assert second_circuit(7).labels()[:3] == ["1/3", "1/2", "2/3"]
-    assert second_circuit(11).labels()[:7] == [
+    assert decompose(7).sphere2.labels()[:3] == ["1/3", "1/2", "2/3"]
+    assert decompose(11).sphere2.labels()[:7] == [
         "1/5", "1/4", "1/3", "1/2", "2/3", "3/4", "4/5",
     ]
-    assert second_circuit(5).labels()[:1] == ["1/2"]
+    assert decompose(5).sphere2.labels()[:1] == ["1/2"]
 
 
 def test_second_circuit_seven_verbatim():
-    assert second_circuit(7).labels() == SECOND_CIRCUIT_7
+    assert decompose(7).sphere2.labels() == SECOND_CIRCUIT_7
 
 
 def test_second_circuit_five_degenerate_seed():
     # |seed| = 1, so the circuit is pure seam; same concatenation code path
-    assert second_circuit(5).labels() == ["1/2", "3/2", "0/2", "2/2", "4/2"]
+    assert decompose(5).sphere2.labels() == ["1/2", "3/2", "0/2", "2/2", "4/2"]
 
 
 def test_second_circuit_lengths_and_distance():
     for p in (5, 7, 11, 13):
-        circuit = second_circuit(p)
+        circuit = decompose(p).sphere2
         assert len(circuit) == p * (p - 4)
         north = canonical(1, 0, p)
         for v in circuit.vertices:
             assert distance_formula(north, v, p) == 2
-        assert len(poles(p)) == (p - 1) // 2
+        assert len(all_poles(p)) == (p - 1) // 2
         # support is exactly the vertices with denominator not in {0, +-1}
         m = build_map(p)
         expect = {v for v in m.vertices if v.den not in (0, 1, p - 1)}
@@ -188,7 +191,31 @@ CIRCUITS_JSON_SHA256 = {
 def test_is_prime_level():
     assert [n for n in range(102) if is_prime_level(n)] == PRIMES_5_TO_101
     with pytest.raises(NotPrime, match="need a prime >= 5, got 3"):
-        poles(3)
+        decompose(3)
+
+
+def test_is_prime_level_agrees_with_trial_division():
+    for n in range(10**4 + 1):
+        assert is_prime_level(n) == (n >= 5 and distinct_prime_factors(n) == [n]), n
+
+
+def test_is_prime_level_is_a_strong_test_up_to_its_bound():
+    # 3215031751 = 151 * 751 * 28351 passes the strong test to bases 2, 3, 5, 7
+    assert not is_prime_level(3215031751)
+    assert is_prime_level(2**61 - 1)
+    bound = 3_317_044_064_679_887_385_961_981
+    assert not is_prime_level(bound - 2)  # the largest odd level it reads
+    with pytest.raises(ResourceLimit, match=f"level {bound} above bound {bound}"):
+        is_prime_level(bound)
+
+
+def test_distance_formula_at_a_large_prime(capsys):
+    p = 2**61 - 1
+    assert distance_formula(canonical(1, 0, p), canonical(2, 0, p), p) == 3
+    assert main(["distance", "1000000000000000003", "1/0", "2/0"]) == 0
+    assert capsys.readouterr().out == "3\n"
+    assert main(["distance", str(10**25 + 1), "1/0", "2/0"]) == 2
+    assert "above bound" in capsys.readouterr().err
 
 
 def reference_seed(p):
@@ -216,7 +243,7 @@ def test_second_circuit_slots_equal_the_reference(p):
 @pytest.mark.parametrize("p", PRIMES_5_TO_101)
 def test_second_circuit_is_the_seed_translates(p):
     oracle = tuple(canonical(a + k * c, c, p) for k in range(p) for a, c in reference_seed(p))
-    assert second_circuit(p).vertices == oracle
+    assert decompose(p).sphere2.vertices == oracle
 
 
 def test_circuits_json_unchanged(capsys):
@@ -227,7 +254,7 @@ def test_circuits_json_unchanged(capsys):
 
 
 def test_circuit_rejects_a_broken_slot():
-    vs = second_circuit(7).vertices
+    vs = decompose(7).sphere2.vertices
     north = canonical(1, 0, 7)
     # 1/0 is adjacent only to denominator +-1, so it breaks the slot into it
     # (the one out of it at position 0); positions 3, 6, ... sit on the seams
@@ -257,9 +284,9 @@ def test_circuit_rejects_mixed_levels():
 
 @pytest.mark.parametrize("p", [7, 11])
 def test_one_slot_check_for_circuit_and_decomposition_ids(monkeypatch, p):
-    # the kernel behind Circuit, second_circuit and decomposition_ids: with
-    # 1/0 written into slot i, the slots into and out of it break, and all
-    # three report the first of them with one message
+    # the kernel behind Circuit, decompose and decomposition_ids: with 1/0
+    # written into slot i, the slots into and out of it break, and all three
+    # report the first of them with one message
     nums, dens = second_circuit_slots(p)
     m = build_map(p)
     slots = {}
@@ -270,7 +297,7 @@ def test_one_slot_check_for_circuit_and_decomposition_ids(monkeypatch, p):
         slots[p] = broken
         vertices = tuple(canonical(a, c, p) for a, c in zip(*(x.tolist() for x in broken)))
         messages = set()
-        for build in (lambda: Circuit(vertices, p), lambda: second_circuit(p),
+        for build in (lambda: Circuit(vertices, p), lambda: decompose(p),
                       lambda: decomposition_ids(m)):
             with pytest.raises(BrokenInvariant) as info:
                 build()
@@ -295,7 +322,7 @@ def test_check_slots_reads_levels_per_vertex_or_one_for_all():
 
 def test_second_circuit_adjacent_including_seams():
     for p in (5, 7, 11, 13):
-        vs = second_circuit(p).vertices
+        vs = decompose(p).sphere2.vertices
         for i, v in enumerate(vs):
             assert is_adjacent(v, vs[(i + 1) % len(vs)])
 
@@ -313,14 +340,14 @@ def test_seam_determinant_identity():
 
 def test_translation_covariance():
     for p in (5, 7, 11):
-        vs = second_circuit(p).vertices
+        vs = decompose(p).sphere2.vertices
         shifted = tuple(canonical(v.num + v.den, v.den, p) for v in vs)
         rot = p - 4
         assert shifted == vs[rot:] + vs[:rot]
 
 
 def test_second_circuit_seven_multiplicities():
-    labels = second_circuit(7).labels()
+    labels = decompose(7).sphere2.labels()
     for v in labels:
         num, den = map(int, v.split("/"))
         if den == 3:
@@ -330,20 +357,20 @@ def test_second_circuit_seven_multiplicities():
 
 
 def test_poles_examples():
-    assert [str(v) for v in poles(7)] == ["1/0", "2/0", "3/0"]
-    assert [str(v) for v in poles(11)] == ["1/0", "2/0", "3/0", "4/0", "5/0"]
-    assert [str(v) for v in poles(5)] == ["1/0", "2/0"]
+    assert [str(v) for v in all_poles(7)] == ["1/0", "2/0", "3/0"]
+    assert [str(v) for v in all_poles(11)] == ["1/0", "2/0", "3/0", "4/0", "5/0"]
+    assert [str(v) for v in all_poles(5)] == ["1/0", "2/0"]
 
 
 def test_circuit_builders_share_the_map_level_bound(capsys):
     # the distance-2 walk alone holds p(p - 4) slots, so the circuits stop at
     # build_map's bound; the closed-form distance costs O(1) and has none
-    for build in (first_circuit, second_circuit, second_circuit_slots, poles, decompose):
+    for build in (second_circuit_slots, decompose):
         with pytest.raises(ResourceLimit, match="level 103 above bound 101"):
             build(103)
     with pytest.raises(ResourceLimit):
         decompose(100003)
-    assert len(second_circuit(101)) == 101 * 97
+    assert len(decompose(101).sphere2) == 101 * 97
     assert distance_formula(canonical(1, 0, 103), canonical(2, 0, 103), 103) == 3
     assert main(["circuits", "103"]) == 2
     out, err = capsys.readouterr()
@@ -431,6 +458,18 @@ def test_decomposition_ids_are_the_decomposition(p):
     assert ring.tolist() == [m.vertex_id(v) for v in parts.sphere1.vertices]
     assert walk.tolist() == [m.vertex_id(v) for v in parts.sphere2.vertices]
     assert outer.tolist() == [m.vertex_id(v) for v in parts.poles]
+
+
+@pytest.mark.parametrize("p", PRIMES_5_TO_101)
+def test_decompose_parts_are_the_map_vertices_at_the_ids(p):
+    m = build_map(p)
+    parts = decompose(p)
+    north, ring, walk, outer = ([m.vertices[i] for i in part.tolist()]
+                                for part in decomposition_ids(m))
+    assert [parts.north] == north
+    assert list(parts.sphere1.vertices) == ring
+    assert list(parts.sphere2.vertices) == walk
+    assert list(parts.poles) == outer
 
 
 def test_decomposition_ids_need_a_prime_level():
