@@ -33,31 +33,40 @@ def check_map(m: FareyMap) -> list[tuple[str, bool]]:
         ("euler characteristic = 2 - 2g", m.euler_characteristic() == 2 - 2 * genus(n))
     )
 
-    # The dart checks run over blocks of whole vertex rows, so that their
-    # temporaries have the size of a block: a first pass checks sigma and
-    # builds phi = sigma o alpha once, from sigma's closed form, and a second
-    # checks alpha and phi.
+    # The dart checks run over blocks of whole vertex rows, and the face check
+    # over blocks of face rows, so that their temporaries have the size of a
+    # block; sigma is freed before alpha is checked.
     sigma, alpha = m.sigma, m.alpha
-    phi = np.empty_like(alpha)
     blocks = [(lo * n, hi * n) for lo, hi in row_blocks(n, m.vertex_count)]
-    rotation = involution = orbits = True
+    rotation = involution = True
     for lo, hi in blocks:
         # sigma turns each vertex's block of n darts by one step: a product
         # of n-cycles
         ids = np.arange(lo, hi, dtype=alpha.dtype).reshape(-1, n)
         turned = sigma[lo:hi].reshape(-1, n)
-        rotation &= (np.array_equal(turned[:, :-1], ids[:, 1:])
-                     and np.array_equal(turned[:, -1], ids[:, 0]))
-        phi[lo:hi] = rotated(alpha[lo:hi], n)
+        rotation &= bool((turned[:, :-1] == ids[:, 1:]).all()
+                         and (turned[:, -1] == ids[:, 0]).all())
     del sigma, turned  # turned is a view of sigma
     for lo, hi in blocks:
         ids = np.arange(lo, hi, dtype=alpha.dtype)
-        involution &= (np.array_equal(alpha.take(alpha[lo:hi]), ids)
-                       and not np.any(alpha[lo:hi] == ids))
-        phi2 = phi.take(phi[lo:hi])
-        orbits &= (np.array_equal(phi.take(phi2), ids)
-                   and not np.any(phi[lo:hi] == ids)
-                   and not np.any(phi2 == ids))
+        involution &= bool((alpha.take(alpha[lo:hi]) == ids).all()
+                           and not (alpha[lo:hi] == ids).any())
+    # Each stored face row (d, e, f) must be a phi-orbit, phi = sigma o alpha
+    # read off sigma's closed form, and the rows must cover every dart once
+    # (mu entries, every dart marked): then phi^3 is the identity and no dart
+    # is fixed, so every face orbit has size 3.
+    faces = m.face_darts()
+    covered = np.zeros(m.dart_count, dtype=bool)
+    orbits = faces.size == m.dart_count
+    for lo, hi in row_blocks(3, faces.shape[0]):
+        # one intp copy serves the gather and the scatter, which would each
+        # cast the int32 rows again
+        rows = faces[lo:hi].astype(np.intp)
+        d, e, f = rows.T
+        phi_d, phi_e, phi_f = rotated(alpha.take(rows), n).T
+        orbits &= bool((phi_d == e).all() and (phi_e == f).all() and (phi_f == d).all())
+        covered[rows.ravel()] = True
+    orbits &= bool(covered.all())
     results.append(("alpha is a fixed-point-free involution", involution))
     results.append(("sigma has order n", rotation))
     results.append(("face orbits all have size 3", orbits))

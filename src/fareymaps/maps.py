@@ -32,22 +32,23 @@ alpha[d] // n, the source of the reversed dart.  The face of each dart is
 an index built from the face darts, read only by face_neighbours() and
 face_translation(); a face id is found without it, as the rank of the
 face's least dart among the sorted face leaders.
-build_map computes alpha and the face leaders as V x n blocks, one row per
+build_map computes alpha and the face darts as V x n blocks, one row per
 vertex, from the per-vertex columns, which come from the two numpy kernels
 above, so no Python step runs per vertex or per dart; it works through row
-blocks of about 2^17 darts (row_blocks) in one set of block-sized buffers,
-so its temporaries have the size of one block, not of mu.  A vertex is
-its id: the map keeps the int (num, den) columns of the vertices, which the
-labels (vertex_labels()), dart_between and vertex_columns() read; the
-FareyFraction tuple `vertices` is a derived table like the labels, built by
-arith.farey_fractions.
+blocks of about 2^15 darts (row_blocks) in one set of block-sized buffers,
+so beyond the arrays the map keeps it holds the per-level tables and one
+block's temporaries: at level 101 its tracemalloc peak is 2.4 MB above the
+4.2 MB the map holds.  A vertex is its id: the map keeps the int
+(num, den) columns of the vertices, which the labels (vertex_labels()),
+dart_between and vertex_columns() read; the FareyFraction tuple `vertices`
+is a derived table like the labels, built by arith.farey_fractions.
 
 A built map is immutable: every array it stores or hands out is read-only,
 every sequence a tuple, and concurrent readers are safe.  Every derived
 table (dart targets, edge columns, labels, vertices, face index, face
 neighbours, vertex and face translation) goes through one memo, _derived:
-built on first use, set read-only and kept.  A map always computes the same values for a table, so
-a reader racing another sees an equal table.
+built on first use, set read-only and kept.  A map always computes the
+same values for a table, so a reader racing another sees an equal table.
 """
 
 from __future__ import annotations
@@ -77,9 +78,10 @@ from .errors import (
 
 DEFAULT_LEVEL_BOUND = 101
 
-# Darts per block of build_map and the battery: 2^17 int32 entries are
-# 512 KB, so a block's temporaries stay near the size of an L2 cache.
-_BLOCK_DARTS = 1 << 17
+# Darts per block of build_map and the battery: 2^15 int32 entries are
+# 128 KB, so one block's int32 buffers and temporaries (about 1 MB with the
+# intp index casts) fit a 2 MB L2 cache; every level up to 40 is one block.
+_BLOCK_DARTS = 1 << 15
 
 
 def mu(n: int) -> int:
@@ -140,8 +142,9 @@ def _bezout_columns(nums: np.ndarray, dens: np.ndarray, n: int) -> np.ndarray:
 
 def row_blocks(n: int, vcount: int) -> list[tuple[int, int]]:
     """The vertex row ranges (lo, hi), in order, that cover rows 0..vcount-1
-    of a level-n dart block with about 2^17 darts each; the darts of rows
-    lo..hi-1 are lo*n .. hi*n - 1.  Up to 2^17 darts are one block."""
+    of a level-n dart block with about _BLOCK_DARTS = 2^15 darts each; the
+    darts of rows lo..hi-1 are lo*n .. hi*n - 1.  Up to 2^15 darts are one
+    block.  With n = 3 it blocks the F x 3 face darts the same way."""
     rows = max(1, _BLOCK_DARTS // n)
     return [(lo, min(lo + rows, vcount)) for lo in range(0, vcount, rows)]
 
@@ -156,8 +159,8 @@ def rotated(x, n: int):
 
 def _derived(build):
     """The memo of FareyMap's derived tables: the first call builds the
-    table, sets every ndarray of it (or of the tuple it returns) read-only
-    and keeps it in the map's `_tables` under the reader's name; every later
+    table, sets it read-only if it is an ndarray or a tuple of them, and
+    keeps it in the map's `_tables` under the reader's name; every later
     call returns the table that was stored first."""
     name = build.__name__
 
@@ -165,8 +168,12 @@ def _derived(build):
     def read(self):
         if name not in self._tables:
             table = build(self)
-            for array in table if isinstance(table, tuple) else (table,):
-                if isinstance(array, np.ndarray):
+            if isinstance(table, np.ndarray):
+                table.flags.writeable = False
+            # a tuple table holds only arrays (edge_columns) or none (labels,
+            # vertices): its first item tells which, so labels are not walked
+            elif isinstance(table, tuple) and table and isinstance(table[0], np.ndarray):
+                for array in table:
                     array.flags.writeable = False
             self._tables.setdefault(name, table)
         return self._tables[name]
@@ -298,6 +305,11 @@ class FareyMap:
         return tuple(f"{a}/{c}" for a, c in zip(nums.tolist(), dens.tolist()))
 
     # -- faces ----------------------------------------------------------
+
+    def face_darts(self) -> np.ndarray:
+        """The read-only F x 3 int32 face darts: row i lists the darts of
+        face i in phi order, its least dart first, and the rows are sorted."""
+        return self._face_darts
 
     def face_vertex_ids(self, face_id: int) -> tuple[int, int, int]:
         face_id = self._read_id(face_id, self.face_count, "face")
@@ -456,23 +468,25 @@ def build_map(n: int) -> FareyMap:
     # The darts as a V x n block: dart (v, t) is row v, column t, filled a
     # block of rows at a time in one set of block-sized buffers.  Its second
     # column (b, d) = (b0 + t*a, d0 + t*c) mod n is read, unreduced, off the
-    # table of products k*t mod n.
+    # table of products k*t mod n: cell (b0 + t*a)*m + d0 + t*c.
     t = np.arange(n, dtype=np.int32)
     times = t[:, None] * t % n
     times_m = times * m
+    base = b0 * m + d0
     alpha = np.empty(order, dtype=np.int32)
-    leads = np.empty(order, dtype=bool)
-    alpha_rows, lead_rows = alpha.reshape(vcount, n), leads.reshape(vcount, n)
+    face_darts = np.empty((order // 3, 3), dtype=np.int32)
+    alpha_rows = alpha.reshape(vcount, n)
     blocks = row_blocks(n, vcount)
     size = blocks[0][1] - blocks[0][0]
     cell_block, step_block, scratch_block = np.empty((3, size, n), dtype=np.int32)
-    above_block = np.empty((size, n), dtype=bool)
+    above_block, lead_block = np.empty((2, size, n), dtype=bool)
+    faces = 0  # face rows filled so far
     for lo, hi in blocks:
         rows = slice(lo, hi)
         cell, step, scratch = cell_block[:hi - lo], step_block[:hi - lo], scratch_block[:hi - lo]
-        above = above_block[:hi - lo]
+        above, lead, block = above_block[:hi - lo], lead_block[:hi - lo], alpha_rows[rows]
         np.add(times_m[av[rows]], times[cv[rows]], out=cell)
-        cell += (b0[rows] * m + d0[rows])[:, None]
+        cell += base[rows, None]
 
         # alpha: g -> g*S = (b, -a; d, -c), the dart from w = s*(b, d) to
         # s*(-a, -c), which is w*n + s*(c*b0_w - a*d0_w) mod n.
@@ -487,28 +501,31 @@ def build_map(n: int) -> FareyMap:
         np.floor_divide(step, n, out=scratch)
         scratch *= n
         step -= scratch
-        np.multiply(target, n, out=alpha_rows[rows])
-        alpha_rows[rows] += step
+        np.multiply(target, n, out=block)
+        block += step
 
         # Face i is row i of face_darts: its darts in phi order from the least
         # one.  The face of dart (v, t) has the corners v, target(v, t) and
         # target(v, t - 1) (phi^2 = alpha sigma^-1), all distinct; the darts of
         # vertex v are v*n .. v*n + n - 1, so the dart leads its face iff v is
-        # its least corner.
+        # its least corner.  The leaders come in dart order, block by block.
         np.greater(target, vid[rows, None], out=above)
-        np.logical_and(above[:, 1:], above[:, :-1], out=lead_rows[rows, 1:])
-        np.logical_and(above[:, 0], above[:, -1], out=lead_rows[rows, 0])
-    # free the tables and block buffers before the face arrays are built
-    del vertex_cell, b0_cell, d0_cell, times, times_m, alpha_rows, lead_rows
-    del cell_block, step_block, scratch_block, above_block, cell, step, scratch, above, target
-
-    leaders = np.flatnonzero(leads)
-    del leads
-    face_darts = np.empty((leaders.shape[0], 3), dtype=np.int32)
-    face_darts[:, 0] = leaders
-    face_darts[:, 1] = rotated(alpha.take(leaders), n)
-    del leaders
-    face_darts[:, 2] = rotated(alpha.take(face_darts[:, 1]), n)
+        np.logical_and(above[:, 1:], above[:, :-1], out=lead[:, 1:])
+        np.logical_and(above[:, 0], above[:, -1], out=lead[:, 0])
+        leaders = np.flatnonzero(lead)
+        face = face_darts[faces:faces + leaders.shape[0]]
+        faces += leaders.shape[0]
+        if faces > face_darts.shape[0]:
+            raise BrokenInvariant(f"more than mu/3 = {order // 3} face leaders at level {n}")
+        np.add(leaders, lo * n, out=face[:, 0], casting="unsafe")
+        # phi(d) = sigma(alpha(d)), and phi^2(d) = alpha(sigma^-1(d)) is the
+        # alpha of the dart before d in its row: a row roll of the block
+        face[:, 1] = rotated(block.take(leaders), n)
+        scratch[:, 1:] = block[:, :-1]
+        scratch[:, 0] = block[:, -1]
+        face[:, 2] = scratch.take(leaders)
+    if faces != face_darts.shape[0]:
+        raise BrokenInvariant(f"{faces} face leaders at level {n}, not mu/3 = {order // 3}")
     return FareyMap(n, columns, vertex_grid, alpha, face_darts)
 
 

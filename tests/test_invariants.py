@@ -169,7 +169,7 @@ def test_cross_swapped_edges_fail_only_the_orbit_check(monkeypatch, n, block, wh
     if block is not None:
         monkeypatch.setattr(maps, "_BLOCK_DARTS", block)
     m = build_map(n)
-    # 300 darts a block at 31, and 4 blocks at 101
+    # 300 darts a block at 31, and 16 blocks at 101
     assert len(maps.row_blocks(n, m.vertex_count)) > 1 or n == 31 and block is None
     a = 0 if where == "first" else m.dart_count - 2
     b = a + 1
@@ -182,6 +182,34 @@ def test_cross_swapped_edges_fail_only_the_orbit_check(monkeypatch, n, block, wh
     assert results["alpha is a fixed-point-free involution"] is True
     assert results["face orbits all have size 3"] is False
     assert results["sigma has order n"] is True
+
+
+def swap_within_a_row(rows):
+    rows[-1, [1, 2]] = rows[-1, [2, 1]]  # the last face, traced backwards
+
+
+def swap_across_rows(rows):
+    rows[[0, -1], 1] = rows[[-1, 0], 1]  # the first and last faces trade a dart
+
+
+def repeat_a_row(rows):
+    rows[-1] = rows[-2]  # every row a phi-orbit, but the last face's darts lost
+
+
+@pytest.mark.parametrize("n, block", [(31, 300), (31, None), (101, None)])
+@pytest.mark.parametrize("broken", [swap_within_a_row, swap_across_rows, repeat_a_row])
+def test_broken_face_rows_fail_only_the_orbit_check(monkeypatch, n, block, broken):
+    # the orbit check reads the stored face rows through m.face_darts(): each
+    # row must be a phi-orbit, and the rows must cover every dart once
+    if block is not None:
+        monkeypatch.setattr(maps, "_BLOCK_DARTS", block)
+    m = build_map(n)
+    rows = m.face_darts().copy()
+    broken(rows)
+    monkeypatch.setattr(m, "face_darts", lambda: rows)
+    results = dict(check_map(m))
+    assert results.pop("face orbits all have size 3") is False
+    assert all(results.values()), results
 
 
 def misclassifying(kernel):
