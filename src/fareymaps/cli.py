@@ -77,10 +77,9 @@ def _klein7(args) -> int:
         print(f"quotient genus: {g}")
         print()
         print(quartic.klein_matrix_report().to_text())
-        expected = {(1, 6), (2, 11), (3, 8), (4, 13), (5, 10), (7, 12), (9, 14)}
         ok = (
             gon.side(1).label_strings() == ("2/0", "5/3", "3/2", "3/0")
-            and {tuple(sorted(p)) for p in pairing.pairs} == expected
+            and {tuple(sorted(p)) for p in pairing.pairs} == quartic.KLEIN_PAIRS
             and g == 3
         )
         print("verification:", "ok" if ok else "FAILED")

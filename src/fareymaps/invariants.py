@@ -35,22 +35,18 @@ def check_map(m: FareyMap) -> list[tuple[str, bool]]:
 
     # The dart checks run over blocks of whole vertex rows, and the face check
     # over blocks of face rows, so that their temporaries have the size of a
-    # block; sigma is freed before alpha is checked.
-    sigma, alpha = m.sigma, m.alpha
-    blocks = [(lo * n, hi * n) for lo, hi in row_blocks(n, m.vertex_count)]
+    # block.
+    alpha = m.alpha
     rotation = involution = True
-    for lo, hi in blocks:
-        # sigma turns each vertex's block of n darts by one step: a product
-        # of n-cycles
-        ids = np.arange(lo, hi, dtype=alpha.dtype).reshape(-1, n)
-        turned = sigma[lo:hi].reshape(-1, n)
+    for lo, hi in row_blocks(n, m.vertex_count):
+        ids = np.arange(lo * n, hi * n, dtype=alpha.dtype)
+        involution &= bool((alpha.take(alpha[lo * n:hi * n]) == ids).all()
+                           and not (alpha[lo * n:hi * n] == ids).any())
+        # sigma, the rotation the map is built and searched with, turns each
+        # vertex's row of n darts by one step: a product of n-cycles
+        turned, ids = rotated(ids, n).reshape(-1, n), ids.reshape(-1, n)
         rotation &= bool((turned[:, :-1] == ids[:, 1:]).all()
                          and (turned[:, -1] == ids[:, 0]).all())
-    del sigma, turned  # turned is a view of sigma
-    for lo, hi in blocks:
-        ids = np.arange(lo, hi, dtype=alpha.dtype)
-        involution &= bool((alpha.take(alpha[lo:hi]) == ids).all()
-                           and not (alpha[lo:hi] == ids).any())
     # Each stored face row (d, e, f) must be a phi-orbit, phi = sigma o alpha
     # read off sigma's closed form, and the rows must cover every dart once
     # (mu entries, every dart marked): then phi^3 is the identity and no dart

@@ -26,9 +26,9 @@ both sign representatives (a, c) and (-a, -c) of every vertex, so:
 
 Storage: the map keeps two int32 dart arrays, 8 bytes per dart: alpha and
 the F x 3 face darts (F = mu/3, so one entry per dart again).  sigma and the
-dart targets are one line of closed form each: sigma is built from
-(v, t) -> (v, t + 1) whenever m.sigma is read, and the target of dart d is
-alpha[d] // n, the source of the reversed dart.  The face of each dart is
+dart targets are one line of closed form each: sigma is rotated(d, n), which
+build_map, the battery and the face lookup all read, and the target of dart
+d is alpha[d] // n, the source of the reversed dart.  The face of each dart is
 an index built from the face darts, read only by face_neighbours() and
 face_translation(); a face id is found without it, as the rank of the
 face's least dart among the sorted face leaders.
@@ -152,7 +152,8 @@ def row_blocks(n: int, vcount: int) -> list[tuple[int, int]]:
 def rotated(x, n: int):
     """sigma of the dart x, or of an int array of darts: (v, t) -> (v, t + 1
     mod n), that is x - x % n + (x + 1) % n.  It is written with // because
-    numpy's % on int32 is several times slower."""
+    numpy's % on int32 is several times slower.  This is the map's only
+    sigma: no dart array of it is stored or built."""
     y = x + 1
     return y - (y // n - x // n) * n
 
@@ -217,17 +218,6 @@ class FareyMap:
         return self._columns[0], self._columns[1]
 
     # -- darts ----------------------------------------------------------
-
-    @property
-    def sigma(self) -> np.ndarray:
-        """The rotation (v, t) -> (v, t + 1 mod n) as a read-only int32 array,
-        built from that closed form on every read: dart d goes to d + 1, and
-        the last dart v*n + n - 1 of each vertex back to v*n."""
-        n = self.level
-        sigma = np.arange(1, self.dart_count + 1, dtype=np.int32)
-        sigma[n - 1::n] -= n
-        sigma.flags.writeable = False
-        return sigma
 
     @_derived
     def dart_targets(self) -> np.ndarray:

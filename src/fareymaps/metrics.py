@@ -25,7 +25,8 @@ from .arith import FareyFraction, farey_fractions, vertex_columns
 from .errors import (
     BrokenInvariant, EqualVertices, LevelMismatch, NotPrime, ResourceLimit, UnknownVertex,
 )
-from .maps import DEFAULT_LEVEL_BOUND, FareyMap
+from . import maps
+from .maps import FareyMap
 
 # Miller-Rabin on the prime bases 2..41 is exact below this bound.
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -226,8 +227,8 @@ def second_circuit_slots(p: int) -> tuple[np.ndarray, np.ndarray]:
     above build_map's bound raises ResourceLimit, else NotPrime unless p is a
     prime >= 5.
     """
-    if p > DEFAULT_LEVEL_BOUND:
-        raise ResourceLimit(f"level {p} above bound {DEFAULT_LEVEL_BOUND}")
+    if p > maps.DEFAULT_LEVEL_BOUND:  # read at call time, as build_map reads it
+        raise ResourceLimit(f"level {p} above bound {maps.DEFAULT_LEVEL_BOUND}")
     _require_prime(p)
     half = (p - 1) // 2
     seed = [(1, k) for k in range(half, 1, -1)] + [(m - 1, m) for m in range(3, half + 1)]

@@ -191,6 +191,9 @@ def quotient_genus_of_gon(gon: FourteenGon, pairing: SidePairing) -> int:
 # -- Klein's explicit edge-pairing matrix -----------------------------------
 
 KLEIN_PAIRING_MATRIX = IntMatrix(113, -35, 42, -13)
+# Klein's identifications 1-6, 3-8, 5-10, 7-12, 9-14, 11-2, 13-4, each pair
+# sorted: the pairs side_pairing must find on the 14-gon
+KLEIN_PAIRS = frozenset({(1, 6), (2, 11), (3, 8), (4, 13), (5, 10), (7, 12), (9, 14)})
 KLEIN_EDGE1 = tuple(ExtRational.parse(s) for s in ("2/7", "1/3", "3/7"))
 KLEIN_EDGE6_RECORDED = tuple(ExtRational.parse(s) for s in ("18/7", "8/3", "19/7"))
 

@@ -3,8 +3,9 @@ strips), no module reaching into another module's private names, and no
 module outside the map construction and its invariant battery reading the
 dart permutations, no module but metrics reading the distance-2 walk's
 slots, no id pipeline reading a map's FareyFraction vertex list, and no
-array set read-only outside the map's constructor, sigma and the memo of
-its derived tables.  The README's quick start must run, and the map and
+array set read-only outside the map's constructor and the memo of its
+derived tables.  sigma is the closed form maps.rotated, so no module reads
+a sigma attribute.  The README's quick start must run, and the map and
 walk readers it names must exist."""
 
 import ast
@@ -74,13 +75,15 @@ def test_no_private_names_from_sibling_modules():
 
 
 def test_dart_permutations_read_only_by_maps_and_invariants():
-    # every other module works with vertices, faces and the map's face tables
+    # every other module works with vertices, faces and the map's face tables;
+    # sigma is maps.rotated, not an array any module reads
     found = [
         f"{path.name}:{node.lineno} reads .{node.attr}"
         for path in MODULES
-        if path.name not in ("maps.py", "invariants.py")
         for node in ast.walk(parse(path))
-        if isinstance(node, ast.Attribute) and node.attr in ("alpha", "sigma")
+        if isinstance(node, ast.Attribute) and (
+            node.attr == "sigma"
+            or node.attr == "alpha" and path.name not in ("maps.py", "invariants.py"))
     ]
     assert found == []
 
@@ -133,8 +136,8 @@ def writeable_assignments(tree):
 
 def test_arrays_are_frozen_only_by_the_map_and_its_memo():
     # every derived table of a map goes through the memo maps._derived, so
-    # only the stored arrays, sigma and the memo set an array read-only
-    allowed = {"maps.py": {"FareyMap.__init__", "FareyMap.sigma", "_derived.read"}}
+    # only the stored arrays and the memo set an array read-only
+    allowed = {"maps.py": {"FareyMap.__init__", "_derived.read"}}
     scopes = {path.name: writeable_assignments(parse(path)) for path in MODULES}
     found = [f"{name}: {scope or 'module level'}" for name, names in scopes.items()
              for scope in names if scope not in allowed.get(name, ())]

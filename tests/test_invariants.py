@@ -5,7 +5,7 @@ can fail."""
 import numpy as np
 import pytest
 
-from fareymaps import maps, metrics
+from fareymaps import invariants, maps, metrics
 from fareymaps.arith import canonical, is_adjacent
 from fareymaps.errors import BrokenInvariant
 from fareymaps.invariants import check_map, run_invariant_suite
@@ -72,9 +72,13 @@ def reference_check_map(m):
     idx = np.arange(m.dart_count, dtype=m.alpha.dtype)
     ok = np.array_equal(m.alpha[m.alpha], idx) and not np.any(m.alpha == idx)
     results.append(("alpha is a fixed-point-free involution", ok))
+    # sigma by its own formula, not maps.rotated: d + 1, and the last dart
+    # of each vertex row back to the row's first
+    sigma = idx + 1
+    sigma[n - 1::n] -= n
     step = np.roll(idx.reshape(-1, n), -1, axis=1)
-    results.append(("sigma has order n", np.array_equal(m.sigma.reshape(-1, n), step)))
-    phi = m.sigma[m.alpha]
+    results.append(("sigma has order n", np.array_equal(sigma.reshape(-1, n), step)))
+    phi = sigma[m.alpha]
     results.append(
         (
             "face orbits all have size 3",
@@ -182,6 +186,18 @@ def test_cross_swapped_edges_fail_only_the_orbit_check(monkeypatch, n, block, wh
     assert results["alpha is a fixed-point-free involution"] is True
     assert results["face orbits all have size 3"] is False
     assert results["sigma has order n"] is True
+
+
+@pytest.mark.parametrize("n", [31, 101])
+def test_a_rotation_that_does_not_wrap_fails(monkeypatch, n):
+    # the rotation check reads the sigma the battery's face check reads,
+    # maps.rotated: d + 1 with no wrap at a row's end is no product of
+    # n-cycles, in any block (16 blocks at 101)
+    monkeypatch.setattr(invariants, "rotated", lambda x, n: x + 1)
+    results = dict(check_map(build_map(n)))
+    assert results["sigma has order n"] is False
+    assert results["face orbits all have size 3"] is False
+    assert results["alpha is a fixed-point-free involution"] is True
 
 
 def swap_within_a_row(rows):

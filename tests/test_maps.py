@@ -110,13 +110,14 @@ def test_permutation_structure():
         assert np.array_equal(m.alpha[m.alpha], idx)
         assert not np.any(m.alpha == idx)
         # sigma has order exactly n
+        sigma = maps.rotated(idx, n)
         power = idx
         for k in range(1, n):
-            power = m.sigma[power]
+            power = sigma[power]
             assert np.any(power != idx), (n, k)
-        assert np.array_equal(m.sigma[power], idx)
+        assert np.array_equal(sigma[power], idx)
         # face operator: all orbits of size 3
-        phi = m.sigma[m.alpha]
+        phi = sigma[m.alpha]
         assert np.array_equal(phi[phi[phi]], idx)
         assert not np.any(phi == idx)
         assert not np.any(phi[phi] == idx)
@@ -326,11 +327,11 @@ def test_edge_columns_are_int32_and_match_the_dart_keys(n):
 
 
 def reference_faces(m):
-    """Faces from the public sigma and alpha alone: walk phi = sigma o alpha
-    from each orbit's least dart, and rotate the least corner to the front.
-    Returns the vertex-id rows, in leader order."""
+    """Faces from the public sigma (maps.rotated) and alpha alone: walk
+    phi = sigma o alpha from each orbit's least dart, and rotate the least
+    corner to the front.  Returns the vertex-id rows, in leader order."""
     n = m.level
-    sigma, alpha = m.sigma.tolist(), m.alpha.tolist()
+    sigma, alpha = maps.rotated(np.arange(m.dart_count), n).tolist(), m.alpha.tolist()
     rows = []
     for d0 in range(m.dart_count):
         d1 = sigma[alpha[d0]]
@@ -709,7 +710,7 @@ def test_dart_layout_matches_reference_build(n):
     pairs, sigma, alpha, face_darts, face_of_dart = reference_build(n)
     m = build_map(n)
     assert [(v.num, v.den) for v in m.vertices] == pairs
-    assert np.array_equal(m.sigma, sigma)
+    assert np.array_equal(maps.rotated(np.arange(m.dart_count), n), sigma)
     assert np.array_equal(m.alpha, alpha)
     assert np.array_equal(m.dart_targets(), (alpha // n).reshape(-1, n))
     assert np.array_equal(m._face_darts, face_darts)
@@ -718,11 +719,10 @@ def test_dart_layout_matches_reference_build(n):
         assert m.face_vertex_rows() == (face_darts // n).tolist()
 
 
-# the bound on build_map's and the battery's traced peak beyond the bytes a
-# built level-101 map holds: one block's buffers and temporaries plus the
-# per-level tables (at ee580d2 build_map peaked 4.6 MB above the map, with
-# face-dart temporaries over every face, and the battery 6.3 MB, with a
-# full-size phi)
+# the bound on build_map's traced peak beyond the bytes a built level-101
+# map holds: one block's buffers and temporaries plus the per-level tables
+# (at ee580d2 build_map peaked 4.6 MB above the map, with face-dart
+# temporaries over every face)
 PEAK_ABOVE_MAP = 2_750_000
 
 
@@ -745,8 +745,10 @@ def test_build_map_memory():
 
 
 def test_check_map_memory():
-    # the battery holds the materialised sigma for its rotation check, then
-    # one block of temporaries and a bool mask over the darts at a time
+    # the battery holds one block of temporaries and a bool mask over the
+    # darts at a time: its rotation check runs maps.rotated on each block's
+    # dart ids, and a dart-length int32 sigma beside them would exceed 4
+    # bytes per dart
     tracemalloc.start()
     try:
         m = build_map(DEFAULT_LEVEL_BOUND)
@@ -756,13 +758,13 @@ def test_check_map_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= held + PEAK_ABOVE_MAP, (peak - held, held)
+    assert peak <= held + 4 * m.dart_count, (peak - held, held)
 
 
 def test_dart_arrays_are_read_only():
     m = build_map(11)
     before = to_json(m)
-    arrays = (m.alpha, m.sigma, m.dart_targets(), m._face_index(), m._face_darts,
+    arrays = (m.alpha, m.dart_targets(), m._face_index(), m._face_darts,
               m._columns, m._vertex_grid, *m.vertex_columns(), *m.edge_columns(),
               m.face_neighbours(), m.vertex_translation(), m.face_translation())
     for array in arrays:
@@ -786,7 +788,7 @@ def test_dart_blocks_match_one_block(monkeypatch, block):
     assert len(maps.row_blocks(31, want[31].vertex_count)) > 1
     for n in levels:
         m = build_map(n)
-        for name in ("alpha", "sigma", "_face_darts"):
+        for name in ("alpha", "_face_darts"):
             assert np.array_equal(getattr(m, name), getattr(want[n], name)), (n, name)
         assert np.array_equal(m.dart_targets(), want[n].dart_targets()), n
         assert np.array_equal(m._face_index(), want[n]._face_index()), n
@@ -837,7 +839,7 @@ def test_build_map_arrays_are_int32(n):
     # the kernels mix int32 arrays with Python ints; under NumPy 1.x value
     # casting a mixed expression that upcasts would show here
     m = build_map(n)
-    arrays = (*m.vertex_columns(), m._columns, m.sigma, m.alpha, m.dart_targets(),
+    arrays = (*m.vertex_columns(), m._columns, m.alpha, m.dart_targets(),
               m._face_index(), m._face_darts)
     assert [a.dtype for a in arrays] == [np.dtype(np.int32)] * len(arrays)
     assert not any(a.flags.writeable for a in arrays)
@@ -846,11 +848,11 @@ def test_build_map_arrays_are_int32(n):
 def test_build_map_reads_the_level_as_an_index():
     m, want = build_map(np.int64(7)), build_map(7)
     assert type(m.level) is int and m.level == 7
-    for name in ("_columns", "_vertex_grid", "sigma", "alpha", "_face_darts"):
+    for name in ("_columns", "_vertex_grid", "alpha", "_face_darts"):
         assert np.array_equal(getattr(m, name), getattr(want, name)), name
     assert np.array_equal(m.dart_targets(), want.dart_targets())
     assert np.array_equal(m._face_index(), want._face_index())
-    assert m.sigma.dtype == m.dart_targets().dtype == np.int32
+    assert m.dart_targets().dtype == np.int32
     assert to_json(m) == to_json(want)
     for level in (7.0, "7", None):
         with pytest.raises(Unsupported):

@@ -15,8 +15,9 @@ from fareymaps.errors import (
     ResourceLimit,
     UnknownVertex,
 )
+from fareymaps.invariants import check_map
 from fareymaps.maps import build_map
-from fareymaps import metrics
+from fareymaps import maps, metrics
 from fareymaps.metrics import (
     Circuit,
     bfs_distance,
@@ -375,6 +376,15 @@ def test_circuit_builders_share_the_map_level_bound(capsys):
     assert main(["circuits", "103"]) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: level 103 above bound 101\n")
+
+
+def test_circuit_builders_read_the_bound_at_call_time(monkeypatch):
+    # one level bound: raising maps.DEFAULT_LEVEL_BOUND alone lets the prime
+    # layout and the battery run past 101
+    monkeypatch.setattr(maps, "DEFAULT_LEVEL_BOUND", 103)
+    assert len(decompose(103).sphere2) == 103 * 99
+    results = check_map(build_map(103))
+    assert len(results) == 8 and all(ok for _, ok in results), results
 
 
 def test_decompose_partitions_vertex_set():

@@ -210,6 +210,11 @@ def test_side_pairing_matches_klein(m7):
         assert (j - i) % 14 == 5 or (i - j) % 14 == 5
 
 
+def test_klein_pairs_are_the_sorted_published_pairs():
+    # the CLI's klein7 --verify compares the pairing with quartic.KLEIN_PAIRS
+    assert quartic.KLEIN_PAIRS == {tuple(sorted(p)) for p in KLEIN_PAIRS}
+
+
 def test_quotient_genus_three(m7):
     gon = fourteen_gon(m7)
     g = quotient_genus_of_gon(gon, side_pairing(gon))
