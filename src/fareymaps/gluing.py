@@ -1,15 +1,20 @@
-"""Gluing a polygon along reversed side pairs: the matcher, the pairing, the genus.
+"""Gluing a polygon along reversed side pairs: the polygon, its pairing, its genus.
 
-Side k of an N-gon runs from corner k to corner k + 1 (mod N).  A reversed
-pair (i, j) glues side i to side j read backwards, so corner i meets corner
-j + 1 and corner i + 1 meets corner j; every such gluing is orientable.
+A `Polygon` is the closed walk of its boundary, as vertex ids of a map, with
+s slots per side: side k is the path from slot k*s to slot (k + 1)*s, and
+corner k is slot k*s.  A reversed pair (i, j) glues side i to side j read
+backwards, so corner i meets corner j + 1 and corner i + 1 meets corner j;
+every such gluing is orientable.  Klein's 14-gon (s = 3) and the 198-gon
+(s = 1) are both Polygons: one matcher pairs their sides, one count their genus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import NoMatch, UnpairedEdge
+from .maps import FareyMap
 
 
 def reversed_pairs(keys, name=str) -> tuple[tuple[int, int], ...]:
@@ -79,3 +84,33 @@ def polygon_genus(corners, pairs, inner_chi: int = 1) -> int:
     if chi % 2:
         raise NoMatch(f"odd Euler characteristic {chi}")
     return (2 - chi) // 2
+
+
+@dataclass(frozen=True)
+class Polygon:
+    """A polygon on a map, its labels read off `vertex_labels()`; each kind
+    of polygon fixes its slots per side, `side_slots`."""
+
+    fmap: FareyMap
+    ids: tuple[int, ...]
+    side_slots: ClassVar[int] = 1
+
+    def __len__(self) -> int:
+        return len(self.ids) // self.side_slots  # the number of sides
+
+    def labels(self) -> list[str]:
+        labels = self.fmap.vertex_labels()
+        return [labels[i] for i in self.ids]
+
+    def side_paths(self) -> list[tuple[int, ...]]:
+        """Side k as the vertex ids of slots k*s .. (k + 1)*s, the last closing the walk."""
+        s, ids = self.side_slots, self.ids + self.ids[:1]
+        return list(zip(*(ids[j::s] for j in range(s + 1))))
+
+    def pairing(self) -> SidePairing:
+        """Each side paired with the side whose path is its reversal."""
+        return SidePairing(reversed_pairs(self.side_paths(), self.fmap.vertex_labels().__getitem__))
+
+    def genus(self, pairing: SidePairing) -> int:
+        """Genus of the surface glued from the polygon, one disc, along the pairing."""
+        return polygon_genus(self.ids[::self.side_slots], pairing.pairs)

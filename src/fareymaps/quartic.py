@@ -14,6 +14,10 @@ The polygon side through a pinch x/3 carries the labels
 of the oriented seam; paired sides carry equal label sequences read in
 opposite directions, which reproduces Klein's identifications
 1-6, 3-8, 5-10, 7-12, 9-14, 11-2, 13-4.
+
+The 14-gon is a `gluing.Polygon` of 42 vertex ids, three slots per side,
+paired and glued as the 198-gon is; `side_pairing` and `quotient_genus_of_gon`
+number its sides from 1, as Klein does.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from .arith import (
     in_principal_congruence,
     mobius_exact,
 )
-from .errors import BrokenInvariant, WrongLevel
-from .gluing import SidePairing, polygon_genus, reversed_pairs
+from .errors import BrokenInvariant, NoMatch, WrongLevel
+from .gluing import Polygon, SidePairing
 from .maps import FareyMap
 from .metrics import decomposition_ids
 
@@ -72,18 +76,28 @@ class Side:
 
 
 @dataclass(frozen=True)
-class FourteenGon:
-    sides: tuple[Side, ...]  # listed as sides 1..14 in polygon order
+class FourteenGon(Polygon):
+    """Klein's 14-gon on M3(7); side k + 1 is the path of slots 3k .. 3k + 3."""
+
+    side_slots = 3
+
+    @property
+    def sides(self) -> tuple[Side, ...]:
+        """Sides 1..14 in polygon order.  A side whose path starts at 2/0
+        runs anticlockwise; its labels read the path from the 2/0 end."""
+        vs, labels = self.fmap.vertices, self.fmap.vertex_labels()
+        out = []
+        for k, path in enumerate(self.side_paths()):
+            anticlockwise = labels[path[0]] == "2/0"
+            path = path if anticlockwise else path[::-1]
+            out.append(Side(k + 1, tuple(vs[i] for i in path), anticlockwise))
+        return tuple(out)
 
     def side(self, index: int) -> Side:
+        """Side `index`, numbered 1..14 as Klein numbers them."""
+        if not 1 <= index <= len(self):
+            raise NoMatch(f"side {index} not in 1..{len(self)}")
         return self.sides[index - 1]
-
-    def corner_labels(self) -> tuple[str, ...]:
-        """The 14 polygon corners in order; corner k starts side k."""
-        out = []
-        for s in self.sides:
-            out.append(str(s.labels[0] if s.anticlockwise else s.labels[3]))
-        return tuple(out)
 
 
 def _quad_at(fmap: FareyMap, third: int, u: int, pole3: int):
@@ -109,16 +123,11 @@ def _quad_at(fmap: FareyMap, third: int, u: int, pole3: int):
     raise BrokenInvariant(f"{labels[u]}, {labels[w]} not consecutive around {labels[pole3]}")
 
 
-def outer_ring(fmap: FareyMap) -> tuple[RingRegion, ...]:
-    """The 14 chambers of the ring beyond the distance-2 walk, in cyclic order.
-
-    Each quadrilateral is listed at the chamber whose leading seam cuts it.
-    The walk is read as vertex ids; the corners are the map's vertices.
-    """
+def _chambers(fmap: FareyMap) -> list[tuple[str, tuple[int, ...], tuple[int, ...]]]:
+    """The chambers of `outer_ring` as (kind, corner ids, face ids)."""
     _require_level(fmap)
     walk = decomposition_ids(fmap)[2].tolist()
     dens = fmap.vertex_columns()[1].tolist()
-    vs = fmap.vertices
     pole2, pole3 = fmap.vertex_ids([2, 3], [0, 0]).tolist()
     pinches = [i for i, v in enumerate(walk) if dens[v] == 3]
     regions = []
@@ -127,18 +136,25 @@ def outer_ring(fmap: FareyMap) -> tuple[RingRegion, ...]:
         start, end = walk[a], walk[b % len(walk)]
         if gap == 1:
             face_id = fmap.face_id_by_vertices([start, pole2, end])
-            corners = (start, pole2, end)
-            regions.append(RingRegion("triangle", tuple(vs[i] for i in corners), (face_id,)))
+            regions.append(("triangle", (start, pole2, end), (face_id,)))
         elif gap == 2:
             inner, outer, later, earlier = _quad_at(fmap, start, walk[(a + 1) % len(walk)], pole3)
-            corners = (start, later, pole3, earlier)
-            regions.append(RingRegion("quad", tuple(vs[i] for i in corners), (inner, outer)))
+            regions.append(("quad", (start, later, pole3, earlier), (inner, outer)))
         else:
             raise BrokenInvariant(f"pinches {gap} slots apart, expected one or two")
-    if len(regions) != 14 or any(r.kind == regions[i - 1].kind
-                                 for i, r in enumerate(regions)):
+    if len(regions) != 14 or any(r[0] == regions[i - 1][0] for i, r in enumerate(regions)):
         raise BrokenInvariant("the ring is not 14 alternating chambers")
-    return tuple(regions)
+    return regions
+
+
+def outer_ring(fmap: FareyMap) -> tuple[RingRegion, ...]:
+    """The 14 chambers of the ring beyond the distance-2 walk, in cyclic order.
+
+    Each quadrilateral is listed at the chamber whose leading seam cuts it.
+    The walk is read as vertex ids; the corners are the map's vertices.
+    """
+    vs = fmap.vertices
+    return tuple(RingRegion(kind, tuple(vs[i] for i in c), f) for kind, c, f in _chambers(fmap))
 
 
 def fourteen_gon(fmap: FareyMap) -> FourteenGon:
@@ -147,45 +163,31 @@ def fourteen_gon(fmap: FareyMap) -> FourteenGon:
 
     Side k passes through the pinch x/3 where chamber k starts.  Every x/3
     starts exactly one quadrilateral chamber, whose corner after x/3 is the
-    side's y/2 label.  The side runs anticlockwise exactly when chamber k
-    is that quadrilateral, i.e. when a triangle chamber precedes the pinch.
+    side's y/2 label.  The side's path runs anticlockwise from 2/0 exactly
+    when chamber k is that quadrilateral, and from 3/0 otherwise.
     """
-    ring = outer_ring(fmap)
-    vs = fmap.vertices
-    pole2, pole3, five3, three2 = (
-        vs[i] for i in fmap.vertex_ids([2, 3, 5, 3], [0, 0, 3, 2]).tolist())
-    later = {r.corners[0]: r.corners[1] for r in ring if r.kind == "quad"}
+    chambers = _chambers(fmap)
+    pole2, pole3, five3, three2 = fmap.vertex_ids([2, 3, 5, 3], [0, 0, 3, 2]).tolist()
+    later = {corners[0]: corners[1] for kind, corners, _ in chambers if kind == "quad"}
     if len(later) != 7:
         raise BrokenInvariant("the seven quadrilaterals do not start at seven distinct x/3")
-    raw = [
-        ((pole2, r.corners[0], later[r.corners[0]], pole3), r.kind == "quad")
-        for r in ring
-    ]
-
-    first = ((pole2, five3, three2, pole3), True)
-    if first not in raw:
+    paths = [(pole2, x, later[x], pole3) if kind == "quad" else (pole3, later[x], x, pole2)
+             for kind, (x, *_), _ in chambers]
+    if (pole2, five3, three2, pole3) not in paths:
         raise BrokenInvariant("no anticlockwise side labelled (2/0, 5/3, 3/2, 3/0)")
-    anchor = raw.index(first)
-    # the ring's chambers alternate, so the corners alternate 2/0 and 3/0
-    return FourteenGon(tuple(Side(k + 1, *raw[(anchor + k) % 14]) for k in range(14)))
+    anchor = paths.index((pole2, five3, three2, pole3))
+    # the chambers alternate, so each path ends where the next one starts
+    return FourteenGon(fmap, tuple(v for k in range(14) for v in paths[(anchor + k) % 14][:3]))
 
 
 def side_pairing(gon: FourteenGon) -> SidePairing:
-    """Pair sides whose label sequences match with reversed orientation."""
-    keys = [s.labels if s.anticlockwise else s.labels[::-1] for s in gon.sides]
-    return SidePairing(tuple(
-        (gon.sides[i].index, gon.sides[j].index) for i, j in reversed_pairs(keys)
-    ))
+    """The polygon's `pairing()`, with Klein's numbering of the sides from 1."""
+    return SidePairing(tuple((i + 1, j + 1) for i, j in gon.pairing().pairs))
 
 
 def quotient_genus_of_gon(gon: FourteenGon, pairing: SidePairing) -> int:
-    """Genus of the surface obtained by identifying paired sides.
-
-    Side k runs from corner k to corner k + 1, so sides 1..14 are polygon
-    sides 0..13 of the gluing kernel.
-    """
-    pairs = [(i - 1, j - 1) for i, j in pairing.pairs]
-    return polygon_genus(gon.corner_labels(), pairs)
+    """The polygon's `genus()` for a pairing of sides numbered from 1."""
+    return gon.genus(SidePairing(tuple((i - 1, j - 1) for i, j in pairing.pairs)))
 
 
 # -- Klein's explicit edge-pairing matrix -----------------------------------

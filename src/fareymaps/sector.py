@@ -13,15 +13,16 @@ The map supplies every table this module uses: `face_translation()` for
 the orbits and the tiles, `face_neighbours()` for the edge-connected growth
 and the boundary walk, `vertex_translation()` for the translated copies of
 the boundary, and `vertex_labels()` for the labels.  Nothing here touches
-darts.  The pipeline runs on vertex ids: a `BoundaryWalk` holds the walk as
-ids, and its labels are a view read off the map, so the walk, the pairing
-and the genus build no FareyFraction.
+darts.  The pipeline runs on vertex ids: a `BoundaryWalk` is a
+`gluing.Polygon` of 198 ids, one slot per side, paired and glued (as one
+disc) as the 14-gon is, so the walk, the pairing and the genus build no
+FareyFraction.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .arith import FareyFraction
 from .errors import (
@@ -32,7 +33,7 @@ from .errors import (
     UnpairedEdge,
     WrongLevel,
 )
-from .gluing import SidePairing, polygon_genus, reversed_pairs
+from .gluing import Polygon, SidePairing
 from .maps import FareyMap
 
 LEVEL = 11
@@ -183,41 +184,17 @@ def tile_by_translates(sector: Sector) -> list[frozenset[int]]:
 
 
 @dataclass(frozen=True)
-class BoundaryWalk:
+class BoundaryWalk(Polygon):
     """Closed walk around the unfolded union of the eleven sector copies,
-    as vertex ids of its map; the labels are read off the map."""
+    one slot per side: side i is the edge from slot i to slot i + 1."""
 
-    ids: tuple[int, ...]
     row_length: int  # fresh slots contributed by each sector copy
-    fmap: FareyMap
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def labels(self) -> list[str]:
-        labels = self.fmap.vertex_labels()
-        return [labels[i] for i in self.ids]
-
-    def edge_ids(self) -> list[tuple[int, int]]:
-        """Edge i of the walk, from slot i to slot i + 1 (the last edge
-        closing the walk), as a pair of vertex ids."""
-        ids = self.ids
-        return list(zip(ids, ids[1:] + ids[:1]))
 
     def rows(self) -> list[list[str]]:
         """Row k lists the slots of sector copy k plus the shared end slot."""
-        vs = self.labels()
-        out = []
-        for k in range(LEVEL):
-            row = vs[k * self.row_length:(k + 1) * self.row_length]
-            row.append(vs[((k + 1) * self.row_length) % len(vs)])
-            out.append(row)
-        return out
-
-    def rotated(self, shift: int) -> "BoundaryWalk":
-        ids = self.ids
-        shifted = ids[shift % len(ids):] + ids[:shift % len(ids)]
-        return BoundaryWalk(shifted, self.row_length, self.fmap)
+        vs, r = self.labels(), self.row_length
+        vs += vs[:1]
+        return [vs[k * r:(k + 1) * r + 1] for k in range(LEVEL)]
 
 
 def _boundary_cycle(fmap: FareyMap, face_ids) -> list[int]:
@@ -282,7 +259,7 @@ def boundary_walk(sector: Sector) -> BoundaryWalk:
     for _ in range(LEVEL):
         walk += copy
         copy = [shift[v] for v in copy]
-    return BoundaryWalk(tuple(walk), len(free), fmap)
+    return BoundaryWalk(fmap, tuple(walk), len(free))
 
 
 def normalize_walk(walk: BoundaryWalk, first_label: str, second_label: str) -> BoundaryWalk:
@@ -292,33 +269,18 @@ def normalize_walk(walk: BoundaryWalk, first_label: str, second_label: str) -> B
     starting slot unambiguously for table comparison.
     """
     labels = walk.fmap.vertex_labels()
-    candidates = [
-        i
-        for i, (u, w) in enumerate(walk.edge_ids())
-        if labels[u] == first_label and labels[w] == second_label
-    ]
-    if len(candidates) != 1:
-        raise UnpairedEdge(
-            f"directed edge {first_label}->{second_label} occurs {len(candidates)} times"
-        )
-    return walk.rotated(candidates[0])
+    hits = [i for i, (u, w) in enumerate(walk.side_paths())
+            if labels[u] == first_label and labels[w] == second_label]
+    if len(hits) != 1:
+        raise UnpairedEdge(f"directed edge {first_label}->{second_label} occurs {len(hits)} times")
+    return replace(walk, ids=walk.ids[hits[0]:] + walk.ids[:hits[0]])
 
 
 def pair_boundary(walk: BoundaryWalk) -> SidePairing:
-    """Match every directed boundary edge with its unique reversal: slot
-    pair (i, j) means edge i runs v->u where edge j runs u->v."""
-    return SidePairing(reversed_pairs(walk.edge_ids(), walk.fmap.vertex_labels().__getitem__))
+    """Slot pair (i, j): edge i runs v->u where edge j runs u->v."""
+    return walk.pairing()
 
 
 def quotient_genus(walk: BoundaryWalk, pairing: SidePairing) -> int:
-    """Genus of the surface obtained by gluing the paired boundary edges.
-
-    The boundary slots are the polygon corners; the vertices, edges and
-    faces of the tiling off the boundary make up the rest of the Euler
-    characteristic.
-    """
-    fmap = walk.fmap
-    interior_vertices = fmap.vertex_count - len(set(walk.ids))
-    interior_edges = fmap.edge_count - len(pairing.pairs)
-    inner_chi = interior_vertices - interior_edges + fmap.face_count
-    return polygon_genus(walk.ids, pairing.pairs, inner_chi)
+    """The genus of the walk, its slots the corners of one disc."""
+    return walk.genus(pairing)

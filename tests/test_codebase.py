@@ -2,11 +2,12 @@
 strips), no module reaching into another module's private names, and no
 module outside the map construction and its invariant battery reading the
 dart permutations, no module but metrics reading the distance-2 walk's
-slots, no id pipeline reading a map's FareyFraction vertex list, and no
-array set read-only outside the map's constructor and the memo of its
-derived tables.  sigma is the closed form maps.rotated, so no module reads
-a sigma attribute.  The README's quick start must run, and the map and
-walk readers it names must exist."""
+slots, no module but gluing naming the polygon matcher or genus count, no
+id pipeline (the polygon type of `gluing` among them) reading a map's
+FareyFraction vertex list, and no array set read-only outside the map's
+constructor and the memo of its derived tables.  sigma is the closed form
+maps.rotated, so no module reads a sigma attribute.  The README's quick
+start must run, and the map and walk readers it names must exist."""
 
 import ast
 import re
@@ -102,13 +103,28 @@ def test_second_circuit_slots_read_only_by_metrics():
     assert found == []
 
 
+def test_gluing_kernels_read_only_through_the_polygon():
+    # the 14-gon and the 198-gon pair and glue through gluing.Polygon, so
+    # no other module names the matcher or the genus count
+    found = [
+        f"{path.name}:{node.lineno} names {name}"
+        for path in MODULES
+        if path.name != "gluing.py"
+        for node in ast.walk(parse(path))
+        for name in [getattr(node, "id", None) or getattr(node, "attr", None)
+                     or getattr(node, "name", None)]
+        if name in ("reversed_pairs", "polygon_genus")
+    ]
+    assert found == []
+
+
 def test_id_pipelines_read_no_vertex_list():
-    # the battery, the drawing and the level-11 walk run on vertex ids and
-    # read labels off the map, so none of them builds m.vertices
+    # the battery, the drawing, the level-11 walk and the polygon type run on
+    # vertex ids and read labels off the map, so none of them builds m.vertices
     found = [
         f"{path.name}:{node.lineno} reads .vertices"
         for path in MODULES
-        if path.name in ("invariants.py", "render.py", "sector.py")
+        if path.name in ("gluing.py", "invariants.py", "render.py", "sector.py")
         for node in ast.walk(parse(path))
         if isinstance(node, ast.Attribute) and node.attr == "vertices"
     ]

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from fareymaps.errors import NoMatch, UnpairedEdge
-from fareymaps.gluing import polygon_genus, reversed_pairs
+from fareymaps.gluing import Polygon, polygon_genus, reversed_pairs
 from fareymaps.maps import build_map
 from fareymaps import gluing, sector
 from fareymaps.quartic import SidePairing, fourteen_gon, quotient_genus_of_gon, side_pairing
@@ -70,10 +70,10 @@ def test_one_side_pairing_type_for_both_polygons():
 
 
 def test_side_pairing_rejects_a_flipped_side():
+    # side 1 read backwards, slots 3..0, runs the path of side 6 a second time
     gon = fourteen_gon(build_map(7))
-    flipped = dataclasses.replace(gon.sides[0], anticlockwise=not gon.sides[0].anticlockwise)
-    with pytest.raises(NoMatch):
-        side_pairing(dataclasses.replace(gon, sides=(flipped,) + gon.sides[1:]))
+    with pytest.raises(NoMatch, match=r"\('3/0', '3/2', '5/3', '2/0'\) occurs twice"):
+        side_pairing(dataclasses.replace(gon, ids=gon.ids[3::-1] + gon.ids[4:]))
 
 
 def test_quotient_genus_of_gon_rejects_a_mismatched_pairing():
@@ -84,3 +84,26 @@ def test_quotient_genus_of_gon_rejects_a_mismatched_pairing():
     wrong = SidePairing(((a, d), (b, c)) + pairs[2:])
     with pytest.raises(NoMatch, match="different labels"):
         quotient_genus_of_gon(gon, wrong)
+
+
+def test_one_polygon_type_for_both_polygons():
+    # the 14-gon and the 198-gon are Polygons, three slots and one slot per side
+    gon = fourteen_gon(build_map(7))
+    walk = sector.boundary_walk(
+        sector.sector_search(build_map(11), restrict=sector.reference_sector_vertices())
+    )
+    assert isinstance(gon, Polygon) and isinstance(walk, Polygon)
+    assert (len(gon.ids), gon.side_slots, len(gon)) == (42, 3, 14)
+    assert (len(walk.ids), walk.side_slots, len(walk)) == (198, 1, 198)
+    assert [len(path) for path in gon.side_paths()] == [4] * 14
+    assert gon.side_paths()[-1][-1] == gon.ids[0]
+    assert walk.side_paths()[-1] == (walk.ids[-1], walk.ids[0])
+
+
+def test_gon_pairing_equals_reversed_pairs_on_the_label_keys():
+    # the keys side_pairing built before the Polygon: each side's labels,
+    # reversed when the side runs clockwise
+    gon = fourteen_gon(build_map(7))
+    keys = [s.labels if s.anticlockwise else s.labels[::-1] for s in gon.sides]
+    assert gon.pairing().pairs == reversed_pairs(keys)
+    assert side_pairing(gon).pairs == tuple((i + 1, j + 1) for i, j in reversed_pairs(keys))

@@ -2,7 +2,7 @@ import pytest
 
 from fareymaps.arith import ExtRational, FareyFraction, canonical, is_adjacent
 from fareymaps import quartic
-from fareymaps.errors import BrokenInvariant, WrongLevel
+from fareymaps.errors import BrokenInvariant, NoMatch, WrongLevel
 from fareymaps.maps import build_map
 from fareymaps.quartic import (
     RingRegion,
@@ -155,6 +155,14 @@ def test_fourteen_gon_side_one(m7):
     assert not side6.anticlockwise
 
 
+def test_fourteen_gon_side_outside_one_to_fourteen(m7):
+    gon = fourteen_gon(m7)
+    assert gon.side(14) == gon.sides[13]
+    for index in (0, 15, -1):
+        with pytest.raises(NoMatch, match=f"side {index} not in 1..14"):
+            gon.side(index)
+
+
 # all 14 sides: (x/3, y/2) of the labels (2/0, x/3, y/2, 3/0), anticlockwise
 FOURTEEN_GON_SIDES = [
     ("5/3", "3/2", True), ("6/3", "6/2", False), ("1/3", "5/2", True),
@@ -174,7 +182,8 @@ def test_fourteen_gon_all_sides(m7):
 
 def test_fourteen_gon_label_counts(m7):
     gon = fourteen_gon(m7)
-    corners = gon.corner_labels()
+    labels = m7.vertex_labels()
+    corners = [labels[v] for v in gon.ids[::3]]
     assert corners.count("2/0") == 7 and corners.count("3/0") == 7
     assert all(corners[i] != corners[(i + 1) % 14] for i in range(14))
     thirds = [s.label_strings()[1] for s in gon.sides]

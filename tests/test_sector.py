@@ -168,7 +168,7 @@ def test_boundary_walk_matches_golden_table(reference_walk):
 
 def test_boundary_edges_adjacent(reference_walk):
     vs = reference_walk.fmap.vertices
-    for u, w in reference_walk.edge_ids():
+    for u, w in reference_walk.side_paths():
         assert is_adjacent(vs[u], vs[w])
 
 
@@ -488,7 +488,7 @@ def test_id_pipeline_equals_the_fraction_reference(m11, restricted):
     assert walk_vertices(walk) == vertices
     assert walk.labels() == [str(v) for v in vertices]
     edges = zip(vertices, vertices[1:] + vertices[:1])
-    assert walk.edge_ids() == [(m11.vertex_id(u), m11.vertex_id(w)) for u, w in edges]
+    assert walk.side_paths() == [(m11.vertex_id(u), m11.vertex_id(w)) for u, w in edges]
     pairing = pair_boundary(walk)
     assert pairing.pairs == reference_pair_boundary(vertices)
     genus = quotient_genus(walk, pairing)
@@ -527,9 +527,28 @@ def test_walk_errors_name_labels(reference_walk):
         normalize_walk(reference_walk, "1/5", "1/0")
     # walks that run an edge twice in one direction, or never back
     walk = normalize_walk(reference_walk, "1/5", "1/4")
-    doubled = BoundaryWalk(walk.ids[:2] * 2, 2, walk.fmap)
+    doubled = BoundaryWalk(walk.fmap, walk.ids[:2] * 2, 2)
     with pytest.raises(UnpairedEdge, match=r"directed key \('1/5', '1/4'\) occurs twice"):
         pair_boundary(doubled)
-    open_ = BoundaryWalk(walk.ids[:3], 3, walk.fmap)
+    open_ = BoundaryWalk(walk.fmap, walk.ids[:3], 3)
     with pytest.raises(UnpairedEdge, match=r"no reversed occurrence of \('1/5', '1/4'\)"):
         pair_boundary(open_)
+
+
+def test_disc_genus_equals_the_map_count_on_free_sectors(m11):
+    # quotient_genus counts the unfolded walk as one disc; the map-based
+    # Euler count it replaced stays the oracle on the first 200 free sectors
+    # whose boundary is one cycle
+    checked = 0
+    for face_ids in sector_module._sectors(m11, None):
+        try:
+            walk = boundary_walk(Sector(m11, face_ids))
+        except DisconnectedBoundary:
+            continue
+        pairing = pair_boundary(walk)
+        genus = quotient_genus(walk, pairing)
+        assert genus == reference_quotient_genus(m11, walk.ids, pairing.pairs) == 26
+        checked += 1
+        if checked == 200:
+            break
+    assert checked == 200
