@@ -15,7 +15,9 @@ All types here are immutable; values can be shared freely between threads.
 from __future__ import annotations
 
 import operator
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd
 
 import numpy as np
@@ -70,9 +72,9 @@ def _is_canonical_pair(a: int, c: int, n: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FareyFraction:
-    """Canonical vertex label a/c of the level-n Farey map."""
+    """Canonical vertex label a/c of the level-n Farey map; slotted, no __dict__."""
 
     num: int
     den: int
@@ -98,6 +100,8 @@ class FareyFraction:
         return (self.den, self.num)
 
     def __lt__(self, other: "FareyFraction") -> bool:
+        if not isinstance(other, FareyFraction):
+            return NotImplemented
         if self.level != other.level:
             raise LevelMismatch(f"levels {self.level} != {other.level}")
         return self.key() < other.key()
@@ -130,9 +134,9 @@ def farey_fractions(nums, dens, n: int) -> list[FareyFraction]:
 
     The checks of FareyFraction run once, on the arrays: every pair must be
     reduced mod n, have gcd(a, c, n) = 1 and be canonical.  The first pair
-    that fails is built as FareyFraction(a, c, n), which raises its error;
-    every fraction is then set up as the dataclass sets it up, without
-    repeating the checks.
+    that fails is built as FareyFraction(a, c, n), which raises its error.
+    Then map drives object.__new__ and the slot descriptors' __set__, so no
+    bytecode runs per fraction; no other code skips the constructor.
     """
     n = as_integer(n, "farey_fractions needs an integer level")
     if n < 2:
@@ -145,14 +149,10 @@ def farey_fractions(nums, dens, n: int) -> list[FareyFraction]:
         i = int(np.argmin(ok))
         FareyFraction(int(a[i]), int(c[i]), n)
         raise BrokenInvariant(f"{a[i]}/{c[i]} passes FareyFraction but not its array check")
-    new, setattr_ = object.__new__, object.__setattr__
-    out = []
-    for num, den in zip(a.tolist(), c.tolist()):
-        f = new(FareyFraction)
-        setattr_(f, "num", num)
-        setattr_(f, "den", den)
-        setattr_(f, "level", n)
-        out.append(f)
+    out = list(map(object.__new__, repeat(FareyFraction, a.shape[0])))
+    for field, values in ((FareyFraction.num, a.tolist()), (FareyFraction.den, c.tolist()),
+                          (FareyFraction.level, repeat(n))):
+        deque(map(field.__set__, out, values), maxlen=0)
     return out
 
 

@@ -45,10 +45,10 @@ is a derived table like the labels, built by arith.farey_fractions.
 
 A built map is immutable: every array it stores or hands out is read-only,
 every sequence a tuple, and concurrent readers are safe.  Every derived
-table (dart targets, edge columns, labels, vertices, face index, face
-neighbours, vertex and face translation) goes through one memo, _derived:
-built on first use, set read-only and kept.  A map always computes the
-same values for a table, so a reader racing another sees an equal table.
+table (dart targets, edge columns, labels, vertices, the face index,
+neighbours and orbits, vertex and face translation) goes through one memo,
+_derived: built on first use, set read-only and kept.  A map always computes
+the same values for a table, so a reader racing another sees an equal table.
 """
 
 from __future__ import annotations
@@ -260,9 +260,12 @@ class FareyMap:
 
     def dart_between(self, u: int, w: int) -> int:
         """The dart from vertex id u to vertex id w; M3(n) has no multi-edges."""
+        return self._dart(self._read_id(u, self.vertex_count, "vertex"),
+                          self._read_id(w, self.vertex_count, "vertex"))
+
+    def _dart(self, u: int, w: int) -> int:
+        """dart_between on ids already read by _read_id."""
         n = self.level
-        u = self._read_id(u, self.vertex_count, "vertex")
-        w = self._read_id(w, self.vertex_count, "vertex")
         a, c, b0, d0 = self._columns[:, u].tolist()
         b, d = self._columns[:2, w].tolist()
         det = (a * d - c * b) % n
@@ -355,6 +358,16 @@ class FareyMap:
         image = w[v] * n + (t + k[v]) % n
         return self._face_index()[image]
 
+    @_derived
+    def face_orbits(self) -> np.ndarray:
+        """Entry i is the least face id in the orbit of face i under t -> t + 1,
+        int32: T^n = 1, so ceil(log2 n) doublings over face_translation()."""
+        least, step = np.arange(self.face_count, dtype=np.int32), self.face_translation()
+        for _ in range((self.level - 1).bit_length()):
+            least = np.minimum(least, least[step])
+            step = step[step]
+        return least
+
     def _face_rows_by_label(self) -> np.ndarray:
         """The face vertex rows in the order of their label lists.
 
@@ -394,7 +407,7 @@ class FareyMap:
         if len(ids) == 3 and len(set(ids)) == 3:
             n = self.level
             a, b, c = ids
-            d = self.dart_between(a, b)
+            d = self._dart(a, b)
             alpha = self.alpha.item
             for dart in (d, alpha(d)):
                 second = rotated(alpha(dart), n)

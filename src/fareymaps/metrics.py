@@ -285,8 +285,8 @@ def decompose(p: int) -> Decomposition:
     nums, dens = _layout_columns(p)
     columns = vertex_columns(p)
     vertices = farey_fractions(*columns, p)
-    vertex_id = np.zeros((p, p), dtype=np.intp)
-    vertex_id[tuple(columns)] = np.arange(len(vertices))
-    north, ring, walk, poles = _parts([vertices[i] for i in vertex_id[nums, dens].tolist()], p)
+    ids = np.zeros((p, p), dtype=np.intp)
+    ids[tuple(columns)] = np.arange(len(vertices))
+    north, ring, walk, poles = _parts(list(map(vertices.__getitem__, ids[nums, dens].tolist())), p)
     return Decomposition(north[0], _checked_circuit(ring, p), _checked_circuit(walk, p),
                          tuple(poles))

@@ -22,6 +22,7 @@ number its sides from 1, as Klein does.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .arith import (
@@ -94,7 +95,11 @@ class FourteenGon(Polygon):
         return tuple(out)
 
     def side(self, index: int) -> Side:
-        """Side `index`, numbered 1..14 as Klein numbers them."""
+        """Side `index`, numbered 1..14 as Klein numbers them; a bool reads as 0 or 1."""
+        try:
+            index = operator.index(index)
+        except TypeError:
+            raise NoMatch(f"side {index!r} is not an integer") from None
         if not 1 <= index <= len(self):
             raise NoMatch(f"side {index} not in 1..{len(self)}")
         return self.sides[index - 1]

@@ -9,20 +9,21 @@ walk; for the reference sector supported on 22 particular vertex labels that wal
 has 198 slots, every directed edge appears once in each direction, and the
 resulting orientable identification yields a genus-26 surface.
 
-The map supplies every table this module uses: `face_translation()` for
-the orbits and the tiles, `face_neighbours()` for the edge-connected growth
-and the boundary walk, `vertex_translation()` for the translated copies of
-the boundary, and `vertex_labels()` for the labels.  Nothing here touches
-darts.  The pipeline runs on vertex ids: a `BoundaryWalk` is a
-`gluing.Polygon` of 198 ids, one slot per side, paired and glued (as one
-disc) as the 14-gon is, so the walk, the pairing and the genus build no
-FareyFraction.
+The map supplies every table used here: `face_orbits()`, `face_translation()`
+for the tiles, the face rows for the restriction, `face_neighbours()` for the
+growth and the boundary walk, `vertex_translation()` for the boundary's copies
+and `vertex_labels()`; no dart permutation is read.  The pipeline runs on
+vertex ids: a `BoundaryWalk` is a `gluing.Polygon` of 198 ids, one slot per
+side, paired and glued (as one disc) as the 14-gon is, so the walk, the
+pairing and the genus build no FareyFraction.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .arith import FareyFraction
 from .errors import (
@@ -78,6 +79,14 @@ class Sector:
         return len(self.face_ids)
 
 
+def _restricted_faces(fmap: FareyMap, restrict) -> int:
+    """Bitmask of the faces with all three vertices in `restrict`: one gather."""
+    kept = np.zeros(fmap.vertex_count, dtype=bool)
+    kept[[fmap.vertex_id(v) for v in restrict]] = True
+    inside = kept[fmap.face_darts() // fmap.level].all(axis=1)
+    return int.from_bytes(np.packbits(inside, bitorder="little").tobytes(), "little")
+
+
 def _sectors(fmap: FareyMap, restrict):
     """Every sector under a vertex restriction, once each, as face-id sets.
 
@@ -87,46 +96,34 @@ def _sectors(fmap: FareyMap, restrict):
     With `restrict`, only faces whose three vertices lie in the given set
     are considered.
 
-    The translation orbits are read off `face_translation()` on each call,
-    and a non-free orbit raises `BrokenInvariant`.  The walk runs on
-    bitmasks over face ids.  A state is (chosen, size, open_, frontier): the
-    chosen faces and their number, the faces still selectable (allowed, not
-    banned, orbit unused) and the open faces next to a chosen one, so the
-    least frontier face is its lowest set bit.  Including it drops its whole
-    orbit from `open_` and adds its three `face_neighbours()` bits to the
-    frontier; banning it drops its bit.  States wait on an explicit stack,
-    the include branch on top, which is the depth-first order without
-    Python recursion.  A ban that leaves its orbit with no open face is not
-    pushed: every face set below it misses that orbit, so no sector is lost
-    and the order is kept.
+    The translation orbits are one bitmask each, read off the map's
+    `face_orbits()` in one pass, and a non-free orbit raises
+    `BrokenInvariant`.  The walk runs on bitmasks over face ids.  A state is
+    (chosen, size, open_, frontier): the chosen faces and their number, the
+    faces still selectable (allowed, not banned, orbit unused) and the open
+    faces next to a chosen one, so the least frontier face is its lowest set
+    bit.  Including it drops its whole orbit from `open_` and adds its three
+    `face_neighbours()` bits to the frontier; banning it drops its bit.
+    States wait on an explicit stack, the include branch on top, which is
+    the depth-first order without Python recursion.  A ban that leaves its
+    orbit with no open face is not pushed: every face set below it misses
+    that orbit, so no sector is lost and the order is kept.
     """
     _require_level(fmap)
     neighbours = fmap.face_neighbours().tolist()
-    translate = fmap.face_translation().tolist()
-    orbit_of = [-1] * fmap.face_count
-    orbit_masks: list[int] = []
-    for fid in range(fmap.face_count):
-        if orbit_of[fid] >= 0:
-            continue
-        mask = 0
-        cur = fid
-        for _ in range(LEVEL):
-            orbit_of[cur] = len(orbit_masks)
-            mask |= 1 << cur
-            cur = translate[cur]
-        if cur != fid or mask.bit_count() != LEVEL:
+    orbit_of = fmap.face_orbits().tolist()
+    orbit_masks = [0] * fmap.face_count  # at the least face of each orbit
+    for fid, least in enumerate(orbit_of):
+        orbit_masks[least] |= 1 << fid
+    for fid in sorted(set(orbit_of)):
+        if orbit_masks[fid].bit_count() != LEVEL:
             raise BrokenInvariant(f"the translation orbit of face {fid} is not free")
-        orbit_masks.append(mask)
+    orbit_count = fmap.face_count // LEVEL
 
     anchor = _anchor_id(fmap)
     allowed = (1 << fmap.face_count) - 1
     if restrict is not None:
-        allowed_ids = {fmap.vertex_id(v) for v in restrict}
-        allowed = sum(
-            1 << fid
-            for fid, row in enumerate(fmap.face_vertex_rows())
-            if allowed_ids.issuperset(row)
-        )
+        allowed = _restricted_faces(fmap, restrict)
         if not allowed >> anchor & 1:
             raise NoSector("restriction excludes the central triangle")
 
@@ -138,7 +135,7 @@ def _sectors(fmap: FareyMap, restrict):
     stack = [(1 << anchor, 1, open_, adjacent(anchor) & open_)]
     while stack:
         chosen, size, open_, frontier = stack.pop()
-        if size == len(orbit_masks):
+        if size == orbit_count:
             yield frozenset(fid for fid in range(chosen.bit_length()) if chosen >> fid & 1)
             continue
         if not frontier:

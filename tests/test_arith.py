@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 import re
 from datetime import timedelta
@@ -372,3 +375,46 @@ def test_farey_fractions_build_the_vertex_list(n):
     with pytest.raises(NotAVertex, match=f"{n}/1 not reduced mod {n}"):
         farey_fractions(nums + (n, 0), dens + (1, 0), n)
     assert farey_fractions([], [], n) == []
+
+
+@pytest.mark.parametrize("n", [2, 7, 12, 101])
+def test_farey_fraction_is_slotted_frozen_and_round_trips(n):
+    # the unchecked builder's fractions are the constructor's: equal, equally
+    # hashed, without a __dict__, frozen, and equal after a pickle or a copy
+    nums, dens = vertex_columns(n).tolist()
+    built = farey_fractions(nums, dens, n)
+    for got, a, c in zip(built, nums, dens):
+        want = FareyFraction(a, c, n)
+        assert got == want and hash(got) == hash(want) and not hasattr(got, "__dict__")
+        copies = [pickle.loads(pickle.dumps(got, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies + [copy.deepcopy(got), copy.copy(got)]:
+            assert type(twin) is FareyFraction
+            assert (twin, hash(twin), repr(twin)) == (want, hash(want), repr(want))
+    last = (nums[-1], dens[-1], n)
+    for fraction in (built[-1], FareyFraction(*last)):
+        assert (fraction.num, fraction.den, fraction.level) == last
+        for name in ("num", "den", "level"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(fraction, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del fraction.num
+        # a new name fails too; the frozen __setattr__ of a slotted dataclass
+        # raises TypeError for it on some Python versions
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            fraction.other = 1
+        assert not hasattr(fraction, "other")
+
+
+def test_farey_fraction_orders_only_against_fractions():
+    f = FareyFraction(1, 0, 7)
+    for other in (3, 1.5, "1/0", None, (1, 0, 7)):
+        with pytest.raises(TypeError):
+            f < other
+        with pytest.raises(TypeError):
+            other > f
+        with pytest.raises(TypeError):
+            sorted([f, other])
+    with pytest.raises(LevelMismatch, match="levels 7 != 11"):
+        f < FareyFraction(1, 0, 11)
+    assert FareyFraction(3, 0, 7) < FareyFraction(0, 1, 7) and not f < f

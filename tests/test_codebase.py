@@ -4,8 +4,9 @@ module outside the map construction and its invariant battery reading the
 dart permutations, no module but metrics reading the distance-2 walk's
 slots, no module but gluing naming the polygon matcher or genus count, no
 id pipeline (the polygon type of `gluing` among them) reading a map's
-FareyFraction vertex list, and no array set read-only outside the map's
-constructor and the memo of its derived tables.  sigma is the closed form
+FareyFraction vertex list, no array set read-only outside the map's
+constructor and the memo of its derived tables, and no FareyFraction made
+without its constructor outside arith.farey_fractions.  sigma is the closed form
 maps.rotated, so no module reads a sigma attribute.  The README's quick
 start must run, and the map and walk readers it names must exist."""
 
@@ -159,6 +160,39 @@ def test_arrays_are_frozen_only_by_the_map_and_its_memo():
              for scope in names if scope not in allowed.get(name, ())]
     assert found == []
     assert set(scopes["maps.py"]) == allowed["maps.py"]
+
+
+def unchecked_fraction_builders(tree, module):
+    """The dotted names of the functions that name FareyFraction, or sit in
+    its class, and make or fill an object past its constructor: a __new__, a
+    slot descriptor's __set__ or an __setattr__."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{scope}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    inner = list(ast.walk(child))
+                    names = ".FareyFraction." in name or any(
+                        isinstance(n, ast.Name) and n.id == "FareyFraction" for n in inner)
+                    if names and any(isinstance(n, ast.Attribute)
+                                     and n.attr in ("__new__", "__set__", "__setattr__")
+                                     for n in inner):
+                        found.append(name)
+                visit(child, name)
+            else:
+                visit(child, scope)
+
+    visit(tree, module)
+    return found
+
+
+def test_fractions_skip_their_constructor_only_in_farey_fractions():
+    # the fractions' checks run on the arrays in one place, so the unchecked
+    # builder stays there; metrics' checked Circuit names no FareyFraction
+    found = [name for path in MODULES for name in unchecked_fraction_builders(parse(path), path.stem)]
+    assert found == ["arith.farey_fractions"]
 
 
 def test_readme_quick_start_runs_and_names_live_readers(capsys):

@@ -258,7 +258,7 @@ def test_face_id_by_vertices_matches_the_face_index(n):
 
 # every reader of a derived table, all through the one memo of maps.py
 MEMO_READERS = ("vertices", "dart_targets", "edge_columns", "vertex_labels", "_face_index",
-                "face_neighbours", "vertex_translation", "face_translation")
+                "face_neighbours", "vertex_translation", "face_translation", "face_orbits")
 
 
 def read_table(m, name):
@@ -402,6 +402,30 @@ def test_face_translation_equals_the_dart_between_reference(n):
     translation = m.face_translation()
     assert translation.dtype == np.int32
     assert np.array_equal(translation, reference_face_translation(m))
+
+
+def reference_face_orbits(m):
+    """face_orbits() as a walk along face_translation(): each face not yet
+    seen, in id order, is the least face of its cycle."""
+    step = m.face_translation().tolist()
+    least = [-1] * m.face_count
+    for fid in range(m.face_count):
+        face = fid
+        while least[face] < 0:
+            least[face] = fid
+            face = step[face]
+    return least
+
+
+@pytest.mark.parametrize("n", list(range(3, 41)) + [53, 64, 101])
+def test_face_orbits_equal_the_translation_walk(n):
+    m = build_map(n)
+    orbits = m.face_orbits()
+    assert orbits.dtype == np.int32 and orbits.shape == (m.face_count,)
+    assert orbits.tolist() == reference_face_orbits(m)
+    if n == 11:
+        least, sizes = np.unique(orbits, return_counts=True)
+        assert len(least) == 20 and set(sizes.tolist()) == {11}
 
 
 @pytest.mark.parametrize("n", range(4, 101, 2))

@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 
 from fareymaps.arith import ExtRational, FareyFraction, canonical, is_adjacent
@@ -160,6 +163,19 @@ def test_fourteen_gon_side_outside_one_to_fourteen(m7):
     assert gon.side(14) == gon.sides[13]
     for index in (0, 15, -1):
         with pytest.raises(NoMatch, match=f"side {index} not in 1..14"):
+            gon.side(index)
+
+
+def test_fourteen_gon_side_reads_its_index_as_an_integer(m7):
+    # operator.index, as Sector reads face ids: numpy ints pass, a bool
+    # reads as 0 or 1, and anything else is NoMatch, not a TypeError
+    gon = fourteen_gon(m7)
+    assert gon.side(np.int64(3)) == gon.side(3) == gon.sides[2]
+    assert gon.side(True) == gon.sides[0]
+    with pytest.raises(NoMatch, match="side 0 not in 1..14"):
+        gon.side(False)
+    for index in (1.5, 2.0, "2", None, [1]):
+        with pytest.raises(NoMatch, match=f"side {re.escape(repr(index))} is not an integer"):
             gon.side(index)
 
 

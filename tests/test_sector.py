@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from fareymaps import sector as sector_module
 from fareymaps.arith import canonical, is_adjacent, vertex_columns
 from fareymaps.errors import (
+    BrokenInvariant,
     DisconnectedBoundary,
     NoSector,
     UnknownVertex,
@@ -552,3 +553,34 @@ def test_disc_genus_equals_the_map_count_on_free_sectors(m11):
         if checked == 200:
             break
     assert checked == 200
+
+
+def superset_mask(fmap, restrict):
+    """The restriction mask as the search built it before its numpy gather:
+    one bit per face whose vertex ids all lie among those of `restrict`."""
+    ids = {fmap.vertex_id(v) for v in restrict}
+    return sum(1 << fid for fid, row in enumerate(fmap.face_vertex_rows()) if ids.issuperset(row))
+
+
+def test_restricted_faces_equal_the_superset_oracle(m11):
+    reference = reference_sector_vertices()
+    mask = sector_module._restricted_faces(m11, reference)
+    assert mask == superset_mask(m11, reference)
+    assert [fid for fid in range(m11.face_count) if mask >> fid & 1] == allowed_faces(m11, reference)
+    vertices = m11.vertices
+    assert sector_module._restricted_faces(m11, vertices) == (1 << m11.face_count) - 1
+    assert sector_module._restricted_faces(m11, []) == 0
+    rng = random.Random(20111)
+    for _ in range(300):
+        restrict = frozenset(rng.sample(vertices, rng.randint(1, len(vertices))))
+        assert sector_module._restricted_faces(m11, restrict) == superset_mask(m11, restrict)
+
+
+def test_search_raises_on_an_orbit_that_is_not_free():
+    m = build_map(11)
+    orbits = m.face_orbits().copy()
+    moved = int(np.flatnonzero(orbits != 0)[0])
+    orbits[moved] = 0  # the orbit of face 0 gets 12 faces, and that of `moved` 10
+    m.face_orbits = lambda: orbits
+    with pytest.raises(BrokenInvariant, match="translation orbit of face 0 is not free"):
+        sector_search(m)
