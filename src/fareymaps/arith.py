@@ -174,6 +174,18 @@ def vertex_columns(n: int) -> np.ndarray:
     return np.array(np.nonzero(keep)[::-1], dtype=np.int32)
 
 
+def seed_translates(nums, dens, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n translates of a seed of pairs a/c under T: t -> t + 1, as two
+    int columns.
+
+    Slot k*s + i, for k = 0..n-1 and a seed of s pairs, is seed pair i moved
+    by T^k: ((a + k c) mod n, c), one broadcast over k and the seed.  A seed
+    pair with c = 0 or 0 < 2c < n stays canonical; nothing is checked.
+    """
+    a, c = np.asarray(nums), np.asarray(dens)
+    return ((a + np.arange(n)[:, None] * c) % n).ravel(), np.tile(c, n)
+
+
 def is_adjacent(f: FareyFraction, g: FareyFraction) -> bool:
     """True when f and g are joined by an edge: cross-determinant = +-1 mod n.
 

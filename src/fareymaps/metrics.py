@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import FareyFraction, farey_fractions, vertex_columns
+from .arith import FareyFraction, as_integer, farey_fractions, seed_translates, vertex_columns
 from .errors import (
     BrokenInvariant, EqualVertices, LevelMismatch, NotPrime, ResourceLimit, UnknownVertex,
 )
@@ -33,7 +33,6 @@ _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
 
 
-@lru_cache
 def is_prime_level(n: int) -> bool:
     """True when n is a prime >= 5: the levels with the closed-form distance,
     the two circuits around 1/0 and the quasi-icosahedral decomposition.
@@ -41,8 +40,16 @@ def is_prime_level(n: int) -> bool:
     The test is a deterministic Miller-Rabin on the prime bases 2..41 below
     n: with n - 1 = d 2^s, d odd, n passes base a when a^d = 1 or
     a^(d 2^i) = -1 mod n for some i < s.  It is exact for n < 3.3 * 10^24,
-    and a larger n raises ResourceLimit.
+    and a larger n raises ResourceLimit.  The level is read with
+    arith.as_integer (Unsupported) before the memo sees it, so the memo
+    holds ints only.
     """
+    return _is_prime(as_integer(n, "is_prime_level needs an integer level"))
+
+
+@lru_cache
+def _is_prime(n: int) -> bool:
+    """is_prime_level on an int."""
     if n >= _PRIME_TEST_BOUND:
         raise ResourceLimit(f"level {n} above bound {_PRIME_TEST_BOUND} of the primality test")
     if n < 5 or n % 2 == 0:
@@ -54,7 +61,7 @@ def is_prime_level(n: int) -> bool:
 
 
 def _require_prime(p: int) -> None:
-    if not is_prime_level(p):
+    if not _is_prime(p):
         raise NotPrime(f"need a prime >= 5, got {p}")
 
 
@@ -132,6 +139,7 @@ def distance_classes(a, c, b, d, p: int):
 
 def distance_formula(f: FareyFraction, g: FareyFraction, p: int) -> int:
     """Closed-form distance in M3(p): 1, 2 or 3 by the class of ad - bc mod p."""
+    p = as_integer(p, "distance_formula needs an integer level")
     _require_prime(p)
     if f.level != p or g.level != p:
         raise LevelMismatch(f"vertices at level {f.level}/{g.level}, not {p}")
@@ -221,20 +229,19 @@ def second_circuit_slots(p: int) -> tuple[np.ndarray, np.ndarray]:
     The seed is the walk of length p-4 from 1/((p-1)/2) down to 1/2 and on
     through 2/3, 3/4, ... to ((p-3)/2)/((p-1)/2).  Slot k(p-4) + i is seed
     vertex i, a/c, translated by k: (a + k c)/c with the numerator reduced
-    mod p, one broadcast over k and the seed.  Every seed denominator c lies
+    mod p (arith.seed_translates).  Every seed denominator c lies
     in 2..(p-1)/2, strictly between 0 and p/2, so each slot pair is
     canonical.  No FareyFraction is built and no slot is checked.  A level
-    above build_map's bound raises ResourceLimit, else NotPrime unless p is a
-    prime >= 5.
+    that is not an integer raises Unsupported, one above build_map's bound
+    ResourceLimit, else NotPrime unless p is a prime >= 5.
     """
+    p = as_integer(p, "second_circuit_slots needs an integer level")
     if p > maps.DEFAULT_LEVEL_BOUND:  # read at call time, as build_map reads it
         raise ResourceLimit(f"level {p} above bound {maps.DEFAULT_LEVEL_BOUND}")
     _require_prime(p)
     half = (p - 1) // 2
     seed = [(1, k) for k in range(half, 1, -1)] + [(m - 1, m) for m in range(3, half + 1)]
-    a, c = np.array(seed).T
-    nums = (a + np.arange(p)[:, None] * c) % p
-    return nums.ravel(), np.tile(c, p)
+    return seed_translates(*zip(*seed), p)
 
 
 def _layout_columns(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -280,8 +287,10 @@ def decompose(p: int) -> Decomposition:
 
     The parts are those of decomposition_ids as FareyFractions: one
     farey_fractions call builds every vertex of M3(p) once, in vertex-id
-    order, and the parts index into that list.
+    order, and the parts index into that list.  The level is read with
+    arith.as_integer (Unsupported).
     """
+    p = as_integer(p, "decompose needs an integer level")
     nums, dens = _layout_columns(p)
     columns = vertex_columns(p)
     vertices = farey_fractions(*columns, p)

@@ -1,19 +1,19 @@
-"""Klein's 14-sided polygon derived from the level-7 Farey map.
+"""Klein's 14-sided polygon on the level-7 Farey map, laid out by arithmetic.
 
-Outside the distance-2 walk of M3(7) sit 21 faces: the seven triangles of the
-star of 2/0 and seven quadrilaterals (pairs of faces glued along a diagonal)
-with a corner at 3/0.  Cutting the surface open along the seven seams
-"2/0 -- x/3 -- 3/0" (a Farey edge followed by a segment through a
-quadrilateral) unfolds this outer region into a ring of 14 chambers: reading
-the 21-slot walk cyclically, every denominator-3 slot is a pinch point where
-a seam meets the walk, and between consecutive pinches lies either a single
-triangle (one walk edge, corner instance of 2/0) or a cut-open quadrilateral
-region (two walk edges around a denominator-2 slot, corner instance of 3/0).
-The polygon side through a pinch x/3 carries the labels
-(2/0, x/3, y/2, 3/0), where y/2 is the quadrilateral corner on a fixed side
-of the oriented seam; paired sides carry equal label sequences read in
-opposite directions, which reproduces Klein's identifications
-1-6, 3-8, 5-10, 7-12, 9-14, 11-2, 13-4.
+The 14-gon is the closed walk of the six-slot seed (2/0, 1/3, 5/2, 3/0, 1/2,
+2/3) and its translates under t -> t + k, k = 0..6: 42 slots on edges of
+M3(7), three per side.  Translate k holds two sides, (2/0, x/3, y/2, 3/0)
+read from 2/0 and then (3/0, w/2, x'/3, 2/0) up to the next translate's 2/0.
+Every side's labels (2/0, x/3, y/2, 3/0) have 2x - 3y = 1 (mod 7), and each
+label sequence appears twice, once read each way: those are the paired
+sides, Klein's identifications 1-6, 3-8, 5-10, 7-12, 9-14, 11-2, 13-4.
+Side 1, (2/0, 5/3, 3/2, 3/0), opens translate 6.
+
+The same slots give the ring of 14 chambers beyond the distance-2 walk,
+whose 21 faces are the seven triangles at 2/0 and seven quadrilaterals (two
+faces glued along a diagonal) at 3/0: per translate, the quadrilateral
+(x/3, y/2, 3/0, w/2), with faces {x/3, y/2, w/2} and {y/2, 3/0, w/2}, then
+the triangle (x'/3, 2/0, x''/3), where x''/3 is the next translate's x/3.
 
 The 14-gon is a `gluing.Polygon` of 42 vertex ids, three slots per side,
 paired and glued as the 198-gon is; `side_pairing` and `quotient_genus_of_gon`
@@ -31,13 +31,17 @@ from .arith import (
     IntMatrix,
     in_principal_congruence,
     mobius_exact,
+    seed_translates,
 )
-from .errors import BrokenInvariant, NoMatch, WrongLevel
+from .errors import NoMatch, WrongLevel
 from .gluing import Polygon, SidePairing
 from .maps import FareyMap
-from .metrics import decomposition_ids
+from .metrics import check_slots
 
 LEVEL = 7
+# Sides 3 and 4 of the 14-gon, from 2/0 to the next translate's 2/0: the
+# seed whose translates t -> t + k, k = 0..6, close the 42-slot walk
+SEED = ((2, 0), (1, 3), (5, 2), (3, 0), (1, 2), (2, 3))
 
 
 def _require_level(fmap: FareyMap) -> None:
@@ -105,84 +109,41 @@ class FourteenGon(Polygon):
         return self.sides[index - 1]
 
 
-def _quad_at(fmap: FareyMap, third: int, u: int, pole3: int):
-    """The quadrilateral with denominator-3 corner `third` and the walk slot
-    u after it as one denominator-2 corner, and its fourth corner the pole
-    3/0, all vertex ids; the other den-2 corner, w, is the common neighbour
-    of `third` and u with denominator 2.  Returns (inner face id, outer face
-    id, ccw-later den-2 corner, ccw-earlier den-2 corner), the corners as
-    vertex ids."""
-    targets = fmap.dart_targets()
-    dens = fmap.vertex_columns()[1].tolist()
-    labels = fmap.vertex_labels()
-    around, beside = targets[third].tolist(), set(targets[u].tolist())
-    others = [v for v in around if dens[v] == 2 and v in beside]
-    if dens[u] != 2 or u not in around or len(others) != 1:
-        raise BrokenInvariant(f"no quadrilateral at {labels[third]}")
-    w = others[0]
-    rot = targets[pole3].tolist()
-    for r, nxt in zip(rot, rot[1:] + rot[:1]):
-        if {r, nxt} == {u, w}:
-            return (fmap.face_id_by_vertices([third, u, w]),
-                    fmap.face_id_by_vertices([u, pole3, w]), nxt, r)
-    raise BrokenInvariant(f"{labels[u]}, {labels[w]} not consecutive around {labels[pole3]}")
-
-
-def _chambers(fmap: FareyMap) -> list[tuple[str, tuple[int, ...], tuple[int, ...]]]:
-    """The chambers of `outer_ring` as (kind, corner ids, face ids)."""
+def _seed_ids(fmap: FareyMap) -> list[int]:
+    """The vertex ids of SEED's translates k = 0..6, slot 6k + i the seed
+    pair i moved by t -> t + k.  check_slots passes them as a closed walk on
+    edges of M3(7), else BrokenInvariant."""
     _require_level(fmap)
-    walk = decomposition_ids(fmap)[2].tolist()
-    dens = fmap.vertex_columns()[1].tolist()
-    pole2, pole3 = fmap.vertex_ids([2, 3], [0, 0]).tolist()
-    pinches = [i for i, v in enumerate(walk) if dens[v] == 3]
-    regions = []
-    for a, b in zip(pinches, pinches[1:] + [pinches[0] + len(walk)]):
-        gap = b - a
-        start, end = walk[a], walk[b % len(walk)]
-        if gap == 1:
-            face_id = fmap.face_id_by_vertices([start, pole2, end])
-            regions.append(("triangle", (start, pole2, end), (face_id,)))
-        elif gap == 2:
-            inner, outer, later, earlier = _quad_at(fmap, start, walk[(a + 1) % len(walk)], pole3)
-            regions.append(("quad", (start, later, pole3, earlier), (inner, outer)))
-        else:
-            raise BrokenInvariant(f"pinches {gap} slots apart, expected one or two")
-    if len(regions) != 14 or any(r[0] == regions[i - 1][0] for i, r in enumerate(regions)):
-        raise BrokenInvariant("the ring is not 14 alternating chambers")
-    return regions
+    nums, dens = seed_translates(*zip(*SEED), LEVEL)
+    check_slots(nums, dens, LEVEL, LEVEL)
+    return fmap.vertex_ids(nums, dens).tolist()
 
 
 def outer_ring(fmap: FareyMap) -> tuple[RingRegion, ...]:
     """The 14 chambers of the ring beyond the distance-2 walk, in cyclic order.
 
-    Each quadrilateral is listed at the chamber whose leading seam cuts it.
-    The walk is read as vertex ids; the corners are the map's vertices.
+    Translate k of the seed, (2/0, x/3, y/2, 3/0, w/2, x'/3), gives the
+    quadrilateral (x/3, y/2, 3/0, w/2) with faces {x, y, w} and {y, 3/0, w},
+    then the triangle (x'/3, 2/0, x''/3), x''/3 the next translate's x/3.
+    The corners are the map's vertices.
     """
-    vs = fmap.vertices
-    return tuple(RingRegion(kind, tuple(vs[i] for i in c), f) for kind, c, f in _chambers(fmap))
+    ids, vs, face = _seed_ids(fmap), fmap.vertices, fmap.face_id_by_vertices
+    regions = []
+    for k in range(0, len(ids), 6):
+        pole2, x, y, pole3, w, last = ids[k:k + 6]
+        after = ids[(k + 7) % len(ids)]
+        regions += [RingRegion("quad", tuple(vs[i] for i in (x, y, pole3, w)),
+                               (face([x, y, w]), face([y, pole3, w]))),
+                    RingRegion("triangle", (vs[last], vs[pole2], vs[after]),
+                               (face([last, pole2, after]),))]
+    return tuple(regions)
 
 
 def fourteen_gon(fmap: FareyMap) -> FourteenGon:
-    """The 14-gon, read off the outer ring: one side per chamber, numbered
-    so that side 1 is the anticlockwise side labelled (2/0, 5/3, 3/2, 3/0).
-
-    Side k passes through the pinch x/3 where chamber k starts.  Every x/3
-    starts exactly one quadrilateral chamber, whose corner after x/3 is the
-    side's y/2 label.  The side's path runs anticlockwise from 2/0 exactly
-    when chamber k is that quadrilateral, and from 3/0 otherwise.
-    """
-    chambers = _chambers(fmap)
-    pole2, pole3, five3, three2 = fmap.vertex_ids([2, 3, 5, 3], [0, 0, 3, 2]).tolist()
-    later = {corners[0]: corners[1] for kind, corners, _ in chambers if kind == "quad"}
-    if len(later) != 7:
-        raise BrokenInvariant("the seven quadrilaterals do not start at seven distinct x/3")
-    paths = [(pole2, x, later[x], pole3) if kind == "quad" else (pole3, later[x], x, pole2)
-             for kind, (x, *_), _ in chambers]
-    if (pole2, five3, three2, pole3) not in paths:
-        raise BrokenInvariant("no anticlockwise side labelled (2/0, 5/3, 3/2, 3/0)")
-    anchor = paths.index((pole2, five3, three2, pole3))
-    # the chambers alternate, so each path ends where the next one starts
-    return FourteenGon(fmap, tuple(v for k in range(14) for v in paths[(anchor + k) % 14][:3]))
+    """The 14-gon: the seed's 42 slots rotated by six, so that side 1, the
+    anticlockwise side (2/0, 5/3, 3/2, 3/0), is the first side of translate 6."""
+    ids = _seed_ids(fmap)
+    return FourteenGon(fmap, tuple(ids[-6:] + ids[:-6]))
 
 
 def side_pairing(gon: FourteenGon) -> SidePairing:

@@ -47,6 +47,11 @@ REFERENCE_SECTOR_LABELS = (
     "6/5", "1/1",
 )
 
+# The face id of the central triangle {1/0, 0/1, 1/1} at every level, by the
+# dart layout: 1/0 is vertex 0, so its n darts 0..n-1 each lead a face and
+# get face ids 0..n-1, and dart 1 runs to 1/1 with 0/1 the face's third corner.
+CENTRAL_FACE_ID = 1
+
 
 def reference_sector_vertices() -> frozenset[FareyFraction]:
     return frozenset(FareyFraction.parse(s, LEVEL) for s in REFERENCE_SECTOR_LABELS)
@@ -55,11 +60,6 @@ def reference_sector_vertices() -> frozenset[FareyFraction]:
 def _require_level(fmap: FareyMap) -> None:
     if fmap.level != LEVEL:
         raise WrongLevel(f"expected a level-11 map, got level {fmap.level}")
-
-
-def _anchor_id(fmap: FareyMap) -> int:
-    """Face id of the central triangle {1/0, 0/1, 1/1}."""
-    return fmap.face_id_by_vertices(fmap.vertex_ids([1, 0, 1], [0, 1, 1]).tolist())
 
 
 class Sector:
@@ -120,19 +120,18 @@ def _sectors(fmap: FareyMap, restrict):
             raise BrokenInvariant(f"the translation orbit of face {fid} is not free")
     orbit_count = fmap.face_count // LEVEL
 
-    anchor = _anchor_id(fmap)
     allowed = (1 << fmap.face_count) - 1
     if restrict is not None:
         allowed = _restricted_faces(fmap, restrict)
-        if not allowed >> anchor & 1:
+        if not allowed >> CENTRAL_FACE_ID & 1:
             raise NoSector("restriction excludes the central triangle")
 
     def adjacent(fid: int) -> int:
         a, b, c = neighbours[fid]
         return 1 << a | 1 << b | 1 << c
 
-    open_ = allowed & ~orbit_masks[orbit_of[anchor]]
-    stack = [(1 << anchor, 1, open_, adjacent(anchor) & open_)]
+    open_ = allowed & ~orbit_masks[orbit_of[CENTRAL_FACE_ID]]
+    stack = [(1 << CENTRAL_FACE_ID, 1, open_, adjacent(CENTRAL_FACE_ID) & open_)]
     while stack:
         chosen, size, open_, frontier = stack.pop()
         if size == orbit_count:

@@ -23,6 +23,7 @@ from fareymaps.arith import (
     is_adjacent,
     mobius_exact,
     mobius_mod,
+    seed_translates,
     vertex_columns,
 )
 from fareymaps.errors import (
@@ -35,7 +36,7 @@ from fareymaps.errors import (
     Unsupported,
 )
 from fareymaps.maps import build_map
-from fareymaps.metrics import Circuit
+from fareymaps.metrics import Circuit, decompose, distance_formula, is_prime_level
 
 
 def brute_canonical(a, c, n):
@@ -335,10 +336,16 @@ def test_mod_matrix_projective_identification():
         (lambda: mobius_exact(IntMatrix(2, 0, 0, 1), ExtRational.of(1, 1)), NotUnimodular),
         (lambda: in_principal_congruence(IntMatrix(0, 1, 1, 0), 7), NotUnimodular),
         (lambda: Circuit((canonical(1, 0, 7), canonical(0, 2, 7)), 7), BrokenInvariant),
+        (lambda: decompose(7.0), Unsupported),
+        (lambda: decompose("7"), Unsupported),
+        (lambda: is_prime_level(7.0), Unsupported),
+        (lambda: distance_formula(canonical(1, 0, 7), canonical(2, 0, 7), 7.0), Unsupported),
     ],
     ids=[
         "ext-parse-0/0", "ext-of-0/0", "ext-0/0", "ext-unnormalised", "mod-unreduced",
         "mod-det", "mod-sign", "int-mod-det", "mobius-exact-det", "gamma-det", "circuit-slot",
+        "decompose-float-level", "decompose-str-level", "prime-float-level",
+        "distance-float-level",
     ],
 )
 def test_errors_are_in_the_package_hierarchy(make, error):
@@ -346,6 +353,17 @@ def test_errors_are_in_the_package_hierarchy(make, error):
         make()
     assert type(info.value) is error
     assert isinstance(info.value, ValueError)
+
+
+def test_seed_translates_are_the_translated_pairs():
+    # slot k*s + i is seed pair i under t -> t + k; a pole stays where it is
+    seed = [(2, 0), (1, 3), (5, 2), (0, 1)]
+    for n in (5, 7, 12):
+        nums, dens = seed_translates(*zip(*seed), n)
+        assert nums.tolist() == [(a + k * c) % n for k in range(n) for a, c in seed]
+        assert dens.tolist() == [c for _, c in seed] * n
+    nums, dens = seed_translates([], [], 7)
+    assert nums.shape == dens.shape == (0,)
 
 
 def test_farey_fractions_check_as_farey_fraction_does():

@@ -104,6 +104,17 @@ def test_second_circuit_slots_read_only_by_metrics():
     assert found == []
 
 
+def test_fourteen_gon_is_laid_out_by_arithmetic():
+    # quartic translates one seed (arith.seed_translates, as the prime layout
+    # does) and reads no dart table or distance-2 walk of the map
+    names = {path.stem: {getattr(node, "id", None) or getattr(node, "attr", None)
+                         or getattr(node, "name", None) for node in ast.walk(parse(path))}
+             for path in MODULES}
+    assert not names["quartic"] & {"dart_targets", "decomposition_ids", "_quad_at", "_chambers"}
+    assert {stem for stem, found in names.items() if "seed_translates" in found} == {
+        "arith", "metrics", "quartic"}
+
+
 def test_gluing_kernels_read_only_through_the_polygon():
     # the 14-gon and the 198-gon pair and glue through gluing.Polygon, so
     # no other module names the matcher or the genus count

@@ -14,6 +14,7 @@ from fareymaps.errors import (
     NotPrime,
     ResourceLimit,
     UnknownVertex,
+    Unsupported,
 )
 from fareymaps.invariants import check_map
 from fareymaps.maps import build_map
@@ -193,6 +194,19 @@ def test_is_prime_level():
     assert [n for n in range(102) if is_prime_level(n)] == PRIMES_5_TO_101
     with pytest.raises(NotPrime, match="need a prime >= 5, got 3"):
         decompose(3)
+
+
+def test_is_prime_level_memoises_ints_only():
+    # 7.0 and np.int64(7) hash and compare equal, so the memo must never see
+    # the float: after np.int64(7) is read, 7.0 still raises
+    assert is_prime_level(np.int64(7)) and is_prime_level(7)
+    for level in (7.0, np.float64(7.0), "7", None):
+        with pytest.raises(Unsupported, match="is_prime_level needs an integer level"):
+            is_prime_level(level)
+    assert is_prime_level(True) is False
+    with pytest.raises(Unsupported, match="second_circuit_slots needs an integer level"):
+        second_circuit_slots(7.0)
+    assert decompose(np.int64(7)) == decompose(7)
 
 
 def test_is_prime_level_agrees_with_trial_division():

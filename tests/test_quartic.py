@@ -83,22 +83,6 @@ def test_quads_are_two_faces_sharing_diagonal(m7):
         assert is_adjacent(*sorted(diagonal))
 
 
-def test_quad_at_reports_a_missing_corner(m7):
-    # _quad_at reads vertex ids: 1/3 is followed on the walk by 5/2, and
-    # 1/2 is the other den-2 corner
-    vid = m7.vertex_id
-    pole3 = vid(v7("3/0"))
-    inner, outer, later, earlier = quartic._quad_at(m7, vid(v7("1/3")), vid(v7("5/2")), pole3)
-    assert (later, earlier) == (vid(v7("5/2")), vid(v7("1/2")))
-    assert {inner, outer} == {m7.face_id_by_vertices(map(v7, ("1/3", "5/2", "1/2"))),
-                              m7.face_id_by_vertices(map(v7, ("5/2", "3/0", "1/2")))}
-    # a slot of denominator 1, a den-2 neighbour with no den-2 common
-    # neighbour, and a den-2 slot that is no neighbour of the pinch
-    for slot in ("1/1", "0/2", "2/2"):
-        with pytest.raises(BrokenInvariant, match="no quadrilateral at 1/3"):
-            quartic._quad_at(m7, vid(v7("1/3")), vid(v7(slot)), pole3)
-
-
 # -- the object path: the outer ring as it ran on FareyFractions and
 # neighbour tuples before it moved to vertex ids, kept as the oracle
 
@@ -146,6 +130,51 @@ def test_outer_ring_equals_the_fraction_reference(m7):
     assert [r.corners for r in ring] == [r.corners for r in reference]
     assert [r.face_ids for r in ring] == [r.face_ids for r in reference]
     assert all(type(v) is FareyFraction for r in ring for v in r.corners)
+
+
+def reference_gon_ids(fmap):
+    """The 14-gon as the search read it off the reference ring: one side per
+    chamber, from 2/0 through a quadrilateral's x/3 and its corner after x/3,
+    else from 3/0 back to the x/3 that starts the chamber, rotated so that
+    (2/0, 5/3, 3/2, 3/0) comes first."""
+    ring = reference_outer_ring(fmap)
+    pole2, pole3 = v7("2/0"), v7("3/0")
+    later = {r.corners[0]: r.corners[1] for r in ring if r.kind == "quad"}
+    assert len(later) == 7
+    paths = [(pole2, x, later[x], pole3) if r.kind == "quad" else (pole3, later[x], x, pole2)
+             for r in ring for x in r.corners[:1]]
+    anchor = paths.index(tuple(map(v7, ("2/0", "5/3", "3/2", "3/0"))))
+    return tuple(fmap.vertex_id(v) for k in range(14) for v in paths[(anchor + k) % 14][:3])
+
+
+def test_fourteen_gon_equals_the_map_search_reference(m7):
+    assert fourteen_gon(m7).ids == reference_gon_ids(m7)
+
+
+def test_fourteen_gon_sides_have_two_x_minus_three_y_one(m7):
+    # the labels (2/0, x/3, y/2, 3/0) of every side, anticlockwise or not
+    sides = fourteen_gon(m7).sides
+    assert sum(s.anticlockwise for s in sides) == 7
+    for s in sides:
+        _, third, half, _ = s.labels
+        assert (third.den, half.den) == (3, 2)
+        assert (2 * third.num - 3 * half.num) % 7 == 1, s.label_strings()
+
+
+def test_fourteen_gon_walks_on_edges(m7):
+    vs = [m7.vertices[i] for i in fourteen_gon(m7).ids]
+    assert len(vs) == 42
+    assert all(is_adjacent(vs[i], vs[(i + 1) % 42]) for i in range(42))
+
+
+def test_a_broken_seed_raises(monkeypatch, m7):
+    # 4/2 in place of 5/2: the slot from 1/3 has determinant 2 - 12 = 4 mod 7
+    seed = list(quartic.SEED)
+    seed[2] = (4, 2)
+    monkeypatch.setattr(quartic, "SEED", tuple(seed))
+    for build in (fourteen_gon, outer_ring):
+        with pytest.raises(BrokenInvariant, match="circuit broken at slot 1: 1/3"):
+            build(m7)
 
 
 def test_fourteen_gon_side_one(m7):

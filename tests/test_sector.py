@@ -24,6 +24,7 @@ from fareymaps.gluing import polygon_genus, reversed_pairs
 from fareymaps.maps import FareyMap, build_map
 from fareymaps.sector import (
     BoundaryWalk,
+    CENTRAL_FACE_ID,
     REFERENCE_SECTOR_LABELS,
     Sector,
     boundary_walk,
@@ -92,6 +93,13 @@ def reference_sector(m11):
 @pytest.fixture(scope="module")
 def reference_walk(reference_sector):
     return boundary_walk(reference_sector)
+
+
+def test_central_face_id_is_the_looked_up_face_at_every_level():
+    for n in range(3, 102):
+        m = build_map(n)
+        central = m.vertex_ids([1, 0, 1], [0, 1, 1]).tolist()
+        assert m.face_id_by_vertices(central) == CENTRAL_FACE_ID, n
 
 
 def test_wrong_level():
