@@ -60,16 +60,13 @@ def _split_fraction(text: str) -> tuple[int, int]:
         raise MalformedLabel(f"{text!r} is not a fraction a/c or an integer a") from None
 
 
-def _is_canonical_pair(a: int, c: int, n: int) -> bool:
-    if c == 0:
-        return 1 <= a <= n // 2
-    if 2 * c < n:
-        return 0 <= a < n
-    if 2 * c == n:
-        # -c == c mod n, so the numerator breaks the tie; a = n/2 is its own
-        # negative too, and a vertex only at n = 2 (the label 1/1).
-        return 2 * a <= n
-    return False
+def _is_canonical_pair(a, c, n: int):
+    """Whether the residues a/c are the canonical one of a/c and -a/-c: a
+    pole 1 <= a <= n/2, or 0 < 2c < n, or 2c = n and 2a <= n (-c == c mod n,
+    so the numerator breaks the tie; a = n/2 is its own negative too, and a
+    vertex only at n = 2, the label 1/1).  Ints give a bool, arrays a mask."""
+    return ((c == 0) & (1 <= a) & (2 * a <= n)
+            | (c > 0) & ((2 * c < n) | (2 * c == n) & (2 * a <= n)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,8 +140,7 @@ def farey_fractions(nums, dens, n: int) -> list[FareyFraction]:
         raise Unsupported(f"level must be >= 2, got {n}")
     a, c = np.asarray(nums, dtype=np.int64), np.asarray(dens, dtype=np.int64)
     ok = (0 <= a) & (a < n) & (0 <= c) & (c < n) & (np.gcd(np.gcd(a, c), n) == 1)
-    # _is_canonical_pair on the arrays
-    ok &= np.where(c == 0, (1 <= a) & (2 * a <= n), (2 * c < n) | (2 * c == n) & (2 * a <= n))
+    ok &= _is_canonical_pair(a, c, n)
     if not ok.all():
         i = int(np.argmin(ok))
         FareyFraction(int(a[i]), int(c[i]), n)

@@ -4,8 +4,10 @@ A `Polygon` is the closed walk of its boundary, as vertex ids of a map, with
 s slots per side: side k is the path from slot k*s to slot (k + 1)*s, and
 corner k is slot k*s.  A reversed pair (i, j) glues side i to side j read
 backwards, so corner i meets corner j + 1 and corner i + 1 meets corner j;
-every such gluing is orientable.  Klein's 14-gon (s = 3) and the 198-gon
-(s = 1) are both Polygons: one matcher pairs their sides, one count their genus.
+every such gluing is orientable, and the glued corner classes are the cycles
+of the permutation k -> partner(k) + 1.  Klein's 14-gon (s = 3) and the
+198-gon (s = 1) are both Polygons: one matcher pairs their sides, one count
+their genus.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .maps import FareyMap
 
 def reversed_pairs(keys, name=str) -> tuple[tuple[int, int], ...]:
     """Pair each directed key (a tuple) with the unique key equal to its
-    reversal; returns the sorted pairs (i, j) of positions, i < j.  An error
+    reversal; returns the pairs (i, j) of positions, i < j, sorted.  An error
     message shows each entry e of a key as name(e): a vertex id, say, by
     its label."""
     where: dict[tuple, int] = {}
@@ -27,15 +29,16 @@ def reversed_pairs(keys, name=str) -> tuple[tuple[int, int], ...]:
         if key in where:
             raise UnpairedEdge(f"directed key {tuple(map(name, key))} occurs twice")
         where[key] = i
-    pairs = set()
-    for key, i in where.items():
+    pairs = []
+    for key, i in where.items():  # in position order, so the pairs come sorted
         j = where.get(key[::-1])
         if j is None:
             raise UnpairedEdge(f"no reversed occurrence of {tuple(map(name, key))}")
         if i == j:
             raise UnpairedEdge(f"{tuple(map(name, key))} pairs with itself")
-        pairs.add((min(i, j), max(i, j)))
-    return tuple(sorted(pairs))
+        if i < j:
+            pairs.append((i, j))
+    return tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -54,33 +57,29 @@ class SidePairing:
         raise NoMatch(f"side {k} not in pairing")
 
 
-def polygon_genus(corners, pairs, inner_chi: int = 1) -> int:
+def polygon_genus(corners, pairs) -> int:
     """Genus of the closed surface obtained by gluing a polygon's paired sides.
 
     corners[k] labels corner k; glued corners must carry equal labels.  The
-    boundary contributes (corner classes) - (side pairs) to the Euler
-    characteristic and everything off the boundary contributes inner_chi,
-    which is 1 for a single open polygon.
+    pair (i, j) sends corner i to corner j + 1 and corner j to corner i + 1,
+    so the glued corner classes are the cycles of k -> partner(k) + 1; with
+    the one disc inside, chi = (cycles) - (side pairs) + 1.
     """
     total = len(corners)
     if sorted(k for pair in pairs for k in pair) != list(range(total)):
         raise NoMatch("a side pairing must pair every side exactly once")
-    parent = list(range(total))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    after = [0] * total
     for i, j in pairs:
-        parent[find(i)] = find((j + 1) % total)
-        parent[find((i + 1) % total)] = find(j)
-
-    roots = {find(k) for k in range(total)}
-    if any(corners[k] != corners[find(k)] for k in range(total)):
+        after[i], after[j] = (j + 1) % total, (i + 1) % total
+    if any(corners[k] != corners[after[k]] for k in range(total)):
         raise NoMatch("glued corners carry different labels")
-    chi = len(roots) - len(pairs) + inner_chi
+    cycles, seen = 0, [False] * total
+    for k in range(total):
+        if not seen[k]:
+            cycles += 1
+            while not seen[k]:
+                seen[k], k = True, after[k]
+    chi = cycles - len(pairs) + 1
     if chi % 2:
         raise NoMatch(f"odd Euler characteristic {chi}")
     return (2 - chi) // 2

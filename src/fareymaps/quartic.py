@@ -88,15 +88,8 @@ class FourteenGon(Polygon):
 
     @property
     def sides(self) -> tuple[Side, ...]:
-        """Sides 1..14 in polygon order.  A side whose path starts at 2/0
-        runs anticlockwise; its labels read the path from the 2/0 end."""
-        vs, labels = self.fmap.vertices, self.fmap.vertex_labels()
-        out = []
-        for k, path in enumerate(self.side_paths()):
-            anticlockwise = labels[path[0]] == "2/0"
-            path = path if anticlockwise else path[::-1]
-            out.append(Side(k + 1, tuple(vs[i] for i in path), anticlockwise))
-        return tuple(out)
+        """Sides 1..14 in polygon order."""
+        return tuple(map(self._side, range(1, len(self) + 1), self.side_paths()))
 
     def side(self, index: int) -> Side:
         """Side `index`, numbered 1..14 as Klein numbers them; a bool reads as 0 or 1."""
@@ -106,7 +99,16 @@ class FourteenGon(Polygon):
             raise NoMatch(f"side {index!r} is not an integer") from None
         if not 1 <= index <= len(self):
             raise NoMatch(f"side {index} not in 1..{len(self)}")
-        return self.sides[index - 1]
+        s, ids = self.side_slots, self.ids + self.ids[:1]
+        return self._side(index, ids[s * (index - 1):s * index + 1])
+
+    def _side(self, index: int, path: tuple[int, ...]) -> Side:
+        """Side `index` from its path.  A side whose path starts at 2/0 runs
+        anticlockwise; its labels read the path from the 2/0 end."""
+        vs, labels = self.fmap.vertices, self.fmap.vertex_labels()
+        anticlockwise = labels[path[0]] == "2/0"
+        path = path if anticlockwise else path[::-1]
+        return Side(index, tuple(vs[i] for i in path), anticlockwise)
 
 
 def _seed_ids(fmap: FareyMap) -> list[int]:

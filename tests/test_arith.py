@@ -16,6 +16,7 @@ from fareymaps.arith import (
     FareyFraction,
     IntMatrix,
     ModMatrix,
+    _is_canonical_pair,
     canonical,
     distinct_prime_factors,
     farey_fractions,
@@ -368,8 +369,12 @@ def test_seed_translates_are_the_translated_pairs():
 
 def test_farey_fractions_check_as_farey_fraction_does():
     # one pair at a time, over every pair near the residues: the same
-    # fraction, or the same error, as FareyFraction(a, c, n)
+    # fraction, or the same error, as FareyFraction(a, c, n); the one
+    # canonical-pair rule gives a bool on ints and the same values as a mask
     for n in range(2, 30):
+        scalar = [[_is_canonical_pair(a, c, n) for c in range(n)] for a in range(n)]
+        assert all(type(ok) is bool for row in scalar for ok in row)
+        assert _is_canonical_pair(*np.indices((n, n)), n).tolist() == scalar
         for a in range(-1, n + 1):
             for c in range(-1, n + 1):
                 try:

@@ -7,6 +7,7 @@ import pytest
 from fareymaps.cli import main
 from fareymaps.errors import UnknownVertex
 from fareymaps.maps import build_map
+from fareymaps.metrics import is_prime_level
 from fareymaps.render import render_map
 from fareymaps.sector import Sector, reference_sector_vertices, sector_search
 
@@ -45,6 +46,13 @@ def test_circuits(capsys):
     assert data["poles"] == ["1/0", "2/0", "3/0"]
     code, out, _ = run(capsys, "circuits", "7")
     assert code == 0 and out.startswith("S1: 0/1, 1/1")
+    # the slot checks of the prime layout hold at every prime, plain and --json
+    for p in filter(is_prime_level, range(5, 102)):
+        code, out, _ = run(capsys, "circuits", str(p))
+        assert code == 0 and out.startswith("S1: 0/1, 1/1"), p
+        code, out, _ = run(capsys, "circuits", str(p), "--json")
+        data = json.loads(out)
+        assert code == 0 and (data["p"], len(data["S1"]), len(data["S2"])) == (p, p, p * (p - 4))
 
 
 def test_map_export(capsys):
@@ -78,16 +86,25 @@ def test_sector11_table(capsys):
     rows = [line.split() for line in out.strip().splitlines()]
     assert len(rows) == 11 and all(len(r) == 19 for r in rows)
     assert rows[0][:5] == ["1/5", "1/4", "1/3", "2/5", "1/2"]
+    # the free sector's walk has the same shape
+    code, out, _ = run(capsys, "sector11", "--table")
+    assert code == 0
+    assert [len(line.split()) for line in out.strip().splitlines()] == [19] * 11
 
 
 def test_sector11_json(capsys):
     code, out, _ = run(capsys, "sector11", "--match-paper")
     data = json.loads(out)
     assert len(data["walk"]) == 198 and len(data["pairs"]) == 99
+    # --pairs prints the pairs of the JSON view, here on the free sector
+    pairs = json.loads(run(capsys, "sector11")[1])["pairs"]
+    code, out, _ = run(capsys, "sector11", "--pairs")
+    assert code == 0
+    assert [[int(w) for w in line.split()[:3:2]] for line in out.strip().splitlines()] == pairs
 
 
 def test_verify_subcommand(capsys):
-    for level in [*range(3, 32), 101]:
+    for level in range(3, 102):
         code, out, _ = run(capsys, "verify", str(level))
         assert code == 0, (level, out)
         assert "FAIL" not in out
@@ -186,6 +203,13 @@ def test_render_composite_and_small(tmp_path):
         root = ET.fromstring(svg)
         texts = [el.text for el in root.iter() if el.tag.endswith("text")]
         assert len(texts) == 12
+
+
+@pytest.mark.parametrize("n", range(3, 102))
+def test_render_map_draws_every_level(n):
+    # the prime layout and the BFS shells place every vertex, one label each
+    m = build_map(n)
+    assert render_map(m).count("<text ") == m.vertex_count
 
 
 def test_render_builds_no_vertex_list():

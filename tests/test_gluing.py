@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -48,8 +49,133 @@ def test_polygon_genus_rejects_unpaired_side():
 
 
 def test_polygon_genus_rejects_odd_euler_characteristic():
-    with pytest.raises(NoMatch, match="odd"):
-        polygon_genus(["p", "q"], [(0, 1)], inner_chi=0)
+    # chi is odd only for the empty polygon: no corner, no pair, one disc
+    with pytest.raises(NoMatch, match="odd Euler characteristic 1"):
+        polygon_genus([], [])
+
+
+# -- the references: the union-find genus count and the set-and-sort matcher
+# that the corner cycles and the walk in position order replaced
+
+def reference_polygon_genus(corners, pairs):
+    """Union-find over the corners: corner i meets corner j + 1 and corner
+    i + 1 meets corner j for each pair; the errors in the same order."""
+    total = len(corners)
+    if sorted(k for pair in pairs for k in pair) != list(range(total)):
+        raise NoMatch("a side pairing must pair every side exactly once")
+    parent = list(range(total))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in pairs:
+        parent[find(i)] = find((j + 1) % total)
+        parent[find((i + 1) % total)] = find(j)
+    if any(corners[k] != corners[find(k)] for k in range(total)):
+        raise NoMatch("glued corners carry different labels")
+    chi = len({find(k) for k in range(total)}) - len(pairs) + 1
+    if chi % 2:
+        raise NoMatch(f"odd Euler characteristic {chi}")
+    return (2 - chi) // 2
+
+
+def reference_reversed_pairs(keys):
+    where = {}
+    for i, key in enumerate(keys):
+        if key in where:
+            raise UnpairedEdge(f"directed key {key} occurs twice")
+        where[key] = i
+    pairs = set()
+    for key, i in where.items():
+        j = where.get(key[::-1])
+        if j is None:
+            raise UnpairedEdge(f"no reversed occurrence of {key}")
+        if i == j:
+            raise UnpairedEdge(f"{key} pairs with itself")
+        pairs.add((min(i, j), max(i, j)))
+    return tuple(sorted(pairs))
+
+
+def outcome(kernel, *args):
+    """The kernel's value, or the type and message of its FareyMapError."""
+    try:
+        return kernel(*args)
+    except (NoMatch, UnpairedEdge) as exc:
+        return type(exc), str(exc)
+
+
+def random_gluing(rng):
+    """A random pairing of 2..60 sides, each pair in a random order, with
+    corner labels that agree on the glued corners; then, one time in two,
+    a pair left out, a side repeated, or one corner relabelled."""
+    total = 2 * rng.randint(1, 30)
+    sides = list(range(total))
+    rng.shuffle(sides)
+    pairs = [tuple(rng.sample(sides[k:k + 2], 2)) for k in range(0, total, 2)]
+    corners = list(range(total))
+    for _ in range(total):  # label each corner by the least corner glued to it
+        for i, j in pairs:
+            for a, b in ((i, (j + 1) % total), (j, (i + 1) % total)):
+                corners[a] = corners[b] = min(corners[a], corners[b])
+    flaw = rng.choice(["none", "none", "none", "missing", "repeated", "label"])
+    if flaw == "missing":
+        pairs.pop(rng.randrange(len(pairs)))
+    elif flaw == "repeated":
+        k = rng.randrange(len(pairs))
+        pairs[k] = (pairs[k][0], rng.choice(sides))
+    elif flaw == "label":
+        corners[rng.randrange(total)] = -1
+    return corners, pairs
+
+
+def test_polygon_genus_equals_the_union_find_on_random_gluings():
+    rng = random.Random(30)
+    seen = set()
+    for _ in range(600):
+        corners, pairs = random_gluing(rng)
+        want = outcome(reference_polygon_genus, corners, pairs)
+        assert outcome(polygon_genus, corners, pairs) == want, (corners, pairs)
+        seen.add(want if isinstance(want, tuple) else "genus")
+    # every outcome occurs: a genus, and each of the first two errors
+    assert {"genus", (NoMatch, "a side pairing must pair every side exactly once"),
+            (NoMatch, "glued corners carry different labels")} <= seen
+
+
+def random_keys(rng):
+    """Directed keys of 2..4 letters over 'abc', no palindrome, each with its
+    reversal, shuffled; then, one time in two, a key repeated, a reversal
+    dropped or a palindrome added."""
+    keys = set()
+    while len(keys) < 2 * rng.randint(1, 20):
+        key = tuple(rng.choice("abc") for _ in range(rng.randint(2, 4)))
+        if key != key[::-1]:
+            keys |= {key, key[::-1]}
+    keys = sorted(keys)
+    rng.shuffle(keys)
+    flaw = rng.choice(["none", "none", "none", "repeated", "missing", "palindrome"])
+    if flaw == "repeated":
+        keys.insert(rng.randrange(len(keys) + 1), rng.choice(keys))
+    elif flaw == "missing":
+        keys.pop(rng.randrange(len(keys)))
+    elif flaw == "palindrome":
+        keys.insert(rng.randrange(len(keys) + 1), rng.choice([("a", "b", "a"), ("c", "c")]))
+    return keys
+
+
+def test_reversed_pairs_equals_the_set_and_sort_on_random_keys():
+    rng = random.Random(30)
+    kinds = set()
+    for _ in range(600):
+        keys = random_keys(rng)
+        want = outcome(reference_reversed_pairs, keys)
+        assert outcome(reversed_pairs, keys) == want, keys
+        errors = [w for w in ("twice", "no reversed", "itself") if want and want[0] is UnpairedEdge
+                  and w in want[1]]
+        kinds.add(errors[0] if errors else "pairs")
+    assert kinds == {"pairs", "twice", "no reversed", "itself"}
 
 
 def test_partner_of():

@@ -146,15 +146,17 @@ def test_check_map_checks_the_map_it_is_given():
     assert results["sigma has order n"]
 
 
-@pytest.mark.parametrize("block", [300, None])
-def test_a_broken_alpha_in_the_last_block_fails(monkeypatch, block):
+@pytest.mark.parametrize("n, block", [(31, 300), (31, None), (101, None)],
+                         ids=["300", "None", "101"])
+def test_a_broken_alpha_in_the_last_block_fails(monkeypatch, n, block):
     # the dart checks run block by block; an entry of the last block counts
+    # (one block at 31 by default, 300 darts a block, and 16 blocks at 101)
     if block is not None:
         monkeypatch.setattr(maps, "_BLOCK_DARTS", block)
-    m = build_map(31)
-    blocks = maps.row_blocks(31, m.vertex_count)
-    assert (len(blocks) > 1) == (block is not None)
-    assert blocks[-1][0] * 31 < m.dart_count - 2
+    m = build_map(n)
+    blocks = maps.row_blocks(n, m.vertex_count)
+    assert (len(blocks) > 1) == ((n, block) != (31, None))
+    assert blocks[-1][0] * n < m.dart_count - 2
     alpha = m.alpha.copy()
     alpha[-1] = alpha[-2]  # alpha is no longer a permutation, nor is phi
     m.alpha = alpha

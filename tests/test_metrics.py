@@ -115,6 +115,14 @@ def test_bfs_distance_equals_the_kernel_on_seeded_pairs(n):
         assert bfs_distance(m, vs[i], vs[j]) == 3, (n, i, j)
 
 
+@pytest.mark.parametrize("n", range(3, 102))
+def test_bfs_distance_from_north_equals_the_kernel_row(n):
+    # the layered search from 1/0 to every vertex, against bfs_distances
+    m = build_map(n)
+    north = m.vertices[0]
+    assert [bfs_distance(m, north, v) for v in m.vertices] == bfs_distances(m, [0])[0].tolist()
+
+
 def test_formula_equals_bfs_exhaustive():
     for p in (5, 7, 11, 13):
         m = build_map(p)

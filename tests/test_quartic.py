@@ -208,6 +208,19 @@ def test_fourteen_gon_side_reads_its_index_as_an_integer(m7):
             gon.side(index)
 
 
+
+def test_fourteen_gon_side_builds_only_its_own_side(monkeypatch, m7):
+    # side(k) reads the slots of side k, not the 14 sides of `sides`
+    gon = fourteen_gon(m7)
+    sides = gon.sides
+
+    def all_sides(self):
+        raise AssertionError("side(k) built every side")
+
+    monkeypatch.setattr(quartic.FourteenGon, "sides", property(all_sides))
+    assert [gon.side(k) for k in range(1, 15)] == list(sides)
+
+
 # all 14 sides: (x/3, y/2) of the labels (2/0, x/3, y/2, 3/0), anticlockwise
 FOURTEEN_GON_SIDES = [
     ("5/3", "3/2", True), ("6/3", "6/2", False), ("1/3", "5/2", True),

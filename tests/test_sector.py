@@ -20,7 +20,7 @@ from fareymaps.errors import (
     UnpairedEdge,
     WrongLevel,
 )
-from fareymaps.gluing import polygon_genus, reversed_pairs
+from fareymaps.gluing import reversed_pairs
 from fareymaps.maps import FareyMap, build_map
 from fareymaps.sector import (
     BoundaryWalk,
@@ -482,10 +482,28 @@ def reference_pair_boundary(vertices):
 
 
 def reference_quotient_genus(fmap, vertices, pairs):
+    """The map-based Euler count: the boundary's corner classes, from a
+    union-find of its own, less its side pairs, plus the map's interior
+    vertices, edges and faces."""
+    total = len(vertices)
+    parent = list(range(total))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in pairs:
+        parent[find(i)] = find((j + 1) % total)
+        parent[find((i + 1) % total)] = find(j)
+    assert all(vertices[k] == vertices[find(k)] for k in range(total))
     interior_vertices = fmap.vertex_count - len(set(vertices))
     interior_edges = fmap.edge_count - len(pairs)
-    inner_chi = interior_vertices - interior_edges + fmap.face_count
-    return polygon_genus(vertices, pairs, inner_chi)
+    chi = (len({find(k) for k in range(total)}) - len(pairs)
+           + interior_vertices - interior_edges + fmap.face_count)
+    assert chi % 2 == 0
+    return (2 - chi) // 2
 
 
 @pytest.mark.parametrize("restricted", [True, False], ids=["reference", "free"])
