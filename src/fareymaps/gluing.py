@@ -21,7 +21,7 @@ from .maps import FareyMap
 
 def reversed_pairs(keys, name=str) -> tuple[tuple[int, int], ...]:
     """Pair each directed key (a tuple) with the unique key equal to its
-    reversal; returns the pairs (i, j) of positions, i < j, sorted.  An error
+    reversal; returns the sorted pairs (i, j) of positions, i < j.  An error
     message shows each entry e of a key as name(e): a vertex id, say, by
     its label."""
     where: dict[tuple, int] = {}

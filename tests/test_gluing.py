@@ -148,8 +148,8 @@ def random_keys(rng):
     """Directed keys of 2..4 letters over 'abc', no palindrome, each with its
     reversal, shuffled; then, one time in two, a key repeated, a reversal
     dropped or a palindrome added."""
-    keys = set()
-    while len(keys) < 2 * rng.randint(1, 20):
+    keys, size = set(), 2 * rng.randint(1, 20)
+    while len(keys) < size:
         key = tuple(rng.choice("abc") for _ in range(rng.randint(2, 4)))
         if key != key[::-1]:
             keys |= {key, key[::-1]}
