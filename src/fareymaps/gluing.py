@@ -6,8 +6,8 @@ corner k is slot k*s.  A reversed pair (i, j) glues side i to side j read
 backwards, so corner i meets corner j + 1 and corner i + 1 meets corner j;
 every such gluing is orientable, and the glued corner classes are the cycles
 of the permutation k -> partner(k) + 1.  Klein's 14-gon (s = 3) and the
-198-gon (s = 1) are both Polygons: one matcher pairs their sides, one count
-their genus.
+198-gon (s = 1) are both Polygons: one constructor lays them out from a seed,
+one matcher pairs their sides, one count their genus.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
+from .arith import seed_translates
 from .errors import NoMatch, UnpairedEdge
 from .maps import FareyMap
+from .metrics import check_slots
 
 
 def reversed_pairs(keys, name=str) -> tuple[tuple[int, int], ...]:
@@ -93,6 +95,16 @@ class Polygon:
     fmap: FareyMap
     ids: tuple[int, ...]
     side_slots: ClassVar[int] = 1
+
+    @classmethod
+    def from_seed(cls, fmap: FareyMap, nums, dens, *fields):
+        """The polygon walking the seed arc nums[i]/dens[i] and its translates
+        under t -> t + k, k = 0..n-1 (arith.seed_translates), each slot on an
+        edge of the map (check_slots, else BrokenInvariant); fields follow ids."""
+        n = fmap.level
+        nums, dens = seed_translates(nums, dens, n)
+        check_slots(nums, dens, n, n)
+        return cls(fmap, tuple(fmap.vertex_ids(nums, dens).tolist()), *fields)
 
     def __len__(self) -> int:
         return len(self.ids) // self.side_slots  # the number of sides

@@ -16,8 +16,8 @@ faces glued along a diagonal) at 3/0: per translate, the quadrilateral
 the triangle (x'/3, 2/0, x''/3), where x''/3 is the next translate's x/3.
 
 The 14-gon is a `gluing.Polygon` of 42 vertex ids, three slots per side,
-paired and glued as the 198-gon is; `side_pairing` and `quotient_genus_of_gon`
-number its sides from 1, as Klein does.
+laid out from SEED, paired and glued as the 198-gon is; `side_pairing` and
+`quotient_genus_of_gon` number its sides from 1, as Klein does.
 """
 
 from __future__ import annotations
@@ -25,18 +25,10 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .arith import (
-    ExtRational,
-    FareyFraction,
-    IntMatrix,
-    in_principal_congruence,
-    mobius_exact,
-    seed_translates,
-)
+from .arith import ExtRational, FareyFraction, IntMatrix, in_principal_congruence, mobius_exact
 from .errors import NoMatch, WrongLevel
 from .gluing import Polygon, SidePairing
 from .maps import FareyMap
-from .metrics import check_slots
 
 LEVEL = 7
 # Sides 3 and 4 of the 14-gon, from 2/0 to the next translate's 2/0: the
@@ -111,16 +103,6 @@ class FourteenGon(Polygon):
         return Side(index, tuple(vs[i] for i in path), anticlockwise)
 
 
-def _seed_ids(fmap: FareyMap) -> list[int]:
-    """The vertex ids of SEED's translates k = 0..6, slot 6k + i the seed
-    pair i moved by t -> t + k.  check_slots passes them as a closed walk on
-    edges of M3(7), else BrokenInvariant."""
-    _require_level(fmap)
-    nums, dens = seed_translates(*zip(*SEED), LEVEL)
-    check_slots(nums, dens, LEVEL, LEVEL)
-    return fmap.vertex_ids(nums, dens).tolist()
-
-
 def outer_ring(fmap: FareyMap) -> tuple[RingRegion, ...]:
     """The 14 chambers of the ring beyond the distance-2 walk, in cyclic order.
 
@@ -129,7 +111,9 @@ def outer_ring(fmap: FareyMap) -> tuple[RingRegion, ...]:
     then the triangle (x'/3, 2/0, x''/3), x''/3 the next translate's x/3.
     The corners are the map's vertices.
     """
-    ids, vs, face = _seed_ids(fmap), fmap.vertices, fmap.face_id_by_vertices
+    _require_level(fmap)
+    ids = FourteenGon.from_seed(fmap, *zip(*SEED)).ids
+    vs, face = fmap.vertices, fmap.face_id_by_vertices
     regions = []
     for k in range(0, len(ids), 6):
         pole2, x, y, pole3, w, last = ids[k:k + 6]
@@ -144,8 +128,9 @@ def outer_ring(fmap: FareyMap) -> tuple[RingRegion, ...]:
 def fourteen_gon(fmap: FareyMap) -> FourteenGon:
     """The 14-gon: the seed's 42 slots rotated by six, so that side 1, the
     anticlockwise side (2/0, 5/3, 3/2, 3/0), is the first side of translate 6."""
-    ids = _seed_ids(fmap)
-    return FourteenGon(fmap, tuple(ids[-6:] + ids[:-6]))
+    _require_level(fmap)
+    ids = FourteenGon.from_seed(fmap, *zip(*SEED)).ids
+    return FourteenGon(fmap, ids[-6:] + ids[:-6])
 
 
 def side_pairing(gon: FourteenGon) -> SidePairing:

@@ -11,11 +11,11 @@ resulting orientable identification yields a genus-26 surface.
 
 The map supplies every table used here: `face_orbits()`, `face_translation()`
 for the tiles, the face rows for the restriction, `face_neighbours()` for the
-growth and the boundary walk, `vertex_translation()` for the boundary's copies
-and `vertex_labels()`; no dart permutation is read.  The pipeline runs on
-vertex ids: a `BoundaryWalk` is a `gluing.Polygon` of 198 ids, one slot per
-side, paired and glued (as one disc) as the 14-gon is, so the walk, the
-pairing and the genus build no FareyFraction.
+growth and the boundary walk, `vertex_translation()` for the fold, the vertex
+columns of the copies and `vertex_labels()`; no dart permutation is read.  The
+pipeline runs on vertex ids: a `BoundaryWalk` is a `gluing.Polygon` of 198
+ids, one slot per side, laid out, paired and glued (as one disc) as the 14-gon
+is, so the walk, the pairing and the genus build no FareyFraction.
 """
 
 from __future__ import annotations
@@ -230,9 +230,10 @@ def boundary_walk(sector: Sector) -> BoundaryWalk:
     """Unfold the eleven copies and walk their common boundary.
 
     The sector's own boundary is rooted at 1/0; consecutive copies glue
-    along the maximal radial path fixed by s_j + 1 = s_-j, and each copy
-    contributes the remaining arc of its boundary, translated.  Both the
-    fold and the copies read the map's vertex translation.
+    along the maximal radial path fixed by s_j + 1 = s_-j, read off the
+    map's vertex translation.  The remaining arc of the boundary is the seed
+    of `Polygon.from_seed`: copy k contributes it translated by t -> t + k,
+    and the walk must close on edges of the map, else BrokenInvariant.
     """
     fmap = sector.fmap
     slots = _boundary_cycle(fmap, sector.face_ids)
@@ -250,12 +251,8 @@ def boundary_walk(sector: Sector) -> BoundaryWalk:
         radius += 1
     # fresh slots per copy; the next copy starts at the translate of slots[radius]
     free = slots[radius:length - radius]
-    walk = []
-    copy = free
-    for _ in range(LEVEL):
-        walk += copy
-        copy = [shift[v] for v in copy]
-    return BoundaryWalk(fmap, tuple(walk), len(free))
+    nums, dens = fmap.vertex_columns()
+    return BoundaryWalk.from_seed(fmap, nums[free], dens[free], len(free))
 
 
 def normalize_walk(walk: BoundaryWalk, first_label: str, second_label: str) -> BoundaryWalk:

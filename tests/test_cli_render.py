@@ -176,6 +176,37 @@ def test_render_sector_digest(restrict, digest):
     assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == digest
 
 
+# SHA-256 of the paper commands' stdout, pinned byte for byte: klein7 plain
+# and --verify, and sector11 under all 16 sets of its four flags
+PAPER_COMMAND_DIGESTS = [
+    ("klein7", "4a34ff473f217bd0c7035d956c7c9dde2a7ab5fba100382bda8f3f7338fabb25"),
+    ("klein7 --verify", "01f0e4afff8557cd5b363d6ab992190a35a5b7a474e294ff561fa8fce940e396"),
+    ("sector11", "344cd20c270284790891dfda274b7bc8a425e228bf2e1587c0db3a71568324fb"),
+    ("sector11 --genus", "20d2add851bf39edcc6b5e830930f962db7e19dffa2cab8610eed551eda6c302"),
+    ("sector11 --pairs", "7f0438d4f091fd9ff67808b943bbe48f3e2a578cdee46c4eb71aa029db7a17d6"),
+    ("sector11 --pairs --genus", "b4b6421f86a55eb840a1599b0c8d3cfea5b9c6c71a7896e1fac2ef770f0eec63"),
+    ("sector11 --table", "91f78cdb46dcd7bf14fadc3570347ab4df10c7991ce0b919bd91bc59ae8221b4"),
+    ("sector11 --table --genus", "3ab6b440c18b840981f3261fb11c85eeef695739efe9ba3be8e2844114d5d928"),
+    ("sector11 --table --pairs", "e0bef9381a3dd8f343ac55f9395dc8b32af0c79ac8abd5397d71d99e21ea8029"),
+    ("sector11 --table --pairs --genus", "a47eb00daefb5d5e5b3ccffc65cd49b5fc0c53be683694f20d6c6b32deffd922"),
+    ("sector11 --match-paper", "d3e1d7199732950cfd31d1e1a2f86cb3b29b8f976c29776d805465df4dd81307"),
+    ("sector11 --match-paper --genus", "20d2add851bf39edcc6b5e830930f962db7e19dffa2cab8610eed551eda6c302"),
+    ("sector11 --match-paper --pairs", "70fa91b51df18aad9c93c3566e7452c3af124178138d83d1ae7f134602f06d20"),
+    ("sector11 --match-paper --pairs --genus", "f7300146e334d5f0fcbfc48b1a6c74e63054f97cfac827ac1e889d23f8fccaf1"),
+    ("sector11 --match-paper --table", "0b26454cdb3cc4a953b04d2913571a15a8d1faf1e799755b890462bd996a4d38"),
+    ("sector11 --match-paper --table --genus", "54e8a5fe89fab7b94327ac8c919845f2b6ac3ca28a3fb541c8381ffaf1a6da7b"),
+    ("sector11 --match-paper --table --pairs", "7faf0fc0e446399e07c6cf7c602ecb4dbbe1c7c8988a10e42b216427a74962ef"),
+    ("sector11 --match-paper --table --pairs --genus", "5b8adeeac73f14e1cc86bb1372b2f542c8c6432605559c66483e47ef67b9ce8b"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PAPER_COMMAND_DIGESTS, ids=[a for a, _ in PAPER_COMMAND_DIGESTS])
+def test_paper_command_output_digest(capsys, argv, digest):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 @pytest.mark.parametrize("face_ids", [[-1], [220], [9999], [1.5], ["3"]])
 def test_sector_face_ids_out_of_range_are_unknown(face_ids):
     # M3(11) has faces 0..219; a negative id is not read from the end, and

@@ -105,14 +105,18 @@ def test_second_circuit_slots_read_only_by_metrics():
 
 
 def test_fourteen_gon_is_laid_out_by_arithmetic():
-    # quartic translates one seed (arith.seed_translates, as the prime layout
-    # does) and reads no dart table or distance-2 walk of the map
+    # both polygons are laid out from a seed by gluing.Polygon.from_seed
+    # (arith.seed_translates, as the prime layout does, then check_slots);
+    # quartic reads no dart table or distance-2 walk of the map
     names = {path.stem: {getattr(node, "id", None) or getattr(node, "attr", None)
                          or getattr(node, "name", None) for node in ast.walk(parse(path))}
              for path in MODULES}
     assert not names["quartic"] & {"dart_targets", "decomposition_ids", "_quad_at", "_chambers"}
     assert {stem for stem, found in names.items() if "seed_translates" in found} == {
-        "arith", "metrics", "quartic"}
+        "arith", "metrics", "gluing"}
+    for stem in ("quartic", "sector"):
+        assert not names[stem] & {"seed_translates", "check_slots"}, stem
+        assert "from_seed" in names[stem], stem
 
 
 def test_gluing_kernels_read_only_through_the_polygon():

@@ -20,7 +20,6 @@ from fareymaps.errors import (
     UnpairedEdge,
     WrongLevel,
 )
-from fareymaps.gluing import reversed_pairs
 from fareymaps.maps import FareyMap, build_map
 from fareymaps.sector import (
     BoundaryWalk,
@@ -478,7 +477,18 @@ def reference_boundary_walk(sector):
 
 
 def reference_pair_boundary(vertices):
-    return reversed_pairs([(v, vertices[(i + 1) % len(vertices)]) for i, v in enumerate(vertices)])
+    """Slot pairs (i, j), i < j, edge i running v->u where edge j runs u->v,
+    from a set of its own and a sort: the oracle shares no code with
+    gluing.reversed_pairs."""
+    edges = [(v, vertices[(i + 1) % len(vertices)]) for i, v in enumerate(vertices)]
+    where = {edge: i for i, edge in enumerate(edges)}
+    assert len(where) == len(edges)
+    pairs = set()
+    for i, (v, u) in enumerate(edges):
+        j = where[(u, v)]
+        assert i != j
+        pairs.add((min(i, j), max(i, j)))
+    return tuple(sorted(pairs))
 
 
 def reference_quotient_genus(fmap, vertices, pairs):
@@ -560,6 +570,31 @@ def test_walk_errors_name_labels(reference_walk):
     open_ = BoundaryWalk(walk.fmap, walk.ids[:3], 3)
     with pytest.raises(UnpairedEdge, match=r"no reversed occurrence of \('1/5', '1/4'\)"):
         pair_boundary(open_)
+
+
+# the enumeration indices of the 34 free sectors whose boundary splits
+SPLIT_SECTORS = frozenset((*range(1526, 1530), *range(1534, 1538), *range(2425, 2429),
+                           *range(2433, 2437), 3810, 5614, *range(7548, 7552),
+                           *range(7566, 7570), *range(7929, 7933), *range(7947, 7951)))
+
+
+def test_boundary_walk_equals_the_fraction_reference_on_a_stride(m11):
+    # every 40th sector of the free enumeration up to the last split one,
+    # and every split one, which raises the same error on both paths
+    lengths = []
+    sectors = itertools.islice(sector_module._sectors(m11, None), max(SPLIT_SECTORS) + 1)
+    for index, face_ids in enumerate(sectors):
+        if index in SPLIT_SECTORS:
+            for build in (boundary_walk, reference_boundary_walk):
+                with pytest.raises(DisconnectedBoundary, match="boundary splits"):
+                    build(Sector(m11, face_ids))
+        elif index % 40 == 0:
+            sector = Sector(m11, face_ids)
+            walk = boundary_walk(sector)
+            vertices, row_length = reference_boundary_walk(sector)
+            assert (walk_vertices(walk), walk.row_length) == (vertices, row_length), index
+            lengths.append(len(walk))
+    assert len(lengths) == 199 and set(lengths) == {198, 220}
 
 
 def test_disc_genus_equals_the_map_count_on_free_sectors(m11):
