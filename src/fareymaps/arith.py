@@ -245,13 +245,9 @@ class ModMatrix:
     def __mul__(self, other: "ModMatrix") -> "ModMatrix":
         if self.level != other.level:
             raise LevelMismatch(f"levels {self.level} != {other.level}")
-        return ModMatrix.of(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-            self.level,
-        )
+        p = IntMatrix(self.a, self.b, self.c, self.d) * IntMatrix(
+            other.a, other.b, other.c, other.d)
+        return ModMatrix.of(p.a, p.b, p.c, p.d, self.level)
 
     def __str__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"

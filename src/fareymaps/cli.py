@@ -139,8 +139,6 @@ def _render(args) -> int:
     m = build_map(args.level)
     face_ids = None
     if args.sector:
-        if args.level != sector.LEVEL:
-            raise FareyMapError(f"--sector is only available at level {sector.LEVEL}")
         face_ids = sector.sector_search(
             m, restrict=sector.reference_sector_vertices()
         ).face_ids

@@ -97,14 +97,14 @@ class Polygon:
     side_slots: ClassVar[int] = 1
 
     @classmethod
-    def from_seed(cls, fmap: FareyMap, nums, dens, *fields):
+    def from_seed(cls, fmap: FareyMap, nums, dens):
         """The polygon walking the seed arc nums[i]/dens[i] and its translates
         under t -> t + k, k = 0..n-1 (arith.seed_translates), each slot on an
-        edge of the map (check_slots, else BrokenInvariant); fields follow ids."""
+        edge of the map (check_slots, else BrokenInvariant)."""
         n = fmap.level
         nums, dens = seed_translates(nums, dens, n)
         check_slots(nums, dens, n, n)
-        return cls(fmap, tuple(fmap.vertex_ids(nums, dens).tolist()), *fields)
+        return cls(fmap, tuple(fmap.vertex_ids(nums, dens).tolist()))
 
     def __len__(self) -> int:
         return len(self.ids) // self.side_slots  # the number of sides

@@ -1,21 +1,21 @@
 """The level-11 construction: sector, 198-gon boundary, orientable pairing.
 
-The rotation t -> t + 1 splits the 220 faces of M3(11) into 20 free orbits
-of size 11.  A sector is an edge-connected choice of one face per orbit
-containing the central triangle {1/0, 0/1, 1/1}; its eleven translates tile
-the map.  Unfolding the translates around the centre glues consecutive
+The rotation t -> t + 1 splits the faces of M3(n) into free orbits of size
+n (20 orbits at n = 11).  A sector is an edge-connected choice of one face
+per orbit containing the central triangle {1/0, 0/1, 1/1}; its n translates
+tile the map.  Unfolding the translates around the centre glues consecutive
 copies along a short radial path through 1/0 and leaves a closed boundary
-walk; for the reference sector supported on 22 particular vertex labels that walk
+walk; for the reference sector of M3(11), on 22 particular vertex labels, it
 has 198 slots, every directed edge appears once in each direction, and the
 resulting orientable identification yields a genus-26 surface.
 
-The map supplies every table used here: `face_orbits()`, `face_translation()`
-for the tiles, the face rows for the restriction, `face_neighbours()` for the
-growth and the boundary walk, `vertex_translation()` for the fold, the vertex
-columns of the copies and `vertex_labels()`; no dart permutation is read.  The
-pipeline runs on vertex ids: a `BoundaryWalk` is a `gluing.Polygon` of 198
-ids, one slot per side, laid out, paired and glued (as one disc) as the 14-gon
-is, so the walk, the pairing and the genus build no FareyFraction.
+The map supplies its level n, the number of copies, and every table used
+here: `face_orbits()` and `face_translation()` for the tiles, the face rows
+for the restriction, `face_neighbours()` for the growth and the boundary
+walk, `vertex_translation()` for the fold, the vertex columns of the copies
+and `vertex_labels()`; no dart permutation is read.  A `BoundaryWalk` is a
+`gluing.Polygon` of vertex ids, one slot per side, laid out, paired and glued
+as the 14-gon is, so the walk, the pairing and the genus build no FareyFraction.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def _require_level(fmap: FareyMap) -> None:
 
 
 class Sector:
-    """A 20-face fundamental region for t -> t + 1 on the faces of M3(11)."""
+    """A fundamental region for t -> t + 1 on the faces of M3(n), 20 at n = 11."""
 
     def __init__(self, fmap: FareyMap, face_ids):
         self.fmap = fmap
@@ -116,9 +116,9 @@ def _sectors(fmap: FareyMap, restrict):
     for fid, least in enumerate(orbit_of):
         orbit_masks[least] |= 1 << fid
     for fid in sorted(set(orbit_of)):
-        if orbit_masks[fid].bit_count() != LEVEL:
+        if orbit_masks[fid].bit_count() != fmap.level:
             raise BrokenInvariant(f"the translation orbit of face {fid} is not free")
-    orbit_count = fmap.face_count // LEVEL
+    orbit_count = fmap.face_count // fmap.level
 
     allowed = (1 << fmap.face_count) - 1
     if restrict is not None:
@@ -169,11 +169,11 @@ def count_sectors(fmap: FareyMap, restrict) -> int:
 
 
 def tile_by_translates(sector: Sector) -> list[frozenset[int]]:
-    """The eleven translated copies of the sector, as face-id sets."""
+    """The n translated copies of the sector on M3(n), as face-id sets."""
     translate = sector.fmap.face_translation().tolist()
     tiles = []
     current = set(sector.face_ids)
-    for _ in range(LEVEL):
+    for _ in range(sector.fmap.level):
         tiles.append(frozenset(current))
         current = {translate[fid] for fid in current}
     return tiles
@@ -181,16 +181,19 @@ def tile_by_translates(sector: Sector) -> list[frozenset[int]]:
 
 @dataclass(frozen=True)
 class BoundaryWalk(Polygon):
-    """Closed walk around the unfolded union of the eleven sector copies,
-    one slot per side: side i is the edge from slot i to slot i + 1."""
+    """Closed walk around the unfolded union of the n sector copies on
+    M3(n), one slot per side: side i is the edge from slot i to slot i + 1."""
 
-    row_length: int  # fresh slots contributed by each sector copy
+    @property
+    def row_length(self) -> int:
+        """The fresh slots contributed by each sector copy."""
+        return len(self.ids) // self.fmap.level
 
     def rows(self) -> list[list[str]]:
         """Row k lists the slots of sector copy k plus the shared end slot."""
         vs, r = self.labels(), self.row_length
         vs += vs[:1]
-        return [vs[k * r:(k + 1) * r + 1] for k in range(LEVEL)]
+        return [vs[k * r:(k + 1) * r + 1] for k in range(self.fmap.level)]
 
 
 def _boundary_cycle(fmap: FareyMap, face_ids) -> list[int]:
@@ -227,7 +230,7 @@ def _boundary_cycle(fmap: FareyMap, face_ids) -> list[int]:
 
 
 def boundary_walk(sector: Sector) -> BoundaryWalk:
-    """Unfold the eleven copies and walk their common boundary.
+    """Unfold the n copies and walk their common boundary.
 
     The sector's own boundary is rooted at 1/0; consecutive copies glue
     along the maximal radial path fixed by s_j + 1 = s_-j, read off the
@@ -252,7 +255,7 @@ def boundary_walk(sector: Sector) -> BoundaryWalk:
     # fresh slots per copy; the next copy starts at the translate of slots[radius]
     free = slots[radius:length - radius]
     nums, dens = fmap.vertex_columns()
-    return BoundaryWalk.from_seed(fmap, nums[free], dens[free], len(free))
+    return BoundaryWalk.from_seed(fmap, nums[free], dens[free])
 
 
 def normalize_walk(walk: BoundaryWalk, first_label: str, second_label: str) -> BoundaryWalk:

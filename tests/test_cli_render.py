@@ -252,8 +252,23 @@ def test_render_builds_no_vertex_list():
 
 
 def test_render_sector_usage_error(capsys, tmp_path):
-    code, _, err = run(capsys, "render", "7", "-o", str(tmp_path / "x.svg"), "--sector")
-    assert code == 2 and "error" in err
+    # the search's own level guard refuses the map; nothing is written
+    target = tmp_path / "x.svg"
+    code, out, err = run(capsys, "render", "7", "-o", str(target), "--sector")
+    assert (code, out, err) == (2, "", "error: expected a level-11 map, got level 7\n")
+    assert not target.exists()
+
+
+def test_render_sector_command(capsys, tmp_path):
+    # the CLI writes the reference sector's drawing, pinned byte for byte
+    target = tmp_path / "sector.svg"
+    code, out, err = run(capsys, "render", "11", "--sector", "-o", str(target))
+    assert (code, out, err) == (0, f"wrote {target}\n", "")
+    m11 = build_map(11)
+    svg = target.read_text(encoding="utf-8")
+    assert svg == render_map(m11, sector_face_ids=sector_search(m11, reference_sector_vertices()).face_ids)
+    digest = "3d01b54468615e7147282c9cff506ddb0499989831488ba673c765f843ce8435"
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
 def test_render_to_missing_directory_is_usage_error(capsys, tmp_path):

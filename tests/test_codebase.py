@@ -7,8 +7,10 @@ id pipeline (the polygon type of `gluing` among them) reading a map's
 FareyFraction vertex list, no array set read-only outside the map's
 constructor and the memo of its derived tables, and no FareyFraction made
 without its constructor outside arith.farey_fractions.  sigma is the closed form
-maps.rotated, so no module reads a sigma attribute.  The README's quick
-start must run, and the map and walk readers it names must exist."""
+maps.rotated, so no module reads a sigma attribute.  sector reads its pinned
+LEVEL only in the search's guard and the paper's reference labels.  The
+README's quick start must run, and the map and walk readers it names must
+exist."""
 
 import ast
 import re
@@ -117,6 +119,30 @@ def test_fourteen_gon_is_laid_out_by_arithmetic():
     for stem in ("quartic", "sector"):
         assert not names[stem] & {"seed_translates", "check_slots"}, stem
         assert "from_seed" in names[stem], stem
+
+
+def level_readers(tree):
+    """The names of the functions that read the module-level name LEVEL,
+    "" for a read at module level."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Name) and node.id == "LEVEL" and isinstance(node.ctx, ast.Load):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_sector_reads_the_paper_level_only_in_its_guard_and_data():
+    # the sector, its tiles and its walk take their level from the map;
+    # 11 pins only the search's guard and the paper's reference labels
+    sector = next(path for path in MODULES if path.name == "sector.py")
+    assert level_readers(parse(sector)) == {"_require_level", "reference_sector_vertices"}
 
 
 def test_gluing_kernels_read_only_through_the_polygon():

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import random
 
 import pytest
@@ -224,6 +225,11 @@ def test_one_polygon_type_for_both_polygons():
     assert [len(path) for path in gon.side_paths()] == [4] * 14
     assert gon.side_paths()[-1][-1] == gon.ids[0]
     assert walk.side_paths()[-1] == (walk.ids[-1], walk.ids[0])
+
+
+def test_from_seed_takes_the_seed_alone():
+    # a polygon is its map and its slots, so the seed is all it is made from
+    assert list(inspect.signature(Polygon.from_seed).parameters) == ["fmap", "nums", "dens"]
 
 
 def test_gon_pairing_equals_reversed_pairs_on_the_label_keys():

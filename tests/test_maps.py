@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import time
@@ -528,6 +529,16 @@ def test_json_roundtrip():
         assert len(raw["vertices"]) == m.vertex_count
         assert len(raw["edges"]) == m.edge_count
         assert len(raw["faces"]) == m.face_count
+
+
+def test_same_combinatorics_rejects_another_level_and_a_relabelled_vertex():
+    m7 = build_map(7)
+    data = from_json(to_json(m7))
+    assert not same_combinatorics(m7, from_json(to_json(build_map(5))))
+    assert not same_combinatorics(build_map(5), data)
+    relabelled = ("1/7",) + tuple(v for v in data.vertices if v != "1/0")
+    assert len(relabelled) == m7.vertex_count
+    assert not same_combinatorics(m7, dataclasses.replace(data, vertices=relabelled))
 
 
 @pytest.mark.parametrize("text", [

@@ -62,6 +62,11 @@ def test_distance_formula_errors():
         distance_formula(canonical(1, 0, 7), canonical(1, 0, 7), 7)
 
 
+def test_distance_formula_rejects_mixed_levels():
+    with pytest.raises(LevelMismatch, match="^vertices at level 7/11, not 7$"):
+        distance_formula(canonical(1, 0, 7), canonical(0, 1, 11), 7)
+
+
 def test_bfs_examples():
     m7 = build_map(7)
     assert bfs_distance(m7, canonical(1, 0, 7), canonical(1, 0, 7)) == 0

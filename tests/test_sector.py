@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import random
@@ -127,6 +128,14 @@ def test_translates_partition_faces(reference_sector, m11):
             assert not (t & u)
 
 
+@pytest.mark.parametrize("n", [7, 13])
+def test_translates_follow_the_map_level(n):
+    # the number of copies is the map's level: n distinct one-face tiles
+    tiles = tile_by_translates(Sector(build_map(n), [CENTRAL_FACE_ID]))
+    assert len(tiles) == len(set(tiles)) == n
+    assert len(set().union(*tiles)) == n
+
+
 def test_eight_faces_touch_first_circuit(reference_sector, m11):
     touch = {v11("0/1"), v11("1/1")}
     anchor = anchor_id(m11)
@@ -167,6 +176,23 @@ def test_boundary_walk_length_and_rows(reference_walk):
     # the last label of each row opens the next row
     for k in range(11):
         assert rows[k][-1] == rows[(k + 1) % 11][0]
+
+
+def test_row_length_is_derived_from_the_slots(reference_walk):
+    # a walk stores its map and its slots; a row is the walk over the level
+    assert [field.name for field in dataclasses.fields(BoundaryWalk)] == ["fmap", "ids"]
+    walk = reference_walk
+    assert walk.row_length == len(walk.ids) // walk.fmap.level == 18
+
+
+def test_boundary_walk_rows_follow_the_map_level():
+    # the central triangle of M3(7) unfolds into 7 copies of its 3 slots
+    walk = boundary_walk(Sector(build_map(7), [CENTRAL_FACE_ID]))
+    rows = walk.rows()
+    assert walk.row_length == 3 and len(rows) == 7
+    for k in range(7):
+        assert rows[k] == ["1/0", f"{k}/1", f"{(k + 1) % 7}/1", "1/0"]
+        assert rows[k][-1] == rows[(k + 1) % 7][0]
 
 
 def test_boundary_walk_matches_golden_table(reference_walk):
@@ -244,6 +270,15 @@ def test_disconnected_sector_reported(reference_sector, m11):
         boundary_walk(bad)
 
 
+def test_boundary_walk_needs_one_boundary_through_1_0(m11):
+    with pytest.raises(DisconnectedBoundary, match="^face set has no boundary$"):
+        boundary_walk(Sector(m11, range(m11.face_count)))
+    # 1/0 is vertex 0; a face away from it leaves no root for the fold
+    away = next(fid for fid, row in enumerate(m11.face_vertex_rows()) if 0 not in row)
+    with pytest.raises(DisconnectedBoundary, match="^1/0 appears 0 times on the sector boundary$"):
+        boundary_walk(Sector(m11, [away]))
+
+
 def test_sector_reads_distinct_face_ids_as_ints(m11):
     for face_ids in ([3, 3], [1, True]):
         with pytest.raises(UnknownVertex):
@@ -273,6 +308,12 @@ def test_no_sector_when_restriction_too_small(m11):
     tiny = frozenset(v11(s) for s in ("1/0", "0/1", "1/1", "1/2"))
     with pytest.raises(NoSector):
         sector_search(m11, restrict=tiny)
+
+
+def test_no_sector_when_restriction_excludes_the_central_triangle(m11):
+    restrict = reference_sector_vertices() - {v11("1/1")}
+    with pytest.raises(NoSector, match="^restriction excludes the central triangle$"):
+        sector_search(m11, restrict)
 
 
 def face_structure(fmap):
@@ -564,10 +605,10 @@ def test_walk_errors_name_labels(reference_walk):
         normalize_walk(reference_walk, "1/5", "1/0")
     # walks that run an edge twice in one direction, or never back
     walk = normalize_walk(reference_walk, "1/5", "1/4")
-    doubled = BoundaryWalk(walk.fmap, walk.ids[:2] * 2, 2)
+    doubled = BoundaryWalk(walk.fmap, walk.ids[:2] * 2)
     with pytest.raises(UnpairedEdge, match=r"directed key \('1/5', '1/4'\) occurs twice"):
         pair_boundary(doubled)
-    open_ = BoundaryWalk(walk.fmap, walk.ids[:3], 3)
+    open_ = BoundaryWalk(walk.fmap, walk.ids[:3])
     with pytest.raises(UnpairedEdge, match=r"no reversed occurrence of \('1/5', '1/4'\)"):
         pair_boundary(open_)
 
