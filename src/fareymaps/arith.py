@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import repeat
 from math import gcd
 
@@ -105,6 +105,22 @@ class FareyFraction:
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
+
+
+def _refuse_set(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to {name!r} of a frozen FareyFraction")
+
+
+def _refuse_delete(self, name):
+    raise FrozenInstanceError(f"cannot delete {name!r} of a frozen FareyFraction")
+
+
+# The frozen dataclass's own __setattr__ and __delattr__ call super() on the
+# class that slots=True replaced: a TypeError for a name outside the fields on
+# Python 3.10-3.12.  These refuse every name; pickles, copies (the dataclass's
+# __setstate__) and farey_fractions fill the slots without them.
+FareyFraction.__setattr__ = _refuse_set
+FareyFraction.__delattr__ = _refuse_delete
 
 
 def canonical(a: int, c: int, n: int) -> FareyFraction:

@@ -35,13 +35,13 @@ face's least dart among the sorted face leaders.
 build_map computes alpha and the face darts as V x n blocks, one row per
 vertex, from the per-vertex columns, which come from the two numpy kernels
 above, so no Python step runs per vertex or per dart; it works through row
-blocks of about 2^15 darts (row_blocks) in one set of block-sized buffers,
-so beyond the arrays the map keeps it holds the per-level tables and one
-block's temporaries: at level 101 its tracemalloc peak is 2.4 MB above the
-4.2 MB the map holds.  A vertex is its id: the map keeps the int
-(num, den) columns of the vertices, which the labels (vertex_labels()),
-dart_between and vertex_columns() read; the FareyFraction tuple `vertices`
-is a derived table like the labels, built by arith.farey_fractions.
+blocks of about 2^15 darts (row_blocks), so beyond the arrays the map keeps
+it holds the per-level tables and one block's temporaries: at level 101 its
+tracemalloc peak is 2.3 MB above the 4.2 MB the map holds.  A vertex is its
+id: the map keeps the int (num, den) columns of the vertices, which the
+labels (vertex_labels()), dart_between and vertex_columns() read; the
+FareyFraction tuple `vertices` is a derived table like the labels, built by
+arith.farey_fractions.
 
 A built map is immutable: every array it stores or hands out is read-only,
 every sequence a tuple, and concurrent readers are safe.  Every derived
@@ -79,8 +79,8 @@ from .errors import (
 DEFAULT_LEVEL_BOUND = 101
 
 # Darts per block of build_map and the battery: 2^15 int32 entries are
-# 128 KB, so one block's int32 buffers and temporaries (about 1 MB with the
-# intp index casts) fit a 2 MB L2 cache; every level up to 40 is one block.
+# 128 KB, so one block's temporaries (about 1 MB with the intp index casts)
+# fit a 2 MB L2 cache; every level up to 40 is one block.
 _BLOCK_DARTS = 1 << 15
 
 
@@ -317,11 +317,7 @@ class FareyMap:
         """The face id of every dart: face i holds the darts of row i of the
         face darts."""
         index = np.empty(self.dart_count, dtype=np.int32)
-        ids = np.arange(self.face_count, dtype=np.int32)
-        # one column at a time: an int32 index is cast to intp first, so
-        # this keeps the cast to F entries instead of 3F
-        for k in range(3):
-            index[self._face_darts[:, k]] = ids
+        index[self._face_darts] = np.arange(self.face_count, dtype=np.int32)[:, None]
         return index
 
     @_derived
@@ -469,9 +465,9 @@ def build_map(n: int) -> FareyMap:
     vertex_grid = vertex_cell.reshape(m, m)[:n, :n].copy()
 
     # The darts as a V x n block: dart (v, t) is row v, column t, filled a
-    # block of rows at a time in one set of block-sized buffers.  Its second
-    # column (b, d) = (b0 + t*a, d0 + t*c) mod n is read, unreduced, off the
-    # table of products k*t mod n: cell (b0 + t*a)*m + d0 + t*c.
+    # block of rows at a time.  Its second column (b, d) = (b0 + t*a,
+    # d0 + t*c) mod n is read, unreduced, off the table of products k*t mod
+    # n: cell (b0 + t*a)*m + d0 + t*c.
     t = np.arange(n, dtype=np.int32)
     times = t[:, None] * t % n
     times_m = times * m
@@ -479,17 +475,10 @@ def build_map(n: int) -> FareyMap:
     alpha = np.empty(order, dtype=np.int32)
     face_darts = np.empty((order // 3, 3), dtype=np.int32)
     alpha_rows = alpha.reshape(vcount, n)
-    blocks = row_blocks(n, vcount)
-    size = blocks[0][1] - blocks[0][0]
-    cell_block, step_block, scratch_block = np.empty((3, size, n), dtype=np.int32)
-    above_block, lead_block = np.empty((2, size, n), dtype=bool)
     faces = 0  # face rows filled so far
-    for lo, hi in blocks:
+    for lo, hi in row_blocks(n, vcount):
         rows = slice(lo, hi)
-        cell, step, scratch = cell_block[:hi - lo], step_block[:hi - lo], scratch_block[:hi - lo]
-        above, lead, block = above_block[:hi - lo], lead_block[:hi - lo], alpha_rows[rows]
-        np.add(times_m[av[rows]], times[cv[rows]], out=cell)
-        cell += base[rows, None]
+        cell = times_m[av[rows]] + times[cv[rows]] + base[rows, None]
 
         # alpha: g -> g*S = (b, -a; d, -c), the dart from w = s*(b, d) to
         # s*(-a, -c), which is w*n + s*(c*b0_w - a*d0_w) mod n.
@@ -497,36 +486,29 @@ def build_map(n: int) -> FareyMap:
         if (target < 0).any():
             raise BrokenInvariant(
                 f"a dart column is not a vertex at level {n}; construction bug")
-        np.multiply(cv[rows, None], b0_cell.take(cell), out=step)
-        np.multiply(av[rows, None], d0_cell.take(cell), out=scratch)
-        step -= scratch
+        step = cv[rows, None] * b0_cell.take(cell) - av[rows, None] * d0_cell.take(cell)
         # mod n: numpy's % is several times slower on negative ints
-        np.floor_divide(step, n, out=scratch)
-        scratch *= n
-        step -= scratch
-        np.multiply(target, n, out=block)
-        block += step
+        block = alpha_rows[rows]
+        block[...] = target * n + step - step // n * n
 
         # Face i is row i of face_darts: its darts in phi order from the least
         # one.  The face of dart (v, t) has the corners v, target(v, t) and
         # target(v, t - 1) (phi^2 = alpha sigma^-1), all distinct; the darts of
         # vertex v are v*n .. v*n + n - 1, so the dart leads its face iff v is
         # its least corner.  The leaders come in dart order, block by block.
-        np.greater(target, vid[rows, None], out=above)
-        np.logical_and(above[:, 1:], above[:, :-1], out=lead[:, 1:])
-        np.logical_and(above[:, 0], above[:, -1], out=lead[:, 0])
-        leaders = np.flatnonzero(lead)
+        # Column t of a row rolled one column is column t - 1: a concatenate,
+        # as np.roll's Python steps add about 8 us a call.
+        above = target > vid[rows, None]
+        leaders = np.flatnonzero(above & np.concatenate((above[:, -1:], above[:, :-1]), axis=1))
         face = face_darts[faces:faces + leaders.shape[0]]
         faces += leaders.shape[0]
         if faces > face_darts.shape[0]:
             raise BrokenInvariant(f"more than mu/3 = {order // 3} face leaders at level {n}")
-        np.add(leaders, lo * n, out=face[:, 0], casting="unsafe")
+        face[:, 0] = leaders + lo * n
         # phi(d) = sigma(alpha(d)), and phi^2(d) = alpha(sigma^-1(d)) is the
         # alpha of the dart before d in its row: a row roll of the block
         face[:, 1] = rotated(block.take(leaders), n)
-        scratch[:, 1:] = block[:, :-1]
-        scratch[:, 0] = block[:, -1]
-        face[:, 2] = scratch.take(leaders)
+        face[:, 2] = np.concatenate((block[:, -1:], block[:, :-1]), axis=1).take(leaders)
     if faces != face_darts.shape[0]:
         raise BrokenInvariant(f"{faces} face leaders at level {n}, not mu/3 = {order // 3}")
     return FareyMap(n, columns, vertex_grid, alpha, face_darts)

@@ -36,7 +36,7 @@ from fareymaps.errors import (
     NotUnimodular,
     Unsupported,
 )
-from fareymaps.maps import build_map
+from fareymaps.maps import build_map, genus
 from fareymaps.metrics import Circuit, decompose, distance_formula, is_prime_level
 
 
@@ -356,6 +356,26 @@ def test_errors_are_in_the_package_hierarchy(make, error):
     assert isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: ModMatrix.identity(7) * ModMatrix.identity(11), LevelMismatch, "levels 7 != 11"),
+        (lambda: genus(2), Unsupported, r"genus\(n\) needs n >= 3, got 2"),
+        (lambda: FareyFraction(0, 1, 1), Unsupported, "level must be >= 2, got 1"),
+        (lambda: canonical(1, 0, 1), Unsupported, "level must be >= 2, got 1"),
+        (lambda: ModMatrix(1, 0, 0, 1, 1), Unsupported, "level must be >= 2, got 1"),
+    ],
+    ids=["mod-product-levels", "genus-level-2", "fraction-level-1", "canonical-level-1",
+         "mod-level-1"],
+)
+def test_level_guards_raise_package_errors(make, error, message):
+    # the level checks that no other test reaches: each raises its own
+    # FareyMapError before a later step could fail on the level
+    with pytest.raises(FareyMapError, match=message) as info:
+        make()
+    assert type(info.value) is error
+
+
 def test_seed_translates_are_the_translated_pairs():
     # slot k*s + i is seed pair i under t -> t + k; a pole stays where it is
     seed = [(2, 0), (1, 3), (5, 2), (0, 1)]
@@ -422,10 +442,11 @@ def test_farey_fraction_is_slotted_frozen_and_round_trips(n):
                 setattr(fraction, name, 1)
         with pytest.raises(dataclasses.FrozenInstanceError):
             del fraction.num
-        # a new name fails too; the frozen __setattr__ of a slotted dataclass
-        # raises TypeError for it on some Python versions
-        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        # a new name fails alike, set or deleted
+        with pytest.raises(dataclasses.FrozenInstanceError):
             fraction.other = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del fraction.other
         assert not hasattr(fraction, "other")
 
 

@@ -756,7 +756,7 @@ def test_dart_layout_matches_reference_build(n):
 
 
 # the bound on build_map's traced peak beyond the bytes a built level-101
-# map holds: one block's buffers and temporaries plus the per-level tables
+# map holds: one block's temporaries plus the per-level tables
 # (at ee580d2 build_map peaked 4.6 MB above the map, with face-dart
 # temporaries over every face)
 PEAK_ABOVE_MAP = 2_750_000
