@@ -15,6 +15,7 @@ from .arith import FareyFraction
 from .errors import FareyMapError
 from .invariants import run_invariant_suite
 from .maps import build_map, genus, mu
+from .render import render_map
 
 
 def _info(args) -> int:
@@ -108,21 +109,17 @@ def _sector11(args) -> int:
     found = sector.sector_search(m, restrict=restrict)
     walk = sector.boundary_walk(found)
     pairing = sector.pair_boundary(walk)
-    printed = False
     if args.table:
         for row in walk.rows():
             print(" ".join(f"{s:>5s}" for s in row))
-        printed = True
     if args.pairs:
         labels = walk.labels()
         total = len(labels)
         for i, j in pairing.pairs:
             print(f"{i:3d} <-> {j:3d}  {labels[i]}->{labels[(i + 1) % total]}")
-        printed = True
     if args.genus:
         print(sector.quotient_genus(walk, pairing))
-        printed = True
-    if not printed:
+    if not (args.table or args.pairs or args.genus):
         print(
             json.dumps(
                 {
@@ -142,8 +139,6 @@ def _render(args) -> int:
         face_ids = sector.sector_search(
             m, restrict=sector.reference_sector_vertices()
         ).face_ids
-    from .render import render_map
-
     svg = render_map(m, sector_face_ids=face_ids)
     try:
         with open(args.output, "w", encoding="utf-8") as handle:

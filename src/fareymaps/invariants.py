@@ -72,7 +72,7 @@ def check_map(m: FareyMap) -> list[tuple[str, bool]]:
         # V x V: entry (i, j) is the cross-determinant of vertices i and j
         det = (nums[:, None] * dens - nums * dens[:, None]) % n
         adjacent = np.zeros(det.shape, dtype=bool)
-        src, tgt = m.edge_columns()
+        src, tgt = m.edge_columns().T
         adjacent[src, tgt] = adjacent[tgt, src] = True
         results.append(("edge set matches the determinant criterion",
                         np.array_equal(adjacent, (det == 1) | (det == n - 1))))

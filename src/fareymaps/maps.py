@@ -45,10 +45,13 @@ arith.farey_fractions.
 
 A built map is immutable: every array it stores or hands out is read-only,
 every sequence a tuple, and concurrent readers are safe.  Every derived
-table (dart targets, edge columns, labels, vertices, the face index,
-neighbours and orbits, vertex and face translation) goes through one memo,
-_derived: built on first use, set read-only and kept.  A map always computes
-the same values for a table, so a reader racing another sees an equal table.
+table (dart targets, edge columns, labels, vertices, the face corners, the
+face index, neighbours and orbits, vertex and face translation) goes through
+one memo, _derived: built on first use, set read-only if it is an array, and
+kept.  A map always computes the same values for a table, so a reader racing
+another sees an equal table.  The edges are one E x 2 array and the face
+corners one F x 3 array, the shapes the exports gather from; only this
+module turns face darts into face corners.
 """
 
 from __future__ import annotations
@@ -160,9 +163,9 @@ def rotated(x, n: int):
 
 def _derived(build):
     """The memo of FareyMap's derived tables: the first call builds the
-    table, sets it read-only if it is an ndarray or a tuple of them, and
-    keeps it in the map's `_tables` under the reader's name; every later
-    call returns the table that was stored first."""
+    table, sets it read-only if it is an ndarray (a tuple table is kept as
+    it is), and keeps it in the map's `_tables` under the reader's name;
+    every later call returns the table that was stored first."""
     name = build.__name__
 
     @wraps(build)
@@ -171,11 +174,6 @@ def _derived(build):
             table = build(self)
             if isinstance(table, np.ndarray):
                 table.flags.writeable = False
-            # a tuple table holds only arrays (edge_columns) or none (labels,
-            # vertices): its first item tells which, so labels are not walked
-            elif isinstance(table, tuple) and table and isinstance(table[0], np.ndarray):
-                for array in table:
-                    array.flags.writeable = False
             self._tables.setdefault(name, table)
         return self._tables[name]
     return read
@@ -275,9 +273,9 @@ class FareyMap:
         raise UnknownVertex(f"no edge from vertex id {u} to vertex id {w}")
 
     @_derived
-    def edge_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The int32 edge columns (src, tgt): every edge once with src < tgt,
-        ordered by (src, tgt).
+    def edge_columns(self) -> np.ndarray:
+        """The E x 2 int32 edges: row e is (src, tgt), every edge once with
+        src < tgt, the rows ordered by (src, tgt).
 
         They are read off the V x n target block as the sorted keys
         src*V + tgt of its entries above their row id; V <= n^2/2, so the
@@ -288,7 +286,7 @@ class FareyMap:
         key = (targets + (vid * v)[:, None])[targets > vid[:, None]]
         key.sort()
         src = key // v
-        return src, key - src * v
+        return np.column_stack((src, key - src * v))
 
     @_derived
     def vertex_labels(self) -> tuple[str, ...]:
@@ -306,11 +304,13 @@ class FareyMap:
 
     def face_vertex_ids(self, face_id: int) -> tuple[int, int, int]:
         face_id = self._read_id(face_id, self.face_count, "face")
-        return tuple((self._face_darts[face_id] // self.level).tolist())
+        return tuple(self.face_vertex_rows()[face_id].tolist())
 
-    def face_vertex_rows(self) -> list[list[int]]:
-        """Row i lists the vertex ids of face i, least first, in rotation order."""
-        return (self._face_darts // self.level).tolist()
+    @_derived
+    def face_vertex_rows(self) -> np.ndarray:
+        """The F x 3 int32 face corners: row i lists the vertex ids of face
+        i, least first, in rotation order (the sources of its face darts)."""
+        return self._face_darts // self.level
 
     @_derived
     def _face_index(self) -> np.ndarray:
@@ -375,7 +375,7 @@ class FareyMap:
         labels = self.vertex_labels()
         rank = np.empty(v, dtype=np.int64)
         rank[sorted(range(v), key=labels.__getitem__)] = np.arange(v)
-        rows = self._face_darts // self.level
+        rows = self.face_vertex_rows()
         ranks = rank[rows]
         return rows[np.argsort((ranks[:, 0] * v + ranks[:, 1]) * v + ranks[:, 2])]
 
@@ -383,7 +383,7 @@ class FareyMap:
         """Face i as the tuple of its three vertices, least (by (den, num))
         first, in the rotation order traced by the face operator."""
         vs = np.array(self.vertices, dtype=object)
-        c0, c1, c2 = vs[self._face_darts // self.level].T.tolist()
+        c0, c1, c2 = vs[self.face_vertex_rows()].T.tolist()
         return list(zip(c0, c1, c2))
 
     def face_id_by_vertices(self, vs) -> int:
@@ -530,8 +530,7 @@ def gather_rows(columns: np.ndarray, ids: np.ndarray) -> list[str]:
 def map_to_dict(fmap: FareyMap) -> dict:
     """The export as a dict: labels, edges by (src, tgt) id, faces sorted by labels."""
     verts = list(fmap.vertex_labels())
-    src, tgt = fmap.edge_columns()
-    edges = [[verts[i], verts[j]] for i, j in zip(src.tolist(), tgt.tolist())]
+    edges = [[verts[i], verts[j]] for i, j in fmap.edge_columns().tolist()]
     faces = [[verts[a], verts[b], verts[c]] for a, b, c in fmap._face_rows_by_label().tolist()]
     return {"level": fmap.level, "vertices": verts, "edges": edges, "faces": faces}
 
@@ -545,7 +544,7 @@ def to_json(fmap: FareyMap) -> str:
     quoted = np.array(['"' + s + '"' for s in fmap.vertex_labels()], dtype=object)
     head, middle, tail = "[" + quoted + ", ", quoted + ", ", quoted + "], "
     parts = [f'{{"level": {fmap.level}, "vertices": [{", ".join(quoted)}], "edges": [']
-    parts += gather_rows(np.stack((head, tail)), np.column_stack(fmap.edge_columns()))
+    parts += gather_rows(np.stack((head, tail)), fmap.edge_columns())
     parts[-1] = parts[-1][:-2]  # the last edge takes no separator
     parts.append('], "faces": [')
     parts += gather_rows(np.stack((head, middle, tail)), fmap._face_rows_by_label())
@@ -613,9 +612,9 @@ def same_combinatorics(fmap: FareyMap, data: MapData) -> bool:
     verts = fmap.vertex_labels()
     if sorted(verts) != sorted(data.vertices):
         return False
-    src, tgt = fmap.edge_columns()
-    edges = {frozenset((verts[i], verts[j])) for i, j in zip(src.tolist(), tgt.tolist())}
-    faces = {frozenset((verts[a], verts[b], verts[c])) for a, b, c in fmap.face_vertex_rows()}
+    edges = {frozenset((verts[i], verts[j])) for i, j in fmap.edge_columns().tolist()}
+    faces = {frozenset((verts[a], verts[b], verts[c]))
+             for a, b, c in fmap.face_vertex_rows().tolist()}
     return edges == data.edges and faces == data.faces
 
 
@@ -623,7 +622,6 @@ def to_dot(fmap: FareyMap) -> str:
     quoted = np.array(['"' + s + '"' for s in fmap.vertex_labels()], dtype=object)
     parts = [f"graph farey_{fmap.level} {{\n"]
     parts += ("  " + quoted + ";\n").tolist()
-    parts += gather_rows(np.stack(("  " + quoted + " -- ", quoted + ";\n")),
-                         np.column_stack(fmap.edge_columns()))
+    parts += gather_rows(np.stack(("  " + quoted + " -- ", quoted + ";\n")), fmap.edge_columns())
     parts.append("}\n")
     return "".join(parts)

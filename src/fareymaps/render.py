@@ -87,9 +87,9 @@ def render_map(fmap: FareyMap, sector_face_ids=None) -> str:
                           for x, y in points], dtype=object)
     if sector_face_ids is None:
         shown_vertices = range(fmap.vertex_count)
-        parts += gather_rows(np.stack((line_head, line_tail)), np.column_stack(fmap.edge_columns()))
+        parts += gather_rows(np.stack((line_head, line_tail)), fmap.edge_columns())
     else:
-        shaded = [fmap.face_vertex_ids(fid) for fid in Sector(fmap, sector_face_ids).face_ids]
+        shaded = fmap.face_vertex_rows()[list(Sector(fmap, sector_face_ids).face_ids)].tolist()
         shown_vertices = sorted({i for tri in shaded for i in tri})
         edges = sorted(
             {

@@ -10,10 +10,11 @@ has 198 slots, every directed edge appears once in each direction, and the
 resulting orientable identification yields a genus-26 surface.
 
 The map supplies its level n, the number of copies, and every table used
-here: `face_orbits()` and `face_translation()` for the tiles, the face rows
-for the restriction, `face_neighbours()` for the growth and the boundary
-walk, `vertex_translation()` for the fold, the vertex columns of the copies
-and `vertex_labels()`; no dart permutation is read.  A `BoundaryWalk` is a
+here: `face_orbits()` and `face_translation()` for the tiles, the face
+corners `face_vertex_rows()` for the restriction and the boundary walk,
+`face_neighbours()` for the growth and the walk, `vertex_translation()` for
+the fold, the vertex columns of the copies and `vertex_labels()`; no dart
+permutation or face dart is read.  A `BoundaryWalk` is a
 `gluing.Polygon` of vertex ids, one slot per side, laid out, paired and glued
 as the 14-gon is, so the walk, the pairing and the genus build no FareyFraction.
 """
@@ -83,7 +84,7 @@ def _restricted_faces(fmap: FareyMap, restrict) -> int:
     """Bitmask of the faces with all three vertices in `restrict`: one gather."""
     kept = np.zeros(fmap.vertex_count, dtype=bool)
     kept[[fmap.vertex_id(v) for v in restrict]] = True
-    inside = kept[fmap.face_darts() // fmap.level].all(axis=1)
+    inside = kept[fmap.face_vertex_rows()].all(axis=1)
     return int.from_bytes(np.packbits(inside, bitorder="little").tobytes(), "little")
 
 
@@ -206,7 +207,7 @@ def _boundary_cycle(fmap: FareyMap, face_ids) -> list[int]:
     """
     inside = set(face_ids)
     neighbours = fmap.face_neighbours().tolist()
-    rows = fmap.face_vertex_rows()
+    rows = fmap.face_vertex_rows().tolist()
     edges = [(f, k) for f in inside for k in range(3) if neighbours[f][k - 1] not in inside]
     if not edges:
         raise DisconnectedBoundary("face set has no boundary")

@@ -211,9 +211,8 @@ def test_criterion_4_icosahedron():
 
     ours = nx.Graph()
     ours.add_nodes_from(str(v) for v in m.vertices)
-    src, tgt = m.edge_columns()
     ours.add_edges_from(
-        (str(m.vertices[i]), str(m.vertices[j])) for i, j in zip(src.tolist(), tgt.tolist())
+        (str(m.vertices[i]), str(m.vertices[j])) for i, j in m.edge_columns().tolist()
     )
     check(
         failures,

@@ -1,8 +1,9 @@
 """Static guards over the package source: no `assert` (which `python -O`
 strips), no module reaching into another module's private names, and no
 module outside the map construction and its invariant battery reading the
-dart permutations, no module but metrics reading the distance-2 walk's
-slots, no module but gluing naming the polygon matcher or genus count, no
+dart permutations or naming the face darts, no module but metrics reading
+the distance-2 walk's slots, no module but gluing naming the polygon
+matcher or genus count, no
 id pipeline (the polygon type of `gluing` among them) reading a map's
 FareyFraction vertex list, no array set read-only outside the map's
 constructor and the memo of its derived tables, and no FareyFraction made
@@ -88,6 +89,21 @@ def test_dart_permutations_read_only_by_maps_and_invariants():
         if isinstance(node, ast.Attribute) and (
             node.attr == "sigma"
             or node.attr == "alpha" and path.name not in ("maps.py", "invariants.py"))
+    ]
+    assert found == []
+
+
+def test_face_darts_named_only_by_maps_and_invariants():
+    # maps turns the face darts into the face corners face_vertex_rows(),
+    # which every other module reads; the battery checks the stored darts
+    found = [
+        f"{path.name}:{node.lineno} names {name}"
+        for path in MODULES
+        if path.name not in ("maps.py", "invariants.py")
+        for node in ast.walk(parse(path))
+        for name in [getattr(node, "id", None) or getattr(node, "attr", None)
+                     or getattr(node, "name", None)]
+        if name in ("face_darts", "_face_darts")
     ]
     assert found == []
 

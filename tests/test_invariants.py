@@ -90,7 +90,7 @@ def reference_check_map(m):
 
     if n <= 13:
         vs = m.vertices
-        edges = {frozenset(e) for e in zip(*(column.tolist() for column in m.edge_columns()))}
+        edges = {frozenset(e) for e in m.edge_columns().tolist()}
         oracle = {
             frozenset((i, j))
             for i in range(len(vs))

@@ -451,7 +451,7 @@ def test_bfs_distances_reads_bools_and_integer_arrays():
 def edge_graph(m):
     graph = nx.Graph()
     graph.add_nodes_from(range(m.vertex_count))
-    graph.add_edges_from(zip(*(column.tolist() for column in m.edge_columns())))
+    graph.add_edges_from(m.edge_columns().tolist())
     return graph
 
 

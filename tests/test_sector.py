@@ -327,7 +327,7 @@ def face_structure(fmap):
             orbit_of[cur] = fid
             cur = translate[cur]
     # two faces are edge-neighbours when they share two corners
-    rows = fmap.face_vertex_rows()
+    rows = fmap.face_vertex_rows().tolist()
     faces_at = {}
     for fid, row in enumerate(rows):
         for v in row:
