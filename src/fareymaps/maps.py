@@ -293,7 +293,7 @@ class FareyMap:
         """The label str(v) of every vertex, "a/c", by vertex id; no
         FareyFraction is built."""
         nums, dens = self.vertex_columns()
-        return tuple(f"{a}/{c}" for a, c in zip(nums.tolist(), dens.tolist()))
+        return tuple(map("{}/{}".format, nums.tolist(), dens.tolist()))
 
     # -- faces ----------------------------------------------------------
 
@@ -368,22 +368,23 @@ class FareyMap:
         """The face vertex rows in the order of their label lists.
 
         Labels are distinct, so ranking each vertex by its label in string
-        order and sorting the rows by their rank triples, read as one number
-        in base V, gives the order of sorted() over the label lists.
+        order and sorting the rows by the ranks of their first two corners,
+        read as one number in base V, gives the order of sorted() over the
+        label lists: those corners are a dart (a row starts at its least
+        corner), which lies on one face, so no two rows tie.
         """
         v = self.vertex_count
         labels = self.vertex_labels()
         rank = np.empty(v, dtype=np.int64)
         rank[sorted(range(v), key=labels.__getitem__)] = np.arange(v)
         rows = self.face_vertex_rows()
-        ranks = rank[rows]
-        return rows[np.argsort((ranks[:, 0] * v + ranks[:, 1]) * v + ranks[:, 2])]
+        return rows.take(np.argsort(rank[rows[:, 0]] * v + rank[rows[:, 1]]), axis=0)
 
     def faces(self) -> list[tuple[FareyFraction, FareyFraction, FareyFraction]]:
         """Face i as the tuple of its three vertices, least (by (den, num))
         first, in the rotation order traced by the face operator."""
         vs = np.array(self.vertices, dtype=object)
-        c0, c1, c2 = vs[self.face_vertex_rows()].T.tolist()
+        c0, c1, c2 = vs.take(self.face_vertex_rows().T).tolist()
         return list(zip(c0, c1, c2))
 
     def face_id_by_vertices(self, vs) -> int:
@@ -520,11 +521,15 @@ def gather_rows(columns: np.ndarray, ids: np.ndarray) -> list[str]:
     """The pieces columns[j, ids[r, j]], in row-major order of (r, j).
 
     `columns` is a k x V object array of per-vertex strings and `ids` an
-    R x k array of vertex ids.  One numpy gather picks every piece, so no
-    Python step runs per row, and the pieces are the column strings
-    themselves, not copies.
+    R x k array of vertex ids.  One flat take on the raveled columns, at
+    ids[r, j] + j*V, picks every piece, so no Python step runs per row, and
+    the pieces are the column strings themselves, not copies.  An id outside
+    0..V-1 raises IndexError, as it would read another column.
     """
-    return columns[np.arange(columns.shape[0]), ids].ravel().tolist()
+    k, v = columns.shape
+    if ids.size and (ids.min() < 0 or ids.max() >= v):
+        raise IndexError(f"a vertex id in gather_rows is outside 0..{v - 1}")
+    return columns.ravel().take(ids + np.arange(0, k * v, v)).ravel().tolist()
 
 
 def map_to_dict(fmap: FareyMap) -> dict:

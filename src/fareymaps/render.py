@@ -1,6 +1,7 @@
 """Schematic SVG drawings: concentric shells for prime levels, BFS shells
 otherwise.  Output is plain SVG 1.1 with straight chords; byte-identical for
-identical inputs."""
+identical inputs.  The layout is two float columns, the pieces per vertex
+are object arrays built from them, and no Python loop runs over the vertices."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import math
 
 import numpy as np
 
-from .errors import Unsupported
+from .errors import BrokenInvariant, Unsupported
 from .maps import FareyMap, gather_rows
 from .metrics import bfs_distances, decomposition_ids, is_prime_level
 from .sector import Sector
@@ -22,48 +23,49 @@ def _fmt(x: float) -> str:
     return "0.00" if out == "-0.00" else out
 
 
-def _polar(radius: float, angle: float) -> tuple[float, float]:
-    # angle measured counterclockwise from 12 o'clock; y grows downward in SVG
-    return radius * math.sin(angle), -radius * math.cos(angle)
-
-
-def layout_positions(fmap: FareyMap) -> dict[int, tuple[float, float]]:
-    """Vertex id -> planar position: 1/0 (vertex id 0) at the origin, the
-    distance-1 circuit on radius 1, the distance-2 walk on radius 2 (first
-    visit fixes the slot), remaining poles outside; composite levels fall
-    back to BFS shells from 1/0."""
+def layout_positions(fmap: FareyMap) -> tuple[np.ndarray, np.ndarray]:
+    """The float columns (x, y) of the planar positions, by vertex id: 1/0
+    (vertex id 0) at the origin, the distance-1 circuit on radius 1, the
+    distance-2 walk on radius 2 (first visit fixes the slot), remaining
+    poles outside; composite levels fall back to BFS shells from 1/0, each
+    in id order.  Slot j of L on radius r is (r sin a, -r cos a), a =
+    2*pi*j/L (clockwise from 12 o'clock, as SVG's y grows downward), with
+    math's sin and cos, whose floats do not vary with numpy's SIMD kernels.
+    A vertex left unplaced raises BrokenInvariant."""
     n = fmap.level
     if n < 3:
         raise Unsupported(f"no layout below level 3, got {n}")
-    positions: dict[int, tuple[float, float]] = {0: (0.0, 0.0)}
     if is_prime_level(n):
-        _, ring, walk, outer = (ids.tolist() for ids in decomposition_ids(fmap))
-        for j, vid in enumerate(ring):
-            positions[vid] = _polar(1.0, 2 * math.pi * j / len(ring))
-        for j, vid in enumerate(walk):
-            if vid not in positions:
-                positions[vid] = _polar(2.0, 2 * math.pi * j / len(walk))
-        for j, vid in enumerate(outer):
-            positions[vid] = _polar(3.0, 2 * math.pi * j / len(outer))
-        return positions
-    # BFS shells
-    dist = bfs_distances(fmap, [0])[0]
-    for d in range(1, int(dist.max()) + 1):
-        shell = np.flatnonzero(dist == d).tolist()
-        for j, vid in enumerate(shell):
-            positions[vid] = _polar(float(d), 2 * math.pi * j / len(shell))
-    return positions
-
-
-def _point(pos) -> tuple[str, str]:
-    x, y = pos
-    return _fmt(_SCALE * x + _SCALE * _EXTENT), _fmt(_SCALE * y + _SCALE * _EXTENT)
+        _, ring, walk, outer = decomposition_ids(fmap)
+        seen, first = np.unique(walk, return_index=True)
+        ids = np.concatenate((ring, seen, outer))
+        sizes = (ring.size, seen.size, outer.size)
+        radius = np.repeat((1.0, 2.0, 3.0), sizes)
+        slot = np.concatenate((np.arange(ring.size), first, np.arange(outer.size)))
+        count = np.repeat((ring.size, walk.size, outer.size), sizes)
+    else:
+        dist = bfs_distances(fmap, [0])[0]
+        ids = np.argsort(dist, kind="stable")
+        ids = ids[dist[ids] > 0]
+        shell = dist[ids]
+        first = np.searchsorted(shell, shell)
+        slot = np.arange(ids.size) - first
+        count = np.searchsorted(shell, shell, side="right") - first
+        radius = shell.astype(float)
+    angle = (2 * math.pi * slot / count).tolist()
+    x, y = np.full((2, fmap.vertex_count), np.nan)
+    x[0] = y[0] = 0.0
+    x[ids] = radius * np.fromiter(map(math.sin, angle), float, len(angle))
+    y[ids] = -radius * np.fromiter(map(math.cos, angle), float, len(angle))
+    if np.isnan(x).any():
+        raise BrokenInvariant(f"vertex {np.isnan(x).argmax()} has no place in M3({n})'s layout")
+    return x, y
 
 
 def render_map(fmap: FareyMap, sector_face_ids=None) -> str:
     """SVG document for the map, or for a shaded face subset when given, read
     as the face ids of a Sector (an unknown or repeated id raises UnknownVertex)."""
-    positions = layout_positions(fmap)
+    x, y = layout_positions(fmap)
     size = _fmt(2 * _SCALE * _EXTENT)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n',
@@ -81,34 +83,27 @@ def render_map(fmap: FareyMap, sector_face_ids=None) -> str:
 
     # Each vertex's coordinates are formatted once, by vertex id; an edge
     # line is the head of its first endpoint joined to the tail of its second.
-    points = [_point(positions[vid]) for vid in range(fmap.vertex_count)]
-    line_head = np.array([f'<line x1="{x}" y1="{y}" ' for x, y in points], dtype=object)
-    line_tail = np.array([f'x2="{x}" y2="{y}" stroke="#5577aa" stroke-width="0.8"/>\n'
-                          for x, y in points], dtype=object)
+    xs = np.array(list(map(_fmt, (_SCALE * x + _SCALE * _EXTENT).tolist())), dtype=object)
+    ys = np.array(list(map(_fmt, (_SCALE * y + _SCALE * _EXTENT).tolist())), dtype=object)
+    lines = np.stack(('<line x1="' + xs + '" y1="' + ys + '" ',
+                      'x2="' + xs + '" y2="' + ys + '" stroke="#5577aa" stroke-width="0.8"/>\n'))
     if sector_face_ids is None:
-        shown_vertices = range(fmap.vertex_count)
-        parts += gather_rows(np.stack((line_head, line_tail)), fmap.edge_columns())
+        shown = slice(None)
+        parts += gather_rows(lines, fmap.edge_columns())
     else:
-        shaded = fmap.face_vertex_rows()[list(Sector(fmap, sector_face_ids).face_ids)].tolist()
-        shown_vertices = sorted({i for tri in shaded for i in tri})
-        edges = sorted(
-            {
-                tuple(sorted((a, b)))
-                for tri in shaded
-                for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2]))
-            }
-        )
-        for tri in shaded:
-            pts = " ".join(",".join(points[i]) for i in tri)
-            parts.append(f'<polygon points="{pts}" fill="#dce9f9" stroke="none"/>\n')
-        parts += [line_head[i] + line_tail[j] for i, j in edges]
-    labels = fmap.vertex_labels()
-    for vid in shown_vertices:
-        x, y = points[vid]
-        parts.append(f'<circle cx="{x}" cy="{y}" r="3" fill="#203050"/>\n')
-        parts.append(
-            f'<text x="{x}" y="{y}" dx="5" dy="-4" font-size="11" '
-            f'font-family="monospace" fill="#000000">{labels[vid]}</text>\n'
-        )
+        shaded = fmap.face_vertex_rows().take(list(Sector(fmap, sector_face_ids).face_ids), axis=0)
+        shown = np.unique(shaded)
+        edges = np.unique(np.sort(shaded[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1), axis=0)
+        point = xs + "," + ys
+        parts += gather_rows(np.stack(('<polygon points="' + point + " ", point + " ",
+                                       point + '" fill="#dce9f9" stroke="none"/>\n')), shaded)
+        parts += gather_rows(lines, edges)
+    # a vertex's circle and label: its x, y, x, y and label between six constant pieces
+    marks = np.empty((fmap.vertex_count, 11), dtype=object)
+    marks[:, ::2] = np.array(['<circle cx="', '" cy="', '" r="3" fill="#203050"/>\n<text x="',
+                              '" y="', '" dx="5" dy="-4" font-size="11" font-family="monospace" '
+                              'fill="#000000">', "</text>\n"], dtype=object)
+    marks[:, 1::2] = np.stack((xs, ys, xs, ys, np.array(fmap.vertex_labels(), dtype=object)), 1)
+    parts += marks[shown].ravel().tolist()
     parts.append("</svg>\n")
     return "".join(parts)

@@ -1,15 +1,24 @@
 import hashlib
 import json
+import math
 import xml.etree.ElementTree as ET
+from collections import deque
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from fareymaps import render
 from fareymaps.cli import main
-from fareymaps.errors import UnknownVertex
+from fareymaps.errors import BrokenInvariant, UnknownVertex
 from fareymaps.maps import build_map
-from fareymaps.metrics import is_prime_level
-from fareymaps.render import render_map
+from fareymaps.metrics import decomposition_ids, is_prime_level
+from fareymaps.render import layout_positions, render_map
 from fareymaps.sector import Sector, reference_sector_vertices, sector_search
+
+# the export digests the benchmark recorded (read only)
+GOLDEN = Path(__file__).resolve().parents[1] / "benchmarks" / "golden.json"
+GOLDEN_EXPORT = json.loads(GOLDEN.read_text(encoding="utf-8"))["export"]
 
 
 def run(capsys, *argv):
@@ -238,9 +247,79 @@ def test_render_composite_and_small(tmp_path):
 
 @pytest.mark.parametrize("n", range(3, 102))
 def test_render_map_draws_every_level(n):
-    # the prime layout and the BFS shells place every vertex, one label each
+    # the prime layout and the BFS shells place every vertex, one label each,
+    # and the drawing has its golden SHA-256, which pins every formatted
+    # coordinate
     m = build_map(n)
-    assert render_map(m).count("<text ") == m.vertex_count
+    svg = render_map(m)
+    assert svg.count("<text ") == m.vertex_count
+    assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == GOLDEN_EXPORT[str(n)]["svg"]
+
+
+def reference_layout(fmap):
+    """The layout by the scalar rules, one math.sin and math.cos call per
+    vertex: 1/0 at the origin; at a prime level the ring on radius 1, the
+    walk on radius 2 at the slot of each vertex's first visit and the poles
+    on radius 3; otherwise shell d of a plain BFS from 1/0 on radius d, in
+    id order.  Slot j of L on radius r sits at angle a = 2*pi*j/L, at
+    (r sin a, -r cos a)."""
+    def polar(radius, angle):
+        return radius * math.sin(angle), -radius * math.cos(angle)
+
+    positions = {0: (0.0, 0.0)}
+    if is_prime_level(fmap.level):
+        _, ring, walk, outer = (ids.tolist() for ids in decomposition_ids(fmap))
+        for j, vid in enumerate(ring):
+            positions[vid] = polar(1.0, 2 * math.pi * j / len(ring))
+        for j, vid in enumerate(walk):
+            if vid not in positions:
+                positions[vid] = polar(2.0, 2 * math.pi * j / len(walk))
+        for j, vid in enumerate(outer):
+            positions[vid] = polar(3.0, 2 * math.pi * j / len(outer))
+        return positions
+    targets = fmap.dart_targets().tolist()
+    dist, queue = {0: 0}, deque([0])
+    while queue:
+        u = queue.popleft()
+        for w in targets[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    for d in range(1, max(dist.values()) + 1):
+        shell = sorted(v for v, dv in dist.items() if dv == d)
+        for j, vid in enumerate(shell):
+            positions[vid] = polar(float(d), 2 * math.pi * j / len(shell))
+    return positions
+
+
+@pytest.mark.parametrize("n", [5, 7, 11, 13, 6, 12, 30])
+def test_layout_positions_equal_the_scalar_reference(n):
+    # exact float equality: the columns hold the scalar rules' floats
+    m = build_map(n)
+    x, y = layout_positions(m)
+    expected = reference_layout(m)
+    assert sorted(expected) == list(range(m.vertex_count))
+    assert x.shape == y.shape == (m.vertex_count,)
+    assert np.isfinite(x).all() and np.isfinite(y).all()
+    assert (x[0], y[0]) == (0.0, 0.0)
+    assert list(zip(x.tolist(), y.tolist())) == [expected[v] for v in range(m.vertex_count)]
+
+
+@pytest.mark.parametrize("n, layer", [(7, "decomposition_ids"), (6, "bfs_distances")])
+def test_layout_positions_refuse_an_unplaced_vertex(monkeypatch, n, layer):
+    # drop the last pole, or mark the last vertex unreached
+    real = getattr(render, layer)
+
+    def losing(fmap, *args):
+        out = real(fmap, *args)
+        if layer == "decomposition_ids":
+            return (*out[:3], out[3][:-1])
+        out[0, -1] = -1
+        return out
+
+    monkeypatch.setattr(render, layer, losing)
+    with pytest.raises(BrokenInvariant, match="no place"):
+        layout_positions(build_map(n))
 
 
 def test_render_builds_no_vertex_list():

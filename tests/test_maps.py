@@ -32,6 +32,7 @@ from fareymaps.maps import (
     DEFAULT_LEVEL_BOUND,
     build_map,
     from_json,
+    gather_rows,
     genus,
     map_to_dict,
     mu,
@@ -612,6 +613,28 @@ def test_exports_match_golden_digests():
         for key, text in (("json", to_json(m)), ("dot", to_dot(m)), ("svg", render_map(m))):
             digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
             assert digest == golden[str(n)][key], (n, key)
+
+
+def test_gather_rows_picks_by_column_and_rejects_ids_outside_the_columns():
+    # one flat take at ids[r, j] + j*V: an id past V would read the next
+    # column and a negative one the column before, so both raise
+    columns = np.array([["a0", "a1", "a2"], ["b0", "b1", "b2"]], dtype=object)
+    assert gather_rows(columns, np.array([[0, 2], [2, 1], [1, 0]])) == [
+        "a0", "b2", "a2", "b1", "a1", "b0"]
+    assert gather_rows(columns, np.empty((0, 2), dtype=np.int32)) == []
+    for ids in ([[3, 0]], [[0, 3]], [[1, 1], [2, 4]], [[-1, 0]], [[0, -1]]):
+        with pytest.raises(IndexError):
+            gather_rows(columns, np.array(ids, dtype=np.int32))
+
+
+def test_face_rows_never_share_their_first_two_corners():
+    # a face row starts at its least corner, so its first two corners are a
+    # dart, and a dart lies on one face: the JSON face order sorts on them
+    # alone (test_exports_match_reference_sorts checks it against sorted())
+    for n in range(3, DEFAULT_LEVEL_BOUND + 1):
+        m = build_map(n)
+        rows = m.face_vertex_rows().astype(np.int64)
+        assert np.unique(rows[:, 0] * m.vertex_count + rows[:, 1]).size == m.face_count, n
 
 
 @pytest.mark.parametrize("export", [to_json, to_dot, render_map])
