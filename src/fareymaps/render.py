@@ -81,10 +81,13 @@ def render_map(fmap: FareyMap, sector_face_ids=None) -> str:
                 f'fill="none" stroke="#cccccc" stroke-width="1"{dash}/>\n'
             )
 
-    # Each vertex's coordinates are formatted once, by vertex id; an edge
-    # line is the head of its first endpoint joined to the tail of its second.
-    xs = np.array(list(map(_fmt, (_SCALE * x + _SCALE * _EXTENT).tolist())), dtype=object)
-    ys = np.array(list(map(_fmt, (_SCALE * y + _SCALE * _EXTENT).tolist())), dtype=object)
+    # Each vertex's coordinates are formatted once, by vertex id, with _fmt's
+    # rule as one mask; an edge line is the head of its first endpoint
+    # joined to the tail of its second.
+    coords = (_SCALE * np.stack((x, y)) + _SCALE * _EXTENT).ravel().tolist()
+    text = np.fromiter(map("{:.2f}".format, coords), dtype=object, count=len(coords))
+    text[text == "-0.00"] = "0.00"
+    xs, ys = text.reshape(2, -1)
     lines = np.stack(('<line x1="' + xs + '" y1="' + ys + '" ',
                       'x2="' + xs + '" y2="' + ys + '" stroke="#5577aa" stroke-width="0.8"/>\n'))
     if sector_face_ids is None:

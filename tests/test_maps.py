@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import time
@@ -354,6 +355,50 @@ def test_face_rows_match_orbit_walk_reference():
         assert m.faces() == labelled, n
         for fid, row in enumerate(rows):
             assert m.face_vertex_ids(fid) == tuple(row), (n, fid)
+
+
+@pytest.mark.parametrize("n", [53, 101])
+def test_faces_are_a_new_list_of_plain_tuples_of_the_face_rows(n):
+    m = build_map(n)
+    vs = m.vertices
+    expected = [tuple(vs[i] for i in row) for row in m.face_vertex_rows().tolist()]
+    faces = m.faces()
+    assert type(faces) is list and len(faces) == m.face_count
+    assert all(type(face) is tuple and len(face) == 3 for face in faces)
+    assert faces == expected
+    # a caller's list: writing into it leaves the next call as it was
+    again = m.faces()
+    assert again is not faces
+    faces[0], faces[-1] = faces[-1], faces[0]
+    faces.append(faces[0])
+    assert m.faces() == again == expected
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_faces_start_no_collection_and_keep_the_gc_state(enabled):
+    # the F tuples are built with cyclic GC paused; unpaused, level 53
+    # starts 35 collections inside one call
+    m = build_map(53)
+    m.vertices, m.face_vertex_rows()
+    gc.collect()
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.callbacks.append(record)
+    try:
+        if not enabled:
+            gc.disable()
+        faces = m.faces()
+        assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(record)
+        if was:
+            gc.enable()
+    assert started == [] and len(faces) == m.face_count
 
 
 @pytest.mark.parametrize("n", list(range(3, 32)) + [53, 64, 101])
