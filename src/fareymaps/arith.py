@@ -51,6 +51,13 @@ def as_integer(value, what: str) -> int:
         raise Unsupported(f"{what}, got {value!r}") from None
 
 
+def _require_ints(owner: str, *fields) -> None:
+    """Unsupported unless every field is exactly an int; a bool is not one."""
+    for x in fields:  # not any() over a generator, which costs 0.3 us more a call
+        if type(x) is not int:
+            raise Unsupported(f"{owner} fields must be ints, got {fields!r}")
+
+
 def _split_fraction(text: str) -> tuple[int, int]:
     """Integers (a, c) of the text "a/c"; a bare integer "a" reads as a/1."""
     a, sep, c = text.partition("/")
@@ -78,6 +85,7 @@ class FareyFraction:
     level: int
 
     def __post_init__(self):
+        _require_ints("FareyFraction", self.num, self.den, self.level)
         n = self.level
         if n < 2:
             raise Unsupported(f"level must be >= 2, got {n}")
@@ -145,16 +153,20 @@ def farey_fractions(nums, dens, n: int) -> list[FareyFraction]:
     """The FareyFractions nums[i]/dens[i] at level n, for int sequences of
     canonical pairs, in order.
 
-    The checks of FareyFraction run once, on the arrays: every pair must be
-    reduced mod n, have gcd(a, c, n) = 1 and be canonical.  The first pair
-    that fails is built as FareyFraction(a, c, n), which raises its error.
-    Then map drives object.__new__ and the slot descriptors' __set__, so no
-    bytecode runs per fraction; no other code skips the constructor.
+    The checks of FareyFraction run once, on the arrays: ints only (else
+    Unsupported), each pair reduced mod n, gcd(a, c, n) = 1 and canonical.
+    The first pair that fails is built as FareyFraction(a, c, n), which
+    raises its error.  Then map drives object.__new__ and the slot
+    descriptors' __set__, so no bytecode runs per fraction; no other code
+    skips the constructor.
     """
     n = as_integer(n, "farey_fractions needs an integer level")
     if n < 2:
         raise Unsupported(f"level must be >= 2, got {n}")
-    a, c = np.asarray(nums, dtype=np.int64), np.asarray(dens, dtype=np.int64)
+    a, c = np.asarray(nums), np.asarray(dens)
+    if a.dtype.kind not in "iu" and a.size or c.dtype.kind not in "iu" and c.size:
+        raise Unsupported(f"farey_fractions needs integer arrays, got {a.dtype} and {c.dtype}")
+    a, c = a.astype(np.int64), c.astype(np.int64)
     ok = (0 <= a) & (a < n) & (0 <= c) & (c < n) & (np.gcd(np.gcd(a, c), n) == 1)
     ok &= _is_canonical_pair(a, c, n)
     if not ok.all():
@@ -226,6 +238,7 @@ class ModMatrix:
     level: int
 
     def __post_init__(self):
+        _require_ints("ModMatrix", self.a, self.b, self.c, self.d, self.level)
         n = self.level
         if n < 2:
             raise Unsupported(f"level must be >= 2, got {n}")
@@ -285,6 +298,9 @@ class IntMatrix:
     c: int
     d: int
 
+    def __post_init__(self):
+        _require_ints("IntMatrix", self.a, self.b, self.c, self.d)
+
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
 
@@ -317,6 +333,7 @@ class ExtRational:
     den: int
 
     def __post_init__(self):
+        _require_ints("ExtRational", self.num, self.den)
         if self.num == 0 and self.den == 0:
             raise MalformedLabel("0/0 is not an extended rational")
         g = gcd(self.num, self.den)
@@ -325,6 +342,7 @@ class ExtRational:
 
     @classmethod
     def of(cls, num: int, den: int) -> "ExtRational":
+        _require_ints("ExtRational", num, den)
         if num == 0 and den == 0:
             raise MalformedLabel("0/0 is not an extended rational")
         g = gcd(num, den)

@@ -18,7 +18,9 @@ def run_invariant_suite(n: int) -> list[tuple[str, bool]]:
 
 
 def check_map(m: FareyMap) -> list[tuple[str, bool]]:
-    """The invariant battery on a built map: (check name, passed) in order."""
+    """The invariant battery on a built map: (check name, passed) in order.  At
+    primes up to 13 one all-pairs BFS table is checked against the closed-form
+    distance classes, and its largest entry is the diameter."""
     n = m.level
     results = []
     order = mu(n)
@@ -79,8 +81,12 @@ def check_map(m: FareyMap) -> list[tuple[str, bool]]:
 
     if metrics.is_prime_level(n):
         if n <= 13:
-            results.append(("distance formula matches BFS on all pairs", _formula_matches_bfs(m)))
-            results.append(("diameter is 3", metrics.diameter(m) == 3))
+            dist = metrics.bfs_distances(m, np.arange(m.vertex_count))
+            formula = metrics.distance_classes(nums[:, None], dens[:, None], nums, dens, n)
+            np.fill_diagonal(formula, 0)
+            results.append(("distance formula matches BFS on all pairs",
+                            np.array_equal(dist, formula)))
+            results.append(("diameter is 3", int(dist.max()) == 3))
         north, ring, walk, poles = metrics.decomposition_ids(m)
         seen = np.zeros(m.vertex_count, dtype=bool)
         seen[walk] = True
@@ -101,13 +107,3 @@ def check_map(m: FareyMap) -> list[tuple[str, bool]]:
              bool(np.all(np.bincount(ids, minlength=m.vertex_count) == 1)))
         )
     return results
-
-
-def _formula_matches_bfs(m: FareyMap) -> bool:
-    """The closed-form distance against the BFS distance on every vertex
-    pair: one breadth-first search from all sources at once, whose adjacency
-    is the map's dart targets, against the V x V closed-form matrix."""
-    nums, dens = m.vertex_columns()
-    formula = metrics.distance_classes(nums[:, None], dens[:, None], nums, dens, m.level)
-    np.fill_diagonal(formula, 0)
-    return np.array_equal(metrics.bfs_distances(m, np.arange(m.vertex_count)), formula)

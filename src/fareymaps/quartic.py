@@ -91,8 +91,7 @@ class FourteenGon(Polygon):
             raise NoMatch(f"side {index!r} is not an integer") from None
         if not 1 <= index <= len(self):
             raise NoMatch(f"side {index} not in 1..{len(self)}")
-        s, ids = self.side_slots, self.ids + self.ids[:1]
-        return self._side(index, ids[s * (index - 1):s * index + 1])
+        return self._side(index, self.side_paths()[index - 1])
 
     def _side(self, index: int, path: tuple[int, ...]) -> Side:
         """Side `index` from its path.  A side whose path starts at 2/0 runs

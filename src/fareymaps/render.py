@@ -18,40 +18,33 @@ _SCALE = 110.0
 _EXTENT = 3.6
 
 
-def _fmt(x: float) -> str:
-    out = f"{x:.2f}"
-    return "0.00" if out == "-0.00" else out
-
-
 def layout_positions(fmap: FareyMap) -> tuple[np.ndarray, np.ndarray]:
     """The float columns (x, y) of the planar positions, by vertex id: 1/0
-    (vertex id 0) at the origin, the distance-1 circuit on radius 1, the
-    distance-2 walk on radius 2 (first visit fixes the slot), remaining
-    poles outside; composite levels fall back to BFS shells from 1/0, each
-    in id order.  Slot j of L on radius r is (r sin a, -r cos a), a =
-    2*pi*j/L (clockwise from 12 o'clock, as SVG's y grows downward), with
-    math's sin and cos, whose floats do not vary with numpy's SIMD kernels.
-    A vertex left unplaced raises BrokenInvariant."""
+    (id 0) at the origin and shell k on radius k.  The prime shells are the
+    distance-1 circuit, the distance-2 walk (first visit fixes the slot, of
+    as many as the walk has visits) and the other poles; other levels use
+    the BFS shells from 1/0, each in id order.  Slot j of L on radius r is
+    (r sin a, -r cos a), a = 2*pi*j/L (clockwise from 12 o'clock, as SVG's y
+    grows downward), with math's sin and cos, whose floats do not vary with
+    numpy's SIMD kernels.  A vertex left unplaced raises BrokenInvariant."""
     n = fmap.level
     if n < 3:
         raise Unsupported(f"no layout below level 3, got {n}")
     if is_prime_level(n):
         _, ring, walk, outer = decomposition_ids(fmap)
         seen, first = np.unique(walk, return_index=True)
-        ids = np.concatenate((ring, seen, outer))
-        sizes = (ring.size, seen.size, outer.size)
-        radius = np.repeat((1.0, 2.0, 3.0), sizes)
-        slot = np.concatenate((np.arange(ring.size), first, np.arange(outer.size)))
-        count = np.repeat((ring.size, walk.size, outer.size), sizes)
+        shells = [(ring, np.arange(ring.size), ring.size), (seen, first, walk.size),
+                  (outer, np.arange(outer.size), outer.size)]
     else:
         dist = bfs_distances(fmap, [0])[0]
-        ids = np.argsort(dist, kind="stable")
-        ids = ids[dist[ids] > 0]
-        shell = dist[ids]
-        first = np.searchsorted(shell, shell)
-        slot = np.arange(ids.size) - first
-        count = np.searchsorted(shell, shell, side="right") - first
-        radius = shell.astype(float)
+        shells = [np.flatnonzero(dist == d) for d in range(1, dist.max() + 1)]
+        shells = [(ids, np.arange(ids.size), ids.size) for ids in shells]
+    ids, slot, count = zip(*shells)
+    sizes = [shell.size for shell in ids]
+    ids = np.concatenate(ids)
+    radius = np.repeat(np.arange(1.0, len(shells) + 1), sizes)
+    slot = np.concatenate(slot)
+    count = np.repeat(count, sizes)
     angle = (2 * math.pi * slot / count).tolist()
     x, y = np.full((2, fmap.vertex_count), np.nan)
     x[0] = y[0] = 0.0
@@ -66,24 +59,24 @@ def render_map(fmap: FareyMap, sector_face_ids=None) -> str:
     """SVG document for the map, or for a shaded face subset when given, read
     as the face ids of a Sector (an unknown or repeated id raises UnknownVertex)."""
     x, y = layout_positions(fmap)
-    size = _fmt(2 * _SCALE * _EXTENT)
+    size = f"{2 * _SCALE * _EXTENT:.2f}"
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">\n',
         f'<rect width="{size}" height="{size}" fill="white"/>\n',
     ]
-    centre = _fmt(_SCALE * _EXTENT)
+    centre = f"{_SCALE * _EXTENT:.2f}"
     if is_prime_level(fmap.level):
         for radius, dash in ((1.0, ""), (2.0, ""), (3.0, ' stroke-dasharray="6,4"')):
             parts.append(
-                f'<circle cx="{centre}" cy="{centre}" r="{_fmt(_SCALE * radius)}" '
+                f'<circle cx="{centre}" cy="{centre}" r="{_SCALE * radius:.2f}" '
                 f'fill="none" stroke="#cccccc" stroke-width="1"{dash}/>\n'
             )
 
-    # Each vertex's coordinates are formatted once, by vertex id, with _fmt's
-    # rule as one mask; an edge line is the head of its first endpoint
-    # joined to the tail of its second.
+    # Each vertex's coordinates are formatted once, by vertex id, and one mask
+    # writes -0.00 as 0.00 (the drawing's only sign rule); an edge line is
+    # the head of its first endpoint joined to the tail of its second.
     coords = (_SCALE * np.stack((x, y)) + _SCALE * _EXTENT).ravel().tolist()
     text = np.fromiter(map("{:.2f}".format, coords), dtype=object, count=len(coords))
     text[text == "-0.00"] = "0.00"

@@ -410,6 +410,39 @@ def test_farey_fractions_check_as_farey_fraction_does():
         farey_fractions([], [], 1)
 
 
+@pytest.mark.parametrize("nums, dens", [
+    ([1.5], [0]), (["1"], [0]), ([1], [0.0]), ([True], [0]), ([1], [False]),
+])
+def test_farey_fractions_read_only_integer_arrays(nums, dens):
+    # floats, strings and bools are refused, as FareyFraction refuses them
+    # as fields, and not read as the ints they convert to
+    with pytest.raises(Unsupported):
+        FareyFraction(nums[0], dens[0], 7)
+    with pytest.raises(Unsupported, match="integer arrays"):
+        farey_fractions(nums, dens, 7)
+    assert farey_fractions([], [], 7) == []  # an empty list reads as float64
+
+
+@pytest.mark.parametrize("make, fields", [
+    (FareyFraction, (True, 0, 7)),
+    (FareyFraction, (1, 0, 7.0)),
+    (FareyFraction, (np.int64(1), 0, 7)),
+    (ModMatrix, (1, 0, 0, 1, 7.0)),
+    (ModMatrix.of, (1, 0, 0, 1, 7.5)),
+    (IntMatrix, (1, 0, 0, 1.5)),
+    (IntMatrix, ("1", 0, 0, 1)),
+    (ExtRational, (1.0, 2)),
+    (ExtRational, (1, True)),
+    (ExtRational.of, (1.0, 2)),
+])
+def test_value_types_refuse_fields_that_are_not_ints(make, fields):
+    # a field that is not exactly an int is refused, not converted; the
+    # same values as ints build
+    with pytest.raises(Unsupported, match="fields must be ints"):
+        make(*fields)
+    make(*map(int, fields))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 31, 60])
 def test_farey_fractions_build_the_vertex_list(n):
     nums, dens = map(tuple, vertex_columns(n).tolist())

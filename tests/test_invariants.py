@@ -267,6 +267,30 @@ def test_bfs_check_reads_the_map_it_is_given(monkeypatch):
     assert results["alpha is a fixed-point-free involution"]
 
 
+@pytest.mark.parametrize("n", [5, 7, 11, 13])
+def test_the_battery_searches_all_pairs_once(monkeypatch, n):
+    # one all-pairs BFS table serves the distance-formula check and the
+    # diameter check; no second search runs for the diameter
+    calls = {"bfs_distances": 0, "diameter": 0}
+
+    def counting(name):
+        kernel = getattr(metrics, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+
+        return counted
+
+    m = build_map(n)
+    for name in calls:
+        monkeypatch.setattr(invariants.metrics, name, counting(name))
+    results = check_map(m)
+    assert calls == {"bfs_distances": 1, "diameter": 0}
+    assert [name for name, _ in results] == expected_names(n)
+    assert all(ok for _, ok in results)
+
+
 def test_broken_second_circuit_slot_raises(monkeypatch):
     # a slot whose cross-determinant with the next is not +-1 breaks the walk,
     # as it breaks a Circuit
