@@ -49,7 +49,7 @@ def check_map(m: FareyMap) -> list[tuple[str, bool]]:
         turned, ids = rotated(ids, n).reshape(-1, n), ids.reshape(-1, n)
         rotation &= bool((turned[:, :-1] == ids[:, 1:]).all()
                          and (turned[:, -1] == ids[:, 0]).all())
-    # Each stored face row (d, e, f) must be a phi-orbit, phi = sigma o alpha
+    # Each face row (d, e, f) must be a phi-orbit, phi = sigma o alpha
     # read off sigma's closed form, and the rows must cover every dart once
     # (mu entries, every dart marked): then phi^3 is the identity and no dart
     # is fixed, so every face orbit has size 3.

@@ -24,34 +24,37 @@ both sign representatives (a, c) and (-a, -c) of every vertex, so:
   - the dart from u = a/c to w = b/d exists iff e = a*d - c*b is +-1 mod n,
     and it is u*n + e*(b*d0[u] - d*b0[u]) mod n.
 
-Storage: the map keeps two int32 dart arrays, 8 bytes per dart: alpha and
-the F x 3 face darts (F = mu/3, so one entry per dart again).  sigma and the
-dart targets are one line of closed form each: sigma is rotated(d, n), which
-build_map, the battery and the face lookup all read, and the target of dart
-d is alpha[d] // n, the source of the reversed dart.  The face of each dart is
-an index built from the face darts, read only by face_neighbours() and
-face_translation(); a face id is found without it, as the rank of the
-face's least dart among the sorted face leaders.
-build_map computes alpha and the face darts as V x n blocks, one row per
-vertex, from the per-vertex columns, which come from the two numpy kernels
-above, so no Python step runs per vertex or per dart; it works through row
-blocks of about 2^15 darts (row_blocks), so beyond the arrays the map keeps
-it holds the per-level tables and one block's temporaries: at level 101 its
-tracemalloc peak is 2.3 MB above the 4.2 MB the map holds.  A vertex is its
-id: the map keeps the int (num, den) columns of the vertices, which the
-labels (vertex_labels()), dart_between and vertex_columns() read; the
-FareyFraction tuple `vertices` is a derived table like the labels, built by
-arith.farey_fractions.
+Storage: build_map builds one int32 dart array, alpha, 4 bytes per dart;
+the F x 3 int32 face darts (F = mu/3, so one entry per dart again) come on
+first read (face_darts()), and a map that answers only vertex queries never
+builds them.  sigma and the dart targets are one line of closed form each:
+sigma is rotated(d, n), which the face darts, the battery and the face
+lookup all read, and the target of dart d is alpha[d] // n, the source of
+the reversed dart.  The face of each dart is an index built from the face
+darts, read only by face_neighbours() and face_translation(); a face id is
+found without it, as the rank of the face's least dart among the sorted
+face leaders, and has_face() reads that least dart off alpha alone.
+build_map computes alpha as a V x n block, one row per vertex, from the
+per-vertex columns, which come from the two numpy kernels above, so no
+Python step runs per vertex or per dart; it works through row blocks of
+about 2^15 darts (row_blocks), as face_darts() does, so beyond the array the
+map keeps it holds the per-level tables and one block's temporaries: at
+level 101 its tracemalloc peak is 1.9 MB above the 2.2 MB the map holds.  A
+vertex is its id: the map keeps the int (num, den) columns of the vertices,
+which the labels (vertex_labels()), dart_between and vertex_columns() read;
+the FareyFraction tuple `vertices` is a derived table like the labels,
+built by arith.farey_fractions.
 
 A built map is immutable: every array it stores or hands out is read-only,
 every sequence a tuple, and concurrent readers are safe.  Every derived
-table (dart targets, edge columns, labels, vertices, the face corners, the
-face index, neighbours and orbits, vertex and face translation) goes through
-one memo, _derived: built on first use, set read-only if it is an array, and
-kept.  A map always computes the same values for a table, so a reader racing
-another sees an equal table.  The edges are one E x 2 array and the face
-corners one F x 3 array, the shapes the exports gather from; only this
-module turns face darts into face corners.
+table (dart targets, edge columns, labels, vertices, the face darts and
+leaders, the face corners, the face index, neighbours and orbits, vertex and
+face translation) goes through one memo, _derived: built on first use, set
+read-only if it is an array, and kept; pickle and copy leave them behind,
+and the copy builds them again.  A map always computes the same values for
+a table, so a reader racing another sees an equal table.  The edges are one
+E x 2 array and the face corners one F x 3 array, the shapes the exports
+gather from; only this module turns face darts into face corners.
 """
 
 from __future__ import annotations
@@ -82,9 +85,9 @@ from .errors import (
 
 DEFAULT_LEVEL_BOUND = 101
 
-# Darts per block of build_map and the battery: 2^15 int32 entries are
-# 128 KB, so one block's temporaries (about 1 MB with the intp index casts)
-# fit a 2 MB L2 cache; every level up to 40 is one block.
+# Darts per block of build_map, face_darts() and the battery: 2^15 int32
+# entries are 128 KB, so one block's temporaries (about 1 MB with the intp
+# index casts) fit a 2 MB L2 cache; every level up to 40 is one block.
 _BLOCK_DARTS = 1 << 15
 
 
@@ -183,24 +186,27 @@ def _derived(build):
 class FareyMap:
     """Immutable combinatorial map M3(n); build with build_map()."""
 
-    def __init__(self, level: int, columns, vertex_grid, alpha, face_darts):
+    def __init__(self, level: int, columns, vertex_grid, alpha):
         self.level = level
-        for array in (columns, vertex_grid, alpha, face_darts):
+        for array in (columns, vertex_grid, alpha):
             array.flags.writeable = False
         self.alpha: np.ndarray = alpha
         # rows a, c, b0, d0 over the vertex ids: vertex v is a/c, and
         # a*d0 - c*b0 = 1 mod n
         self._columns: np.ndarray = columns
         self._vertex_grid: np.ndarray = vertex_grid
-        self._face_darts: np.ndarray = face_darts
-        # the sorted face leaders; its items are Python ints, so a bisect
-        # over it builds no numpy scalar per probe
-        self._face_leaders = memoryview(face_darts[:, 0])
         self.vertex_count: int = columns.shape[1]
         self.dart_count: int = self.vertex_count * level
         self.edge_count: int = self.dart_count // 2
-        self.face_count: int = face_darts.shape[0]
+        self.face_count: int = self.dart_count // 3
         self._tables: dict[str, object] = {}  # filled in by _derived
+
+    def __reduce__(self):
+        """pickle and copy rebuild the map through __init__ from its stored
+        arrays, so the copy's arrays are read-only too; the derived tables
+        (the face leaders are a memoryview, which pickle refuses) are left
+        behind and built again on first read."""
+        return FareyMap, (self.level, self._columns, self._vertex_grid, self.alpha)
 
     # -- vertices -------------------------------------------------------
 
@@ -246,12 +252,17 @@ class FareyMap:
         """The vertex ids of the fractions nums[i]/dens[i] mod n, either sign
         representative, in one array shaped like nums; no FareyFraction is
         built.  Raises UnknownVertex if one of them is not a vertex, or if
-        nums or dens is not an array of integers (bools read as 0 or 1)."""
+        nums or dens is not an array of integers (bools read as 0 or 1); an
+        empty array, which [] gives as float64, names no vertex and gives an
+        empty int32 array."""
         n = self.level
         nums, dens = np.asarray(nums), np.asarray(dens)
-        if nums.dtype.kind not in "biu" or dens.dtype.kind not in "biu":
+        if (nums.dtype.kind not in "biu" and nums.size
+                or dens.dtype.kind not in "biu" and dens.size):
             raise UnknownVertex(
                 f"vertex_ids needs integer arrays, got {nums.dtype} and {dens.dtype}")
+        if not (nums.size and dens.size):
+            return np.empty(np.broadcast_shapes(nums.shape, dens.shape), dtype=np.int32)
         ids = self._vertex_grid[nums % n, dens % n]
         if (ids < 0).any():
             raise UnknownVertex(f"a fraction is not a vertex of M3({n})")
@@ -298,10 +309,47 @@ class FareyMap:
 
     # -- faces ----------------------------------------------------------
 
+    @_derived
     def face_darts(self) -> np.ndarray:
         """The read-only F x 3 int32 face darts: row i lists the darts of
-        face i in phi order, its least dart first, and the rows are sorted."""
-        return self._face_darts
+        face i in phi order, its least dart first, and the rows are sorted.
+
+        They are built from alpha on first read, over the row blocks of
+        build_map.  The face of dart (v, t) has the corners v, target(v, t)
+        and target(v, t - 1) (phi^2 = alpha sigma^-1), all distinct; the
+        darts of vertex v are v*n .. v*n + n - 1, so the dart leads its face
+        iff v is its least corner.  The leaders come in dart order, block by
+        block, and are counted against mu/3."""
+        n, order = self.level, self.dart_count
+        vid = np.arange(self.vertex_count, dtype=np.int32)
+        alpha_rows = self.alpha.reshape(-1, n)
+        face_darts = np.empty((order // 3, 3), dtype=np.int32)
+        faces = 0  # face rows filled so far
+        for lo, hi in row_blocks(n, self.vertex_count):
+            block = alpha_rows[lo:hi]
+            # Column t of a row rolled one column is column t - 1: a
+            # concatenate, as np.roll's Python steps add about 8 us a call.
+            above = block // n > vid[lo:hi, None]
+            leaders = np.flatnonzero(above & np.concatenate((above[:, -1:], above[:, :-1]), axis=1))
+            face = face_darts[faces:faces + leaders.shape[0]]
+            faces += leaders.shape[0]
+            if faces > face_darts.shape[0]:
+                raise BrokenInvariant(f"more than mu/3 = {order // 3} face leaders at level {n}")
+            face[:, 0] = leaders + lo * n
+            # phi(d) = sigma(alpha(d)), and phi^2(d) = alpha(sigma^-1(d)) is
+            # the alpha of the dart before d in its row: a row roll of the block
+            face[:, 1] = rotated(block.take(leaders), n)
+            face[:, 2] = np.concatenate((block[:, -1:], block[:, :-1]), axis=1).take(leaders)
+        if faces != face_darts.shape[0]:
+            raise BrokenInvariant(f"{faces} face leaders at level {n}, not mu/3 = {order // 3}")
+        return face_darts
+
+    @_derived
+    def _face_leaders(self) -> memoryview:
+        """The sorted face leaders, column 0 of the face darts; its items
+        are Python ints, so a bisect over it builds no numpy scalar per
+        probe."""
+        return memoryview(self.face_darts()[:, 0])
 
     def face_vertex_ids(self, face_id: int) -> tuple[int, int, int]:
         face_id = self._read_id(face_id, self.face_count, "face")
@@ -311,14 +359,14 @@ class FareyMap:
     def face_vertex_rows(self) -> np.ndarray:
         """The F x 3 int32 face corners: row i lists the vertex ids of face
         i, least first, in rotation order (the sources of its face darts)."""
-        return self._face_darts // self.level
+        return self.face_darts() // self.level
 
     @_derived
     def _face_index(self) -> np.ndarray:
         """The face id of every dart: face i holds the darts of row i of the
         face darts."""
         index = np.empty(self.dart_count, dtype=np.int32)
-        index[self._face_darts] = np.arange(self.face_count, dtype=np.int32)[:, None]
+        index[self.face_darts()] = np.arange(self.face_count, dtype=np.int32)[:, None]
         return index
 
     @_derived
@@ -326,7 +374,7 @@ class FareyMap:
         """F x 3 array: entry k of row i is the face across the edge from
         corner k to corner k + 1 of face_vertex_rows()[i]."""
         # dart k of a face runs from corner k to corner k + 1
-        return self._face_index()[self.alpha[self._face_darts]]
+        return self._face_index()[self.alpha[self.face_darts()]]
 
     @_derived
     def vertex_translation(self) -> np.ndarray:
@@ -351,7 +399,7 @@ class FareyMap:
         b0w, d0w = self._columns[2:, w]
         # c = n/2 corners are pairwise non-adjacent and sort last, so none leads a face
         k = ((b0 + d0) * d0w - d0 * b0w) % n
-        v, t = np.divmod(self._face_darts[:, 0], n)
+        v, t = np.divmod(self.face_darts()[:, 0], n)
         image = w[v] * n + (t + k[v]) % n
         return self._face_index()[image]
 
@@ -406,14 +454,30 @@ class FareyMap:
     def face_id_by_vertices(self, vs) -> int:
         """Face id of the face with the given three vertices; raises UnknownVertex if absent.
 
+        The face id is the rank of the face's least dart among the sorted
+        face leaders."""
+        return bisect_left(self._face_leaders(), self._least_face_dart(vs))
+
+    def has_face(self, vs) -> bool:
+        """Whether the three vertices bound a face, read off alpha alone:
+        unlike face_id_by_vertices, it builds no face table."""
+        try:
+            self._least_face_dart(vs)
+            return True
+        except UnknownVertex:
+            return False
+
+    def _least_face_dart(self, vs) -> int:
+        """The least dart of the face with the given three vertices; raises
+        UnknownVertex if absent.
+
         A face {a, b, c} lies on one side of the dart a -> b, and the face on
         the left of a dart d has third corner target(sigma(alpha(d))), read
         off alpha with the closed forms of sigma and target(x) = alpha(x) // n.
         M3(n) has no two faces with the same vertex set.  The face's darts
         are d, phi(d) and phi^2(d), one from each corner; vertex v owns the
         darts v*n .. v*n + n - 1, so the least of them leaves the least
-        corner and leads the face, and the face id is its rank among the
-        sorted leaders.
+        corner and leads the face.
         """
         ids = [self.vertex_id(v) if isinstance(v, FareyFraction)
                else self._read_id(v, self.vertex_count, "vertex") for v in vs]
@@ -426,23 +490,16 @@ class FareyMap:
                 second = rotated(alpha(dart), n)
                 third = alpha(second)
                 if third // n == c:
-                    least = min(dart, second, rotated(third, n))
-                    return bisect_left(self._face_leaders, least)
+                    return min(dart, second, rotated(third, n))
         raise UnknownVertex(f"no face with vertices {sorted(set(ids))}")
-
-    def has_face(self, vs) -> bool:
-        try:
-            self.face_id_by_vertices(vs)
-            return True
-        except UnknownVertex:
-            return False
 
     def euler_characteristic(self) -> int:
         return self.vertex_count - self.edge_count + self.face_count
 
 
 def build_map(n: int) -> FareyMap:
-    """Construct M3(n) with its dart permutations and faces.
+    """Construct M3(n): its vertex columns and alpha; the faces are built on
+    first read (FareyMap.face_darts).
 
     The level is read with arith.as_integer: numpy integers are stored as a
     Python int, and anything else, 7.0 or "7" say, raises Unsupported.
@@ -490,9 +547,7 @@ def build_map(n: int) -> FareyMap:
     times_m = times * m
     base = b0 * m + d0
     alpha = np.empty(order, dtype=np.int32)
-    face_darts = np.empty((order // 3, 3), dtype=np.int32)
     alpha_rows = alpha.reshape(vcount, n)
-    faces = 0  # face rows filled so far
     for lo, hi in row_blocks(n, vcount):
         rows = slice(lo, hi)
         cell = times_m[av[rows]] + times[cv[rows]] + base[rows, None]
@@ -505,30 +560,8 @@ def build_map(n: int) -> FareyMap:
                 f"a dart column is not a vertex at level {n}; construction bug")
         step = cv[rows, None] * b0_cell.take(cell) - av[rows, None] * d0_cell.take(cell)
         # mod n: numpy's % is several times slower on negative ints
-        block = alpha_rows[rows]
-        block[...] = target * n + step - step // n * n
-
-        # Face i is row i of face_darts: its darts in phi order from the least
-        # one.  The face of dart (v, t) has the corners v, target(v, t) and
-        # target(v, t - 1) (phi^2 = alpha sigma^-1), all distinct; the darts of
-        # vertex v are v*n .. v*n + n - 1, so the dart leads its face iff v is
-        # its least corner.  The leaders come in dart order, block by block.
-        # Column t of a row rolled one column is column t - 1: a concatenate,
-        # as np.roll's Python steps add about 8 us a call.
-        above = target > vid[rows, None]
-        leaders = np.flatnonzero(above & np.concatenate((above[:, -1:], above[:, :-1]), axis=1))
-        face = face_darts[faces:faces + leaders.shape[0]]
-        faces += leaders.shape[0]
-        if faces > face_darts.shape[0]:
-            raise BrokenInvariant(f"more than mu/3 = {order // 3} face leaders at level {n}")
-        face[:, 0] = leaders + lo * n
-        # phi(d) = sigma(alpha(d)), and phi^2(d) = alpha(sigma^-1(d)) is the
-        # alpha of the dart before d in its row: a row roll of the block
-        face[:, 1] = rotated(block.take(leaders), n)
-        face[:, 2] = np.concatenate((block[:, -1:], block[:, :-1]), axis=1).take(leaders)
-    if faces != face_darts.shape[0]:
-        raise BrokenInvariant(f"{faces} face leaders at level {n}, not mu/3 = {order // 3}")
-    return FareyMap(n, columns, vertex_grid, alpha, face_darts)
+        alpha_rows[rows] = target * n + step - step // n * n
+    return FareyMap(n, columns, vertex_grid, alpha)
 
 
 # -- export / import -------------------------------------------------------

@@ -95,7 +95,7 @@ def test_dart_permutations_read_only_by_maps_and_invariants():
 
 def test_face_darts_named_only_by_maps_and_invariants():
     # maps turns the face darts into the face corners face_vertex_rows(),
-    # which every other module reads; the battery checks the stored darts
+    # which every other module reads; the battery checks the face darts
     found = [
         f"{path.name}:{node.lineno} names {name}"
         for path in MODULES

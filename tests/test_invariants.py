@@ -217,7 +217,7 @@ def repeat_a_row(rows):
 @pytest.mark.parametrize("n, block", [(31, 300), (31, None), (101, None)])
 @pytest.mark.parametrize("broken", [swap_within_a_row, swap_across_rows, repeat_a_row])
 def test_broken_face_rows_fail_only_the_orbit_check(monkeypatch, n, block, broken):
-    # the orbit check reads the stored face rows through m.face_darts(): each
+    # the orbit check reads the face rows through m.face_darts(): each
     # row must be a phi-orbit, and the rows must cover every dart once
     if block is not None:
         monkeypatch.setattr(maps, "_BLOCK_DARTS", block)

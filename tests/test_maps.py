@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import gc
 import hashlib
 import json
+import pickle
 import time
 import tracemalloc
 from itertools import combinations_with_replacement, permutations
@@ -245,7 +247,7 @@ def test_face_id_by_vertices_matches_the_face_index(n):
     # index, built from the face darts, names the face of every dart; every
     # face of levels 3..40 is found with its corners in any order
     m = build_map(n)
-    index, darts = m._face_index(), m._face_darts
+    index, darts = m._face_index(), m.face_darts()
     if n < 41:
         faces = range(m.face_count)
     else:
@@ -260,9 +262,9 @@ def test_face_id_by_vertices_matches_the_face_index(n):
 
 
 # every reader of a derived table, all through the one memo of maps.py
-MEMO_READERS = ("vertices", "dart_targets", "edge_columns", "vertex_labels", "face_vertex_rows",
-                "_face_index", "face_neighbours", "vertex_translation", "face_translation",
-                "face_orbits")
+MEMO_READERS = ("vertices", "dart_targets", "edge_columns", "vertex_labels", "face_darts",
+                "_face_leaders", "face_vertex_rows", "_face_index", "face_neighbours",
+                "vertex_translation", "face_translation", "face_orbits")
 
 
 def read_table(m, name):
@@ -289,6 +291,59 @@ def test_derived_table_is_built_once_and_read_only(name):
             table[0] = table[-1]
     fresh = read_table(build_map(53), name)
     assert type(table) is type(fresh) and np.array_equal(table, fresh)
+
+
+@pytest.mark.parametrize("n", [7, 53, 101])
+def test_vertex_queries_build_no_face_darts(n):
+    # the readers of the verify op's second map answer off alpha and the
+    # vertex columns: has_face reads the least face dart off alpha, and the
+    # face darts wait for a reader of faces
+    m = build_map(n)
+    north, pole, zero, one = (canonical(a, c, n) for a, c in ((1, 0), (2, 0), (0, 1), (1, 1)))
+    assert m.vertex_id(north) == 0
+    assert bfs_distance(m, north, pole) == 3 and diameter(m) == 3
+    assert m.has_face([north, zero, one]) and not m.has_face([north, pole, zero])
+    assert m.dart_targets().shape == (m.vertex_count, n)
+    assert "face_darts" not in m._tables and "_face_leaders" not in m._tables
+
+
+@pytest.mark.parametrize("first", ["face_id_by_vertices", "face_vertex_rows"])
+def test_face_readers_build_the_face_darts_once(monkeypatch, first):
+    # face_darts() walks the row blocks of build_map once, on the first
+    # read of a face; later lookups and face tables reuse it
+    m = build_map(53)
+    walks = []
+    row_blocks = maps.row_blocks
+    monkeypatch.setattr(maps, "row_blocks", lambda n, v: walks.append(n) or row_blocks(n, v))
+    central = m.vertex_ids([1, 0, 1], [0, 1, 1]).tolist()
+    if first == "face_vertex_rows":
+        m.face_vertex_rows()
+    fid = m.face_id_by_vertices(central)
+    assert walks == [53] and "face_darts" in m._tables
+    assert m.face_id_by_vertices(central[::-1]) == fid
+    assert m.face_vertex_rows() is m.face_vertex_rows()
+    assert sorted(m.face_vertex_ids(fid)) == sorted(central)
+    assert walks == [53]
+
+
+@pytest.mark.parametrize("n", [7, 101])
+@pytest.mark.parametrize("looked_up", [False, True], ids=["fresh", "looked_up"])
+@pytest.mark.parametrize("copy_map", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_map_round_trips_through_pickle_and_deepcopy(n, looked_up, copy_map):
+    # the derived tables stay behind (the face leaders are a memoryview,
+    # which pickle refuses) and the copy builds them again on first read
+    m = build_map(n)
+    central = m.vertex_ids([1, 0, 1], [0, 1, 1]).tolist()
+    if looked_up:
+        m.face_id_by_vertices(central)
+    twin = copy_map(m)
+    assert twin._tables == {} and twin.alpha is not m.alpha
+    assert not any(a.flags.writeable for a in (twin.alpha, twin._columns, twin._vertex_grid))
+    assert np.array_equal(twin.alpha, m.alpha)
+    assert twin.face_id_by_vertices(central) == m.face_id_by_vertices(central)
+    assert to_json(twin) == to_json(m)
+    assert check_map(twin) == check_map(m)
 
 
 def test_derived_tuple_table_is_stored_without_being_walked():
@@ -437,7 +492,7 @@ def reference_face_translation(m):
     shift = m.vertex_ids(nums + dens, dens).tolist()
     targets = m.dart_targets()[:, 0].tolist()
     first = np.array([m.dart_between(shift[v], shift[w]) for v, w in enumerate(targets)])
-    v, t = np.divmod(m._face_darts[:, 0], n)
+    v, t = np.divmod(m.face_darts()[:, 0], n)
     image = first[v] // n * n + (first[v] + t) % n
     return m._face_index()[image]
 
@@ -813,7 +868,7 @@ def test_dart_layout_matches_reference_build(n):
     assert np.array_equal(maps.rotated(np.arange(m.dart_count), n), sigma)
     assert np.array_equal(m.alpha, alpha)
     assert np.array_equal(m.dart_targets(), (alpha // n).reshape(-1, n))
-    assert np.array_equal(m._face_darts, face_darts)
+    assert np.array_equal(m.face_darts(), face_darts)
     assert np.array_equal(m._face_index(), face_of_dart)
     assert np.array_equal(m.face_vertex_rows(), face_darts // n)
 
@@ -845,28 +900,28 @@ def traced_build(n):
 
 
 def test_build_map_memory():
-    # The map holds alpha and the face darts, int32: 8 bytes per dart beyond
-    # its per-vertex tables; the face of each dart is built on first use.
-    # build_map fills alpha and the face darts a block of dart rows at a
-    # time, so its peak stays within one block's temporaries of what it keeps.
+    # The map holds alpha, int32: 4 bytes per dart beyond its per-vertex
+    # tables; the face darts and the face of each dart are built on first
+    # read.  build_map fills alpha a block of dart rows at a time, so its
+    # peak stays within one block's temporaries of what it keeps.
     held, peak, own, darts = traced_build(DEFAULT_LEVEL_BOUND)
     assert peak <= held + PEAK_ABOVE_MAP, (peak - held, held)
     # beyond the per-vertex tables, only the Python objects and the array
     # headers (about 1.2 KB) are not dart data
-    assert own <= 8 * darts + 4096, own / darts
+    assert own <= 4 * darts + 4096, own / darts
 
 
 def test_build_map_memory_counts_a_kept_dart_array(monkeypatch):
     # the bound above sees a map that keeps one more int32 array over its darts
     init = maps.FareyMap.__init__
 
-    def keep_one_more(self, level, columns, vertex_grid, alpha, face_darts):
-        init(self, level, columns, vertex_grid, alpha, face_darts)
+    def keep_one_more(self, level, columns, vertex_grid, alpha):
+        init(self, level, columns, vertex_grid, alpha)
         self.extra = alpha.copy()
 
     monkeypatch.setattr(maps.FareyMap, "__init__", keep_one_more)
     own, darts = traced_build(DEFAULT_LEVEL_BOUND)[2:]
-    assert own > 8 * darts + 4096 and own // darts == 12, own / darts
+    assert own > 4 * darts + 4096 and own // darts == 8, own / darts
 
 
 def test_check_map_memory():
@@ -877,6 +932,7 @@ def test_check_map_memory():
     tracemalloc.start()
     try:
         m = build_map(DEFAULT_LEVEL_BOUND)
+        m.face_darts()  # a table of the map, which it keeps after the battery
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         assert all(ok for _, ok in check_map(m))
@@ -889,7 +945,7 @@ def test_check_map_memory():
 def test_dart_arrays_are_read_only():
     m = build_map(11)
     before = to_json(m)
-    arrays = (m.alpha, m.dart_targets(), m._face_index(), m._face_darts,
+    arrays = (m.alpha, m.dart_targets(), m._face_index(), m.face_darts(),
               m._columns, m._vertex_grid, *m.vertex_columns(), m.edge_columns(),
               m.face_vertex_rows(), m.face_neighbours(), m.vertex_translation(),
               m.face_translation())
@@ -914,8 +970,8 @@ def test_dart_blocks_match_one_block(monkeypatch, block):
     assert len(maps.row_blocks(31, want[31].vertex_count)) > 1
     for n in levels:
         m = build_map(n)
-        for name in ("alpha", "_face_darts"):
-            assert np.array_equal(getattr(m, name), getattr(want[n], name)), (n, name)
+        assert np.array_equal(m.alpha, want[n].alpha), n
+        assert np.array_equal(m.face_darts(), want[n].face_darts()), n
         assert np.array_equal(m.dart_targets(), want[n].dart_targets()), n
         assert np.array_equal(m._face_index(), want[n]._face_index()), n
         assert check_map(m) == check_map(want[n]), n
@@ -947,17 +1003,17 @@ def test_build_map_raises_on_broken_construction(monkeypatch):
     with pytest.raises(BrokenInvariant, match="not a vertex"):
         build_map(7)
     monkeypatch.undo()
-    # the face leaders are counted against mu/3 block by block: the first
-    # block left out leaves too few (the last vertices lead no face), and a
-    # block run twice too many
+    # face_darts() counts the face leaders against mu/3 block by block: the
+    # first block left out leaves too few (the last vertices lead no face),
+    # and a block run twice too many
     monkeypatch.setattr(maps, "_BLOCK_DARTS", 300)
     row_blocks = maps.row_blocks
     monkeypatch.setattr(maps, "row_blocks", lambda n, v: row_blocks(n, v)[1:])
     with pytest.raises(BrokenInvariant, match="face leaders at level 31, not mu/3 = 4960"):
-        build_map(31)
+        build_map(31).face_darts()
     monkeypatch.setattr(maps, "row_blocks", lambda n, v: row_blocks(n, v) + row_blocks(n, v)[:1])
     with pytest.raises(BrokenInvariant, match="more than mu/3 = 4960 face leaders at level 31"):
-        build_map(31)
+        build_map(31).face_darts()
 
 
 @pytest.mark.parametrize("n", (3, 12, 53, 101))
@@ -966,7 +1022,7 @@ def test_build_map_arrays_are_int32(n):
     # casting a mixed expression that upcasts would show here
     m = build_map(n)
     arrays = (*m.vertex_columns(), m._columns, m.alpha, m.dart_targets(),
-              m._face_index(), m._face_darts, m.face_vertex_rows())
+              m._face_index(), m.face_darts(), m.face_vertex_rows())
     assert [a.dtype for a in arrays] == [np.dtype(np.int32)] * len(arrays)
     assert not any(a.flags.writeable for a in arrays)
 
@@ -974,8 +1030,9 @@ def test_build_map_arrays_are_int32(n):
 def test_build_map_reads_the_level_as_an_index():
     m, want = build_map(np.int64(7)), build_map(7)
     assert type(m.level) is int and m.level == 7
-    for name in ("_columns", "_vertex_grid", "alpha", "_face_darts"):
+    for name in ("_columns", "_vertex_grid", "alpha"):
         assert np.array_equal(getattr(m, name), getattr(want, name)), name
+    assert np.array_equal(m.face_darts(), want.face_darts())
     assert np.array_equal(m.dart_targets(), want.dart_targets())
     assert np.array_equal(m._face_index(), want._face_index())
     assert m.dart_targets().dtype == np.int32
@@ -1007,6 +1064,18 @@ def test_vertex_ids_reject_non_integer_input(nums, dens):
     # as _read_id does for one scalar id
     with pytest.raises(UnknownVertex):
         build_map(7).vertex_ids(nums, dens)
+
+
+@pytest.mark.parametrize("nums, dens, shape", [([], [], (0,)), ([], 3, (0,)),
+                                               (np.empty((2, 0), dtype=int), [], (2, 0))],
+                         ids=repr)
+def test_vertex_ids_of_empty_input_are_empty(nums, dens, shape):
+    # [] reads as float64, but names no vertex: as bfs_distances(m, []) and
+    # farey_fractions take empty input
+    ids = build_map(7).vertex_ids(nums, dens)
+    assert ids.dtype == np.int32 and ids.shape == shape
+    with pytest.raises(UnknownVertex):
+        build_map(7).vertex_ids([], [0.5])
 
 
 SCALAR_ID_READERS = {
