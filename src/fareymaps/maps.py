@@ -30,10 +30,10 @@ first read (face_darts()), and a map that answers only vertex queries never
 builds them.  sigma and the dart targets are one line of closed form each:
 sigma is rotated(d, n), which the face darts, the battery and the face
 lookup all read, and the target of dart d is alpha[d] // n, the source of
-the reversed dart.  The face of each dart is an index built from the face
-darts, read only by face_neighbours() and face_translation(); a face id is
-found without it, as the rank of the face's least dart among the sorted
-face leaders, and has_face() reads that least dart off alpha alone.
+the reversed dart.  The face index, built from the face darts, is the one
+face-id rule: it names the face of every dart, and face_neighbours(),
+face_translation() and face_id_by_vertices() read it.  A face lookup reads
+a dart of the face off alpha, and has_face() reads that dart alone.
 build_map computes alpha as a V x n block, one row per vertex, from the
 per-vertex columns, which come from the two numpy kernels above, so no
 Python step runs per vertex or per dart; it works through row blocks of
@@ -47,9 +47,9 @@ built by arith.farey_fractions.
 
 A built map is immutable: every array it stores or hands out is read-only,
 every sequence a tuple, and concurrent readers are safe.  Every derived
-table (dart targets, edge columns, labels, vertices, the face darts and
-leaders, the face corners, the face index, neighbours and orbits, vertex and
-face translation) goes through one memo, _derived: built on first use, set
+table (dart targets, edge columns, labels, vertices, the face darts, the
+face corners, the face index, neighbours and orbits, vertex and face
+translation) goes through one memo, _derived: built on first use, set
 read-only if it is an array, and kept; pickle and copy leave them behind,
 and the copy builds them again.  A map always computes the same values for
 a table, so a reader racing another sees an equal table.  The edges are one
@@ -62,7 +62,6 @@ from __future__ import annotations
 import gc
 import json
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
@@ -204,8 +203,7 @@ class FareyMap:
     def __reduce__(self):
         """pickle and copy rebuild the map through __init__ from its stored
         arrays, so the copy's arrays are read-only too; the derived tables
-        (the face leaders are a memoryview, which pickle refuses) are left
-        behind and built again on first read."""
+        are left behind and built again on first read."""
         return FareyMap, (self.level, self._columns, self._vertex_grid, self.alpha)
 
     # -- vertices -------------------------------------------------------
@@ -327,29 +325,22 @@ class FareyMap:
         faces = 0  # face rows filled so far
         for lo, hi in row_blocks(n, self.vertex_count):
             block = alpha_rows[lo:hi]
-            # Column t of a row rolled one column is column t - 1: a
-            # concatenate, as np.roll's Python steps add about 8 us a call.
-            above = block // n > vid[lo:hi, None]
-            leaders = np.flatnonzero(above & np.concatenate((above[:, -1:], above[:, :-1]), axis=1))
+            # before[v, t] = alpha(v, t - 1) = phi^2(v, t), a concatenate as
+            # np.roll's Python steps add about 8 us a call; the target of a
+            # dart x is above v iff alpha(x) >= (v + 1)*n, with no division.
+            before = np.concatenate((block[:, -1:], block[:, :-1]), axis=1)
+            floor = (vid[lo:hi, None] + 1) * n
+            leaders = np.flatnonzero((block >= floor) & (before >= floor))
             face = face_darts[faces:faces + leaders.shape[0]]
             faces += leaders.shape[0]
             if faces > face_darts.shape[0]:
                 raise BrokenInvariant(f"more than mu/3 = {order // 3} face leaders at level {n}")
             face[:, 0] = leaders + lo * n
-            # phi(d) = sigma(alpha(d)), and phi^2(d) = alpha(sigma^-1(d)) is
-            # the alpha of the dart before d in its row: a row roll of the block
-            face[:, 1] = rotated(block.take(leaders), n)
-            face[:, 2] = np.concatenate((block[:, -1:], block[:, :-1]), axis=1).take(leaders)
+            face[:, 1] = rotated(block.take(leaders), n)  # phi(d) = sigma(alpha(d))
+            face[:, 2] = before.take(leaders)
         if faces != face_darts.shape[0]:
             raise BrokenInvariant(f"{faces} face leaders at level {n}, not mu/3 = {order // 3}")
         return face_darts
-
-    @_derived
-    def _face_leaders(self) -> memoryview:
-        """The sorted face leaders, column 0 of the face darts; its items
-        are Python ints, so a bisect over it builds no numpy scalar per
-        probe."""
-        return memoryview(self.face_darts()[:, 0])
 
     def face_vertex_ids(self, face_id: int) -> tuple[int, int, int]:
         face_id = self._read_id(face_id, self.face_count, "face")
@@ -454,30 +445,29 @@ class FareyMap:
     def face_id_by_vertices(self, vs) -> int:
         """Face id of the face with the given three vertices; raises UnknownVertex if absent.
 
-        The face id is the rank of the face's least dart among the sorted
-        face leaders."""
-        return bisect_left(self._face_leaders(), self._least_face_dart(vs))
+        It is the face index's entry for a dart of the face, so the first
+        call builds the face darts and the index."""
+        return self._face_index().item(self._face_dart(vs))
 
     def has_face(self, vs) -> bool:
         """Whether the three vertices bound a face, read off alpha alone:
         unlike face_id_by_vertices, it builds no face table."""
         try:
-            self._least_face_dart(vs)
+            self._face_dart(vs)
             return True
         except UnknownVertex:
             return False
 
-    def _least_face_dart(self, vs) -> int:
-        """The least dart of the face with the given three vertices; raises
+    def _face_dart(self, vs) -> int:
+        """A dart of the face with the given three vertices a, b, c; raises
         UnknownVertex if absent.
 
-        A face {a, b, c} lies on one side of the dart a -> b, and the face on
-        the left of a dart d has third corner target(sigma(alpha(d))), read
-        off alpha with the closed forms of sigma and target(x) = alpha(x) // n.
-        M3(n) has no two faces with the same vertex set.  The face's darts
-        are d, phi(d) and phi^2(d), one from each corner; vertex v owns the
-        darts v*n .. v*n + n - 1, so the least of them leaves the least
-        corner and leads the face.
+        A face {a, b, c} lies on one side of the dart d = a -> b, so it is
+        the left face of d or of alpha(d); the face on the left of a dart x
+        has third corner target(sigma(alpha(x))), read off alpha with the
+        closed forms of sigma and target(y) = alpha(y) // n.  M3(n) has no
+        two faces with the same vertex set, so the dart of the two whose
+        left face has third corner c is a dart of the face.
         """
         ids = [self.vertex_id(v) if isinstance(v, FareyFraction)
                else self._read_id(v, self.vertex_count, "vertex") for v in vs]
@@ -487,10 +477,8 @@ class FareyMap:
             d = self._dart(a, b)
             alpha = self.alpha.item
             for dart in (d, alpha(d)):
-                second = rotated(alpha(dart), n)
-                third = alpha(second)
-                if third // n == c:
-                    return min(dart, second, rotated(third, n))
+                if alpha(rotated(alpha(dart), n)) // n == c:
+                    return dart
         raise UnknownVertex(f"no face with vertices {sorted(set(ids))}")
 
     def euler_characteristic(self) -> int:

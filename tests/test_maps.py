@@ -243,8 +243,8 @@ def test_face_lookup_edge_cases():
 
 @pytest.mark.parametrize("n", list(range(3, 41)) + [53, 64, 101])
 def test_face_id_by_vertices_matches_the_face_index(n):
-    # the lookup ranks the face's least dart among the leaders; the face
-    # index, built from the face darts, names the face of every dart; every
+    # the face index, built from the face darts, names the face of every
+    # dart, and the lookup reads its entry for a dart of the face; every
     # face of levels 3..40 is found with its corners in any order
     m = build_map(n)
     index, darts = m._face_index(), m.face_darts()
@@ -263,7 +263,7 @@ def test_face_id_by_vertices_matches_the_face_index(n):
 
 # every reader of a derived table, all through the one memo of maps.py
 MEMO_READERS = ("vertices", "dart_targets", "edge_columns", "vertex_labels", "face_darts",
-                "_face_leaders", "face_vertex_rows", "_face_index", "face_neighbours",
+                "face_vertex_rows", "_face_index", "face_neighbours",
                 "vertex_translation", "face_translation", "face_orbits")
 
 
@@ -296,15 +296,29 @@ def test_derived_table_is_built_once_and_read_only(name):
 @pytest.mark.parametrize("n", [7, 53, 101])
 def test_vertex_queries_build_no_face_darts(n):
     # the readers of the verify op's second map answer off alpha and the
-    # vertex columns: has_face reads the least face dart off alpha, and the
-    # face darts wait for a reader of faces
+    # vertex columns: has_face reads a face dart off alpha, and the face
+    # darts and the face index wait for a reader of faces
     m = build_map(n)
     north, pole, zero, one = (canonical(a, c, n) for a, c in ((1, 0), (2, 0), (0, 1), (1, 1)))
     assert m.vertex_id(north) == 0
     assert bfs_distance(m, north, pole) == 3 and diameter(m) == 3
     assert m.has_face([north, zero, one]) and not m.has_face([north, pole, zero])
     assert m.dart_targets().shape == (m.vertex_count, n)
-    assert "face_darts" not in m._tables and "_face_leaders" not in m._tables
+    assert "face_darts" not in m._tables and "_face_index" not in m._tables
+
+
+def test_face_lookup_builds_only_the_face_darts_and_the_face_index():
+    # the face index is the one face-id rule: has_face builds no table, a
+    # lookup builds the face darts and the index, and the memo holds no
+    # table that is not one of MEMO_READERS
+    m = build_map(11)
+    central = m.vertex_ids([1, 0, 1], [0, 1, 1]).tolist()
+    assert m.has_face(central) and m._tables == {}
+    m.face_id_by_vertices(central)
+    assert set(m._tables) == {"face_darts", "_face_index"}
+    for name in MEMO_READERS:
+        read_table(m, name)
+    assert set(m._tables) == set(MEMO_READERS)
 
 
 @pytest.mark.parametrize("first", ["face_id_by_vertices", "face_vertex_rows"])
@@ -319,7 +333,7 @@ def test_face_readers_build_the_face_darts_once(monkeypatch, first):
     if first == "face_vertex_rows":
         m.face_vertex_rows()
     fid = m.face_id_by_vertices(central)
-    assert walks == [53] and "face_darts" in m._tables
+    assert walks == [53] and "face_darts" in m._tables and "_face_index" in m._tables
     assert m.face_id_by_vertices(central[::-1]) == fid
     assert m.face_vertex_rows() is m.face_vertex_rows()
     assert sorted(m.face_vertex_ids(fid)) == sorted(central)
@@ -331,8 +345,8 @@ def test_face_readers_build_the_face_darts_once(monkeypatch, first):
 @pytest.mark.parametrize("copy_map", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy],
                          ids=["pickle", "deepcopy"])
 def test_map_round_trips_through_pickle_and_deepcopy(n, looked_up, copy_map):
-    # the derived tables stay behind (the face leaders are a memoryview,
-    # which pickle refuses) and the copy builds them again on first read
+    # the derived tables stay behind and the copy builds them again on
+    # first read
     m = build_map(n)
     central = m.vertex_ids([1, 0, 1], [0, 1, 1]).tolist()
     if looked_up:
